@@ -2,16 +2,16 @@
 //!
 //! Two protocols in the MobiCore workspace do real lock-free /
 //! lock-based coordination: the sweep executor's work-stealing deque
-//! pool (`crates/sweep`) and the serve worker pool's session
-//! claim / drain / backpressure state machine (`crates/serve`). Both
-//! are replicated here, operation for operation, against the
+//! pool (`crates/sweep`) and the serve daemons' connection-thread
+//! drain with per-connection backpressure (`crates/serve`). Both are
+//! replicated here, operation for operation, against the
 //! [`model::sync`](crate::model::sync) primitives so the interleaving
 //! explorer can drive them.
 //!
 //! Each `check_*` function returns the explorer's [`Outcome`]; the
 //! `Seed` parameters inject the specific bugs the checker is expected
 //! to catch (a steal that duplicates jobs, a drain decrement with the
-//! wrong ordering, a backpressure flag shared across sessions). Tier-1
+//! wrong ordering, a backpressure flag shared across connections). Tier-1
 //! tests assert that unseeded replicas verify and every seeded replica
 //! is caught — see `crates/analyze/tests/protocols.rs`.
 //!
@@ -161,8 +161,10 @@ pub mod sweep {
     }
 }
 
-/// Replica of the serve worker pool's claim / drain / backpressure
-/// state machine.
+/// Replica of the serve and router daemons' connection threads and
+/// bounded drain (`crates/serve/src/conn.rs`): one thread per
+/// connection, a drain flag, the live-connection count retired with a
+/// Release decrement, and a join.
 pub mod serve {
     use super::*;
 
@@ -171,27 +173,24 @@ pub mod serve {
     pub enum Seed {
         /// Faithful replica of `crates/serve`.
         None,
-        /// `live_sessions` is decremented with `Relaxed` instead of
-        /// `Release` — the session's counter updates are no longer
+        /// The live count is decremented with `Relaxed` instead of
+        /// `Release` — the connection's counter updates are no longer
         /// published to whoever observes the drain completing.
         RelaxedDecrement,
-        /// The finalizer forgets the decrement entirely; drain can
-        /// never complete.
+        /// The retire step forgets the decrement entirely; drain can
+        /// never complete before its deadline.
         MissingDecrement,
-        /// A worker re-enqueues the session id after claiming it,
-        /// so two workers can hold one session.
-        DoubleClaim,
-        /// The backpressure edge flag is shared across sessions
-        /// instead of per-session state.
+        /// The backpressure edge flag is shared across connections
+        /// instead of per-connection state.
         SharedEdgeFlag,
     }
 
-    /// The drain-stats synchronization core, isolated: two "workers"
-    /// (the driver plays one) each bump the decisions counter with a
-    /// `Relaxed` RMW and then retire their session with
-    /// `live_sessions.fetch_sub(1, Release)`, exactly as
-    /// `finalize()` in `crates/serve` does. An observer that sees
-    /// `live_sessions == 0` via an `Acquire` load must observe every
+    /// The drain-stats synchronization core, isolated: two connection
+    /// threads (the driver plays one) each bump the decisions counter
+    /// with a `Relaxed` RMW and then retire with
+    /// `live_conns.fetch_sub(1, Release)`, exactly as
+    /// `Daemon::retire` in `crates/serve` does. An observer that sees
+    /// `live_conns == 0` via an `Acquire` load must observe every
     /// decision: the Release decrement publishes the Relaxed counter
     /// bumps, and the second decrement's RMW continues the first
     /// one's release sequence.
@@ -210,61 +209,59 @@ pub mod serve {
             let live = Arc::new(AtomicUsize::new(2));
             let decisions = Arc::new(AtomicU64::new(0));
             let (live2, decisions2) = (Arc::clone(&live), Arc::clone(&decisions));
-            let worker = thread::spawn(move || {
+            let conn = thread::spawn(move || {
                 decisions2.fetch_add(3, Ordering::Relaxed);
                 live2.fetch_sub(1, dec_ord);
             });
             decisions.fetch_add(2, Ordering::Relaxed);
             live.fetch_sub(1, Ordering::Release);
-            // The drain observation (worker_loop's exit check): no
-            // join has happened yet, so only the Release/Acquire
-            // chain can order the counter reads.
+            // The drain observation (`Daemon::drain`'s wait): no join
+            // has happened yet, so only the Release/Acquire chain can
+            // order the counter reads.
             if live.load(Ordering::Acquire) == 0 {
                 assert_eq!(
                     decisions.load(Ordering::Relaxed),
                     5,
-                    "drain stats must be exact once live_sessions reads 0"
+                    "drain stats must be exact once live_conns reads 0"
                 );
             }
-            worker.join().expect("worker joins");
+            conn.join().expect("connection thread joins");
         })
     }
 
-    struct Session {
-        /// Set while a worker holds the session; claiming a held
-        /// session is the two-owners violation.
-        in_use: AtomicBool,
-        /// Times this session was fully processed.
+    struct Conn {
+        /// Times this connection's session was served.
         processed: AtomicUsize,
-        /// Backpressure frames emitted for this session.
+        /// Backpressure frames emitted on this connection.
         emitted: AtomicUsize,
+        /// GoingAway notices sent on this connection.
+        notified: AtomicUsize,
     }
 
-    struct Drain {
-        injector: Mutex<VecDeque<usize>>,
-        sessions: Vec<Session>,
+    struct Daemon {
+        conns: Vec<Conn>,
         live: AtomicUsize,
         draining: AtomicBool,
+        decisions: AtomicU64,
         /// Seeded global edge flag (see [`Seed::SharedEdgeFlag`]).
         shared_edge: AtomicBool,
     }
 
-    /// Queue-depth samples each session observes while being served;
-    /// with threshold 2 the rising edges are at indices 1 and 4, so a
-    /// correct server emits exactly 2 backpressure frames.
+    /// Queue-depth samples each connection observes while being
+    /// served; with threshold 2 the rising edges are at indices 1 and
+    /// 4, so a correct server emits exactly 2 backpressure frames.
     const DEPTHS: [usize; 5] = [1, 3, 3, 1, 3];
     const THRESHOLD: usize = 2;
     const EDGES: usize = 2;
+    /// Decisions each connection serves.
+    const DECISIONS: u64 = 3;
 
-    fn serve_session(state: &Drain, sid: usize, seed: Seed) {
-        let sess = &state.sessions[sid];
-        // Claim: a session popped from the injector is exclusively
-        // ours; the flag turns that invariant into an assertion.
-        assert!(
-            !sess.in_use.swap(true, Ordering::Acquire),
-            "session {sid} held by two workers"
-        );
-        // Rising-edge backpressure, as in serve's service() step: emit
+    /// One connection thread: serve the session, stay open until the
+    /// drain flag shows up (an idle peer), say `GoingAway` once, let
+    /// the peer close, retire.
+    fn serve_conn(state: &Daemon, cid: usize, seed: Seed) {
+        let conn = &state.conns[cid];
+        // Rising-edge backpressure, as in serve's service pass: emit
         // only on the not-backpressured -> backpressured transition.
         let mut edge_flag = false;
         for depth in DEPTHS {
@@ -275,53 +272,33 @@ pub mod serve {
                 std::mem::replace(&mut edge_flag, above)
             };
             if above && !was {
-                sess.emitted.fetch_add(1, Ordering::Relaxed);
+                conn.emitted.fetch_add(1, Ordering::Relaxed);
             }
         }
-        sess.processed.fetch_add(1, Ordering::Relaxed);
-        sess.in_use.store(false, Ordering::Release);
-        // Finalize: retire the session from the live count.
+        state.decisions.fetch_add(DECISIONS, Ordering::Relaxed);
+        conn.processed.fetch_add(1, Ordering::Relaxed);
+        // The wake-period re-check of the drain flag.
+        while !state.draining.load(Ordering::Acquire) {}
+        conn.notified.fetch_add(1, Ordering::Relaxed);
         if seed != Seed::MissingDecrement {
             state.live.fetch_sub(1, Ordering::Release);
         }
     }
 
-    fn drain_worker(state: &Drain, seed: Seed) {
-        loop {
-            let sid = lock(&state.injector).pop_front();
-            match sid {
-                Some(sid) => {
-                    if seed == Seed::DoubleClaim {
-                        // Seeded bug: the id leaks back into the queue
-                        // while we are still serving the session.
-                        lock(&state.injector).push_back(sid);
-                    }
-                    serve_session(state, sid, seed);
-                }
-                None => {
-                    // worker_loop's drain exit: only leave once
-                    // draining has begun and no session is live.
-                    if state.draining.load(Ordering::Acquire)
-                        && state.live.load(Ordering::Acquire) == 0
-                    {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Full drain replica: the driver enqueues two sessions, flips
-    /// the pool into draining, and then works alongside one spawned
-    /// worker until the drain-exit condition fires for both.
+    /// Full drain replica: two admitted connections — one spawned
+    /// thread, one played by the driver — with the daemon flipped into
+    /// draining while the spawned one is in flight; the driver then
+    /// waits for the live count to reach zero, reads the stats, and
+    /// joins.
     ///
-    /// Properties checked on every completed schedule: each session
-    /// is served exactly once, never by two workers at once, each
-    /// emits exactly one backpressure frame per rising edge, and both
-    /// workers exit — i.e. drain terminates on every fair schedule
-    /// ([`Seed::MissingDecrement`] turns *every* schedule into a
-    /// starved spin, observable as `schedules == 0` with everything
-    /// pruned).
+    /// Properties checked on every completed schedule: the stats the
+    /// drain reads *before* the join are exact, each connection is
+    /// served once, hears `GoingAway` once, emits exactly one
+    /// backpressure frame per rising edge, and the drain terminates on
+    /// every fair schedule ([`Seed::MissingDecrement`] turns *every*
+    /// schedule into a starved wait, observable as `schedules == 0`
+    /// with everything pruned — the real daemon would sit out its
+    /// whole drain deadline).
     pub fn check_drain(seed: Seed) -> Outcome {
         check_drain_with(protocol_model(), seed)
     }
@@ -331,43 +308,49 @@ pub mod serve {
     /// spins (e.g. [`Seed::MissingDecrement`]).
     pub fn check_drain_with(model: Model, seed: Seed) -> Outcome {
         model.check(move || {
-            let state = Arc::new(Drain {
-                injector: Mutex::new(VecDeque::from([0usize, 1])),
-                sessions: (0..2)
-                    .map(|_| Session {
-                        in_use: AtomicBool::new(false),
+            let state = Arc::new(Daemon {
+                conns: (0..2)
+                    .map(|_| Conn {
                         processed: AtomicUsize::new(0),
                         emitted: AtomicUsize::new(0),
+                        notified: AtomicUsize::new(0),
                     })
                     .collect(),
                 live: AtomicUsize::new(2),
                 draining: AtomicBool::new(false),
+                decisions: AtomicU64::new(0),
                 shared_edge: AtomicBool::new(false),
             });
             let state2 = Arc::clone(&state);
-            let worker = thread::spawn(move || drain_worker(&state2, seed));
-            // Drain begins while sessions are still in flight — the
-            // interesting regime.
+            let conn = thread::spawn(move || serve_conn(&state2, 1, seed));
+            // Drain begins while connection 1 is still in flight; the
+            // driver plays connection 0, then waits out the drain.
             state.draining.store(true, Ordering::Release);
-            drain_worker(&state, seed);
-            worker.join().expect("worker joins");
-            for (sid, sess) in state.sessions.iter().enumerate() {
+            serve_conn(&state, 0, seed);
+            while state.live.load(Ordering::Acquire) != 0 {}
+            assert_eq!(
+                state.decisions.load(Ordering::Relaxed),
+                2 * DECISIONS,
+                "drain stats must be exact once live_conns reads 0"
+            );
+            conn.join().expect("connection thread joins");
+            for (cid, conn) in state.conns.iter().enumerate() {
                 assert_eq!(
-                    sess.processed.load(Ordering::Relaxed),
+                    conn.processed.load(Ordering::Relaxed),
                     1,
-                    "session {sid} must be served exactly once"
+                    "connection {cid} must be served exactly once"
                 );
                 assert_eq!(
-                    sess.emitted.load(Ordering::Relaxed),
+                    conn.notified.load(Ordering::Relaxed),
+                    1,
+                    "connection {cid} must hear GoingAway exactly once"
+                );
+                assert_eq!(
+                    conn.emitted.load(Ordering::Relaxed),
                     EDGES,
-                    "session {sid} must emit one backpressure frame per rising edge"
+                    "connection {cid} must emit one backpressure frame per rising edge"
                 );
             }
-            assert_eq!(
-                state.live.load(Ordering::Relaxed),
-                0,
-                "drain leaves no live session"
-            );
         })
     }
 }

@@ -48,19 +48,19 @@ fn serve_drain_stats_exact_with_release_acquire() {
 #[test]
 fn serve_relaxed_decrement_is_caught() {
     // The satellite-audit rationale, mechanized: downgrade
-    // live_sessions.fetch_sub to Relaxed and the drain observer can
+    // the live-count fetch_sub to Relaxed and the drain observer can
     // read a stale decisions counter.
     let outcome = serve::check_drain_stats_exact(serve::Seed::RelaxedDecrement);
     let v = outcome
         .violation
-        .expect("a Relaxed live_sessions decrement must be caught");
+        .expect("a Relaxed live-count decrement must be caught");
     assert!(v.message.contains("exact"), "{}", v.message);
 }
 
-// ---- serve: full claim/drain/backpressure replica --------------------
+// ---- serve: connection threads, drain, backpressure ------------------
 
 #[test]
-fn serve_drain_terminates_and_serves_each_session_once() {
+fn serve_drain_terminates_and_serves_each_connection_once() {
     let outcome = serve::check_drain(serve::Seed::None);
     outcome.assert_passed("serve drain replica");
     assert!(
@@ -71,7 +71,7 @@ fn serve_drain_terminates_and_serves_each_session_once() {
 
 #[test]
 fn serve_missing_decrement_starves_every_schedule() {
-    // Without the finalize decrement the exit condition can never
+    // Without the retire decrement the exit condition can never
     // hold: no schedule completes — the checker sees only starved
     // spins (pruned), proving drain termination depends on it.
     let model = Model::new()
@@ -88,23 +88,10 @@ fn serve_missing_decrement_starves_every_schedule() {
 }
 
 #[test]
-fn serve_double_claim_is_caught() {
-    let outcome = serve::check_drain(serve::Seed::DoubleClaim);
-    let v = outcome
-        .violation
-        .expect("two workers holding one session must be caught");
-    assert!(
-        v.message.contains("two workers") || v.message.contains("exactly once"),
-        "{}",
-        v.message
-    );
-}
-
-#[test]
 fn serve_shared_backpressure_flag_is_caught() {
     let outcome = serve::check_drain(serve::Seed::SharedEdgeFlag);
     let v = outcome
         .violation
-        .expect("cross-session edge state must corrupt rising-edge counts");
+        .expect("cross-connection edge state must corrupt rising-edge counts");
     assert!(v.message.contains("rising edge"), "{}", v.message);
 }

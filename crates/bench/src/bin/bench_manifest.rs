@@ -154,7 +154,6 @@ fn serve_loopback(sessions: usize) -> mobicore_serve::LoadReport {
     let server = mobicore_serve::Server::bind(
         "127.0.0.1:0",
         mobicore_serve::ServeConfig::default()
-            .with_workers(2)
             .with_drain_deadline(std::time::Duration::from_secs(3)),
     )
     .expect("loopback bind");
@@ -183,7 +182,6 @@ fn serve_loopback(sessions: usize) -> mobicore_serve::LoadReport {
 fn fleet_loopback(sessions: usize) -> mobicore_serve::FleetReport {
     let shard_cfg = || {
         mobicore_serve::ServeConfig::default()
-            .with_workers(2)
             .with_drain_deadline(std::time::Duration::from_secs(3))
     };
     let s0 = mobicore_serve::Server::bind("127.0.0.1:0", shard_cfg()).expect("bind s0");
@@ -202,7 +200,6 @@ fn fleet_loopback(sessions: usize) -> mobicore_serve::FleetReport {
         "127.0.0.1:0",
         shards,
         mobicore_serve::RouterConfig::default()
-            .with_workers(2)
             .with_drain_deadline(std::time::Duration::from_secs(3)),
     )
     .expect("bind router");

@@ -53,7 +53,6 @@ fn fresh_serve_decisions_per_s() -> f64 {
     let server = mobicore_serve::Server::bind(
         "127.0.0.1:0",
         mobicore_serve::ServeConfig::default()
-            .with_workers(2)
             .with_drain_deadline(std::time::Duration::from_secs(3)),
     )
     .expect("loopback bind");

@@ -41,9 +41,7 @@ fn assert_remote_equals_local_with_window(
     let profile = mobicore_model::profiles::nexus5();
     let server = Server::bind(
         "127.0.0.1:0",
-        ServeConfig::default()
-            .with_workers(2)
-            .with_drain_deadline(Duration::from_secs(2)),
+        ServeConfig::default().with_drain_deadline(Duration::from_secs(2)),
     )
     .expect("bind");
     let addr = server.local_addr().to_string();
@@ -101,4 +99,70 @@ fn pipelined_window_over_loopback_matches_in_process() {
     // A pipelining window > 1 changes frame batching (corked writes,
     // coalesced flushes) but must not change a single decision byte.
     assert_remote_equals_local_with_window("mobicore", "mixed-day-mini", 2, 4);
+}
+
+/// The remote and in-process runs of `policy_name` under `seed` — the
+/// remote one over `addr`, the local one built the way the server
+/// resolves a Hello carrying that seed.
+fn seeded_runs(
+    addr: &str,
+    policy_name: &str,
+    seed: u64,
+) -> ((String, String, String), (String, String, String)) {
+    let profile = mobicore_model::profiles::nexus5();
+    let local = mobicore_serve::registry::build_policy_seeded(policy_name, &profile, seed)
+        .expect("policy exists locally");
+    let local_name = local.name().to_string();
+    let local_run = run_sim(local, "mixed-day-mini", 2);
+    let remote = RemotePolicy::connect(addr, policy_name, "nexus5", seed).expect("connect");
+    assert_eq!(
+        remote.name(),
+        local_name,
+        "HelloAck must carry the resolved name"
+    );
+    (local_run, run_sim(Box::new(remote), "mixed-day-mini", 2))
+}
+
+#[test]
+fn every_registered_policy_honours_the_client_seed_over_loopback() {
+    const SEEDS: [u64; 2] = [7, 20_170_315];
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig::default().with_drain_deadline(Duration::from_secs(2)),
+    )
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+
+    for name in mobicore_serve::registry::policy_names() {
+        let mut local_reports = Vec::new();
+        for seed in SEEDS {
+            let (local, remote) = seeded_runs(&addr, name, seed);
+            assert_eq!(
+                local.0, remote.0,
+                "{name}/seed {seed}: remote report differs from in-process"
+            );
+            assert_eq!(
+                local.1, remote.1,
+                "{name}/seed {seed}: remote event stream differs from in-process"
+            );
+            assert_eq!(
+                local.2, remote.2,
+                "{name}/seed {seed}: remote manifest differs from in-process"
+            );
+            local_reports.push(local.0);
+        }
+        if name == "learned" {
+            // Otherwise the check above could not tell a dropped seed
+            // from an honoured one.
+            assert_ne!(
+                local_reports[0], local_reports[1],
+                "learned must explore differently under different seeds"
+            );
+        }
+    }
+
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 0);
+    let runs = mobicore_serve::registry::policy_names().len() * SEEDS.len();
+    assert_eq!(stats.sessions, runs as u64, "one session per remote run");
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mobicore-router [ADDR] --shard NAME=ADDR [--shard NAME=ADDR ...]
-//!                 [--workers N] [--max-conns N] [--drain-secs S]
-//!                 [--idle-secs S] [--manifest PATH]
+//!                 [--max-conns N] [--drain-secs S] [--idle-secs S]
+//!                 [--manifest PATH]
 //! ```
 //!
 //! Binds `ADDR` (default `127.0.0.1:7470`), prints the bound address,
@@ -22,8 +22,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: mobicore-router [ADDR] --shard NAME=ADDR [--shard NAME=ADDR ...] \
-         [--workers N] [--max-conns N] [--drain-secs S] [--idle-secs S] \
-         [--manifest PATH]"
+         [--max-conns N] [--drain-secs S] [--idle-secs S] [--manifest PATH]"
     );
     std::process::exit(2)
 }
@@ -57,7 +56,6 @@ fn main() {
                 };
                 shards.push(shard);
             }
-            "--workers" => cfg = cfg.with_workers(parse(&mut args, "--workers")),
             "--max-conns" => cfg.max_conns = parse(&mut args, "--max-conns"),
             "--drain-secs" => {
                 cfg =

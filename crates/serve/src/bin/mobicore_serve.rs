@@ -1,8 +1,8 @@
 //! The `mobicore-serve` daemon binary.
 //!
 //! ```text
-//! mobicore-serve [ADDR] [--workers N] [--max-sessions N]
-//!                [--drain-secs S] [--idle-secs S] [--manifest PATH]
+//! mobicore-serve [ADDR] [--max-sessions N] [--drain-secs S]
+//!                [--idle-secs S] [--manifest PATH]
 //! ```
 //!
 //! Binds `ADDR` (default `127.0.0.1:7474`), prints the bound address,
@@ -21,8 +21,8 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mobicore-serve [ADDR] [--workers N] [--max-sessions N] \
-         [--drain-secs S] [--idle-secs S] [--manifest PATH]"
+        "usage: mobicore-serve [ADDR] [--max-sessions N] [--drain-secs S] \
+         [--idle-secs S] [--manifest PATH]"
     );
     std::process::exit(2)
 }
@@ -47,7 +47,6 @@ fn main() {
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workers" => cfg = cfg.with_workers(parse(&mut args, "--workers")),
             "--max-sessions" => cfg.max_sessions = parse(&mut args, "--max-sessions"),
             "--drain-secs" => {
                 cfg =

@@ -9,10 +9,11 @@
 //! byte-identical, including telemetry notes, so remote runs yield the
 //! same reports and manifests as local ones ([`client::RemotePolicy`]).
 //!
-//! The daemon ([`server`]) multiplexes thousands of sessions over a
-//! fixed worker pool with work stealing, bounded per-session buffers,
-//! explicit [`protocol::Frame::Backpressure`] notices, typed rejection
-//! of malformed frames, and graceful drain on shutdown. The companion
+//! The daemon ([`server`]) serves each connection on its own blocking
+//! thread — replies leave as soon as the policy returns — with bounded
+//! per-connection buffers, explicit [`protocol::Frame::Backpressure`]
+//! notices, typed rejection of malformed frames, and a graceful drain
+//! bounded by a deadline on shutdown. The companion
 //! load generator ([`load`]) holds N concurrent sessions open, replays
 //! a recorded scenario stream through each, and verifies ordering and
 //! byte-identity while measuring decisions/s and RTT quantiles.
@@ -36,8 +37,8 @@
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod client;
+mod conn;
 pub mod load;
-mod poll;
 pub mod protocol;
 pub mod registry;
 pub mod router;

@@ -196,12 +196,18 @@ pub fn record_snapshots(
     Ok(snaps)
 }
 
-/// Replays `snaps` through a fresh local instance of `policy` and
-/// returns each decision as encoded wire bytes — the reference the
-/// daemon's answers must match byte-for-byte.
-fn local_reference(policy: &str, profile: &str, snaps: &[PolicySnapshot]) -> Option<Vec<Vec<u8>>> {
+/// Replays `snaps` through a fresh local instance of `policy` (seeded
+/// like the Hello the sessions send) and returns each decision as
+/// encoded wire bytes — the reference the daemon's answers must match
+/// byte-for-byte.
+fn local_reference(
+    policy: &str,
+    profile: &str,
+    seed: u64,
+    snaps: &[PolicySnapshot],
+) -> Option<Vec<Vec<u8>>> {
     let device = registry::profile_by_name(profile)?;
-    let mut p = registry::build_policy(policy, &device)?;
+    let mut p = registry::build_policy_seeded(policy, &device, seed)?;
     let mut ctl = mobicore_sim::CpuControl::new();
     let mut out = Vec::with_capacity(snaps.len());
     for (i, snap) in snaps.iter().enumerate() {
@@ -358,7 +364,7 @@ pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, String> {
     )?);
     let reference = if cfg.verify {
         Some(
-            local_reference(&cfg.policy, &cfg.profile, &snaps)
+            local_reference(&cfg.policy, &cfg.profile, cfg.seed, &snaps)
                 .ok_or_else(|| format!("cannot build local reference for `{}`", cfg.policy))?,
         )
     } else {
@@ -724,7 +730,7 @@ pub fn run_fleet(addr: &str, cfg: &FleetConfig) -> Result<FleetReport, String> {
     };
     let reference = if cfg.verify {
         Some(
-            local_reference(&cfg.policy, &cfg.profile, &snaps)
+            local_reference(&cfg.policy, &cfg.profile, cfg.seed, &snaps)
                 .ok_or_else(|| format!("cannot build local reference for `{}`", cfg.policy))?,
         )
     } else {

@@ -225,7 +225,7 @@ const TY_HELLO_ACK: u8 = 0x02;
 const TY_SNAPSHOT: u8 = 0x03;
 const TY_DECISION: u8 = 0x04;
 const TY_BACKPRESSURE: u8 = 0x05;
-const TY_BYE: u8 = 0x06;
+pub(crate) const TY_BYE: u8 = 0x06;
 const TY_BYE_ACK: u8 = 0x07;
 const TY_GOING_AWAY: u8 = 0x08;
 const TY_ERROR: u8 = 0x09;

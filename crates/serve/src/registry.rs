@@ -46,12 +46,26 @@ pub fn policy_names() -> Vec<&'static str> {
     names
 }
 
-/// Builds the named policy for `profile`.
+/// Builds the named policy for `profile` with the default exploration
+/// seed — [`build_policy_seeded`] at
+/// [`mobicore_governors::learned::DEFAULT_SEED`].
+pub fn build_policy(name: &str, profile: &DeviceProfile) -> Option<Box<dyn CpuPolicy + Send>> {
+    build_policy_seeded(name, profile, mobicore_governors::learned::DEFAULT_SEED)
+}
+
+/// Builds the named policy for `profile`, seeding the policies that
+/// take a seed (the `learned` governor) with `seed` — the server calls
+/// this with the seed of the client's Hello, so a remote session
+/// replays exactly like an in-process one built with the same seed.
 ///
 /// Accepts the MobiCore variants (`mobicore`, `mobicore-optpoint`),
 /// everything in [`mobicore_governors::registry`], `noop`, and the
 /// parameterized `pinned:<cores>:<khz>` fixed operating point.
-pub fn build_policy(name: &str, profile: &DeviceProfile) -> Option<Box<dyn CpuPolicy + Send>> {
+pub fn build_policy_seeded(
+    name: &str,
+    profile: &DeviceProfile,
+    seed: u64,
+) -> Option<Box<dyn CpuPolicy + Send>> {
     match name {
         "mobicore" => Some(Box::new(MobiCore::new(profile))),
         "mobicore-optpoint" => Some(Box::new(MobiCore::with_config(
@@ -72,7 +86,7 @@ pub fn build_policy(name: &str, profile: &DeviceProfile) -> Option<Box<dyn CpuPo
                 }
                 return Some(Box::new(PinnedPolicy::new(cores, Khz(khz))));
             }
-            mobicore_governors::registry::build(name, profile)
+            mobicore_governors::registry::build_seeded(name, profile, seed)
         }
     }
 }

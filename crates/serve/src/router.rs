@@ -7,41 +7,44 @@
 //! by highest-random-weight (rendezvous) hashing over the *stable
 //! shard names* — not their addresses, so ephemeral ports do not
 //! perturb placement — answers [`Frame::Routed`], and from then on
-//! relays bytes both ways without decoding payloads. Only the frame
-//! *boundaries* are parsed: the router watches the client leg for the
-//! next `Route` (a session boundary — held back, never forwarded) and
-//! the shard leg for `ByeAck` (the session is over — the shard
-//! connection detaches into a per-shard pool and is reused hot for
-//! the next session, which the serve tier supports by returning to
+//! relays whole frames both ways, verbatim. Client frames are split by
+//! length and type alone, watching for the next `Route` (a session
+//! boundary — held back, never forwarded); shard frames are decoded
+//! only to spot `ByeAck` (the session is over — the shard connection
+//! detaches into a per-shard pool and is reused hot for the next
+//! session, which the serve tier supports by returning to
 //! `AwaitHello` after `ByeAck`).
 //!
-//! Backpressure propagates by construction: both relay directions run
-//! through bounded buffers, and a full buffer stops reads from the
-//! opposite socket so TCP flow control pushes back on the true
-//! producer. A shard leg that dies mid-session surfaces as a
+//! Backpressure propagates by construction: every relay hop is a
+//! blocking write, so a stalled shard stops the router reading its
+//! client and a client that stops reading stops the router reading
+//! the shard — TCP flow control pushes back on the true producer. A
+//! shard leg that dies mid-session surfaces as a
 //! [`codes::SHARD_UNAVAILABLE`] error frame to the client rather than
 //! a silent hangup.
 //!
-//! The threading model is the serve daemon's: one acceptor feeds an
-//! injector; N workers each own a deque of relays and steal the back
-//! half of a victim's deque when idle.
+//! Threading model: the acceptor starts one relay thread per client
+//! connection. It reads client frames, binds sessions, and forwards
+//! frames to the session's shard leg. A second, long-lived leg-reader
+//! thread per relay relays shard frames to the client. Legs pass from
+//! the relay thread to its leg reader over a channel and come back at
+//! `ByeAck`; client-bound writes from either thread go out as whole
+//! frames under a per-relay mutex. Shutdown drains like the serve
+//! daemon: `GoingAway` within one wake period, then a force-close of
+//! every client socket and active leg left at the drain deadline.
 
-use crate::poll::Backoff;
+use crate::conn::{accept_loop, timed_out, Daemon, WAKE};
 use crate::protocol::{
-    codes, decode_frame, encode_frame, has_complete_frame, peek_frame_type, Frame, MAX_FRAME_LEN,
-    TY_ROUTE,
+    codes, decode_frame, frame_bytes, peek_frame_type, Frame, MAX_FRAME_LEN, TY_BYE, TY_ROUTE,
 };
-use mobicore_analyze::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use mobicore_analyze::sync::atomic::{AtomicU64, Ordering};
 use mobicore_analyze::sync::{lock_unpoisoned, Arc, Mutex};
-use mobicore_telemetry::{EventData, RunManifest, Telemetry};
-use std::collections::{BTreeMap, VecDeque};
+use mobicore_telemetry::{EventData, RunManifest};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-const STATE_RUNNING: u8 = 0;
-const STATE_DRAINING: u8 = 1;
 
 /// The frame types owned by the router tier (checked against
 /// `docs/serving.md` by the `registry-doc-sync` lint).
@@ -121,19 +124,16 @@ pub fn rendezvous_shard<S: AsRef<str>>(key: u64, names: &[S]) -> Option<usize> {
 /// Tuning knobs of one router instance.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Relay-servicing worker threads.
-    pub workers: usize,
     /// Accept cap: connections past this are refused with
     /// `SERVER_FULL`.
     pub max_conns: usize,
-    /// Bound on buffered bytes per relay direction; once full, the
-    /// router stops reading the producing socket and TCP flow control
-    /// pushes back.
+    /// Bound on buffered unrelayed bytes per relay direction; a frame
+    /// that cannot fit is rejected as malformed.
     pub relay_buf_cap: usize,
     /// Close a relay when no client frame arrives for this long.
     pub idle_timeout: Duration,
-    /// Close a relay when its pending output makes no progress for
-    /// this long.
+    /// Close a relay when a write to its client or shard leg blocks
+    /// for this long.
     pub write_timeout: Duration,
     /// How long graceful shutdown waits for in-flight relays.
     pub drain_deadline: Duration,
@@ -145,7 +145,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            workers: mobicore_sweep::default_jobs(),
             max_conns: 4096,
             relay_buf_cap: 256 * 1024,
             idle_timeout: Duration::from_secs(30),
@@ -157,10 +156,11 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// Overrides the worker count (clamped to ≥ 1).
+    /// Does nothing: every client connection has its own relay
+    /// threads, so there is no worker pool to size. Kept so existing
+    /// callers still build.
     #[must_use]
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
+    pub fn with_workers(self, _n: usize) -> Self {
         self
     }
 
@@ -208,56 +208,34 @@ struct Shared {
     cfg: RouterConfig,
     shards: Vec<Shard>,
     names: Vec<String>,
-    state: AtomicU8,
-    start: Instant,
-    telemetry: Mutex<Telemetry>,
-    injector: Mutex<VecDeque<Relay>>,
+    daemon: Daemon,
     pools: Vec<Mutex<Vec<PooledLeg>>>,
-    live_conns: AtomicUsize,
-    active_conns: AtomicUsize,
-    next_conn: AtomicU64,
-    conns: AtomicU64,
     routed: AtomicU64,
     legs_opened: AtomicU64,
     legs_reused: AtomicU64,
     relay_errors: AtomicU64,
-    drain_deadline_at: Mutex<Option<Instant>>,
 }
 
 impl Shared {
-    fn draining(&self) -> bool {
-        self.state.load(Ordering::Acquire) == STATE_DRAINING
-    }
-
-    fn t_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    fn emit(&self, data: EventData) {
-        let t = self.t_us();
-        if let Ok(mut tel) = self.telemetry.lock() {
-            tel.emit(t, data);
-        }
-    }
-
-    fn count(&self, name: &str, by: u64) {
-        if let Ok(mut tel) = self.telemetry.lock() {
-            tel.count(name, by);
-        }
-    }
-
     fn stats(&self) -> RouterStats {
         // Advisory snapshot, same contract as ServeStats: exact after
-        // shutdown joins the workers, cross-counter skew tolerated
-        // while relays are in flight.
+        // shutdown joins the relay threads, cross-counter skew
+        // tolerated while relays are in flight.
         RouterStats {
-            conns: self.conns.load(Ordering::Relaxed), // relaxed: advisory snapshot (see above)
-            routed_sessions: self.routed.load(Ordering::Relaxed), // relaxed: advisory snapshot
+            conns: self.daemon.accepted(),
+            routed_sessions: self.routed.load(Ordering::Relaxed), // relaxed: advisory snapshot (see above)
             legs_opened: self.legs_opened.load(Ordering::Relaxed), // relaxed: advisory snapshot
             legs_reused: self.legs_reused.load(Ordering::Relaxed), // relaxed: advisory snapshot
             relay_errors: self.relay_errors.load(Ordering::Relaxed), // relaxed: advisory snapshot
-            active_conns: self.active_conns.load(Ordering::Relaxed) as u64, // relaxed: advisory snapshot
+            active_conns: self.daemon.live_conns() as u64,
         }
+    }
+
+    fn relay_error(&self) {
+        // relaxed: monotonic counter; published by the Release
+        // decrement of the live count when the relay retires.
+        self.relay_errors.fetch_add(1, Ordering::Relaxed);
+        self.daemon.count("router.errors", 1);
     }
 
     /// A warm leg from the shard's pool, or a fresh blocking dial.
@@ -267,9 +245,9 @@ impl Shared {
             match pooled {
                 Some(leg) if leg.since.elapsed() <= self.cfg.pool_idle => {
                     // relaxed: monotonic counter; published by the
-                    // Release decrement of live_conns at relay close.
+                    // Release decrement of the live count at relay close.
                     self.legs_reused.fetch_add(1, Ordering::Relaxed);
-                    self.count("router.legs_reused", 1);
+                    self.daemon.count("router.legs_reused", 1);
                     return Ok(leg.stream);
                 }
                 Some(_stale) => continue, // dropped; dial or try next
@@ -278,17 +256,17 @@ impl Shared {
         }
         let stream = TcpStream::connect(&self.shards[shard].addr)?;
         let _ = stream.set_nodelay(true);
-        stream.set_nonblocking(true)?;
+        stream.set_write_timeout(Some(self.cfg.write_timeout))?;
         // relaxed: monotonic counter; published by the Release
-        // decrement of live_conns at relay close.
+        // decrement of the live count at relay close.
         self.legs_opened.fetch_add(1, Ordering::Relaxed);
-        self.count("router.legs_opened", 1);
+        self.daemon.count("router.legs_opened", 1);
         Ok(stream)
     }
 
     /// Returns a healthy leg to its shard's pool for the next session.
     fn release_leg(&self, shard: usize, stream: TcpStream) {
-        if self.draining() {
+        if self.daemon.draining() {
             return; // dropping it closes the shard conn promptly
         }
         lock_unpoisoned(self.pools[shard].lock()).push(PooledLeg {
@@ -298,72 +276,158 @@ impl Shared {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RelayState {
-    /// Waiting for the client's next `Route`.
-    AwaitRoute,
-    /// Bound to a shard; frames relay both ways.
-    Active(usize),
-    /// Flush client output, then close.
-    Closing,
+/// The client socket's write side, shared by a relay thread and its
+/// leg reader; holding the lock means writing whole frames.
+struct ClientOut {
+    stream: Arc<TcpStream>,
+    frames_out: u64,
 }
 
-struct Relay {
-    client: TcpStream,
+/// Writes `frames` whole frames to the client. `false` when the client
+/// is gone or stopped reading for longer than the write timeout.
+fn write_client(out: &Mutex<ClientOut>, bytes: &[u8], frames: u64) -> bool {
+    let mut out = lock_unpoisoned(out.lock());
+    out.frames_out += frames;
+    let mut stream: &TcpStream = &out.stream;
+    stream.write_all(bytes).is_ok()
+}
+
+/// How one session's leg came back from the leg reader.
+enum LegEvent {
+    /// The shard answered `ByeAck`; `quiet` when nothing followed it.
+    ByeAck { quiet: bool },
+    /// The shard leg died or broke framing.
+    Lost,
+    /// A write to the client failed.
+    ClientGone,
+}
+
+/// The leg-reader thread of one relay: for each leg handed over, relay
+/// shard frames to the client until the session's `ByeAck`, then hand
+/// the leg back.
+fn leg_reader(
+    out: &Mutex<ClientOut>,
+    jobs: &mpsc::Receiver<Arc<TcpStream>>,
+    events: &mpsc::Sender<LegEvent>,
+    cap: usize,
+) {
+    let mut buf = Vec::new();
+    while let Ok(leg) = jobs.recv() {
+        buf.clear();
+        let event = relay_leg(&leg, out, &mut buf, cap);
+        drop(leg);
+        if events.send(event).is_err() {
+            return;
+        }
+    }
+}
+
+/// Relays whole shard frames from `leg` to the client — one write per
+/// read — through the session's `ByeAck`.
+fn relay_leg(leg: &TcpStream, out: &Mutex<ClientOut>, buf: &mut Vec<u8>, cap: usize) -> LegEvent {
+    let mut scratch = [0u8; 16 * 1024];
+    loop {
+        let room = cap.saturating_sub(buf.len()).min(scratch.len());
+        if room == 0 {
+            return LegEvent::Lost; // a frame larger than the relay buffer
+        }
+        let mut input = leg;
+        let n = match input.read(&mut scratch[..room]) {
+            Ok(0) => return LegEvent::Lost,
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return LegEvent::Lost,
+        };
+        buf.extend_from_slice(&scratch[..n]);
+        let (mut end, mut frames, mut outcome) = (0, 0, None);
+        loop {
+            match decode_frame(&buf[end..]) {
+                Ok(None) => break,
+                Ok(Some((frame, used))) => {
+                    end += used;
+                    frames += 1;
+                    if matches!(frame, Frame::ByeAck { .. }) {
+                        outcome = Some(LegEvent::ByeAck {
+                            quiet: end == buf.len(),
+                        });
+                        break;
+                    }
+                }
+                Err(_) => {
+                    // The shard broke framing — treat the leg as lost.
+                    outcome = Some(LegEvent::Lost);
+                    break;
+                }
+            }
+        }
+        if end > 0 && !write_client(out, &buf[..end], frames) {
+            return LegEvent::ClientGone;
+        }
+        if let Some(event) = outcome {
+            return event;
+        }
+        buf.drain(..end);
+    }
+}
+
+/// A session bound to a shard.
+struct Bound {
+    shard: usize,
+    leg: Arc<TcpStream>,
+    /// The leg's id in the daemon's socket registry.
+    socket: u64,
+    /// Bye has been forwarded.
+    bye_sent: bool,
+    /// Frames were forwarded after Bye, so the shard may still answer
+    /// after its ByeAck: do not pool the leg.
+    dirty: bool,
+}
+
+/// Why forwarding client frames stopped.
+enum Stop {
+    /// No complete frame left.
+    Incomplete,
+    /// The next session's `Route`: held until `ByeAck`.
+    Route,
+    /// A frame length out of bounds.
+    Malformed,
+}
+
+/// One client connection, owned by its relay thread.
+struct Relay<'a> {
+    shared: &'a Shared,
     conn_id: u64,
-    state: RelayState,
-    /// Shard leg for the active session (`None` between sessions).
-    leg: Option<TcpStream>,
-    /// client → router staging, frame-parsed for `Route` boundaries.
+    client: Arc<TcpStream>,
+    out: Arc<Mutex<ClientOut>>,
+    jobs: mpsc::Sender<Arc<TcpStream>>,
+    events: mpsc::Receiver<LegEvent>,
+    /// The session bound to a shard; `None` while awaiting a `Route`.
+    bound: Option<Bound>,
+    closing: bool,
+    /// client → router staging, frame-parsed for `Route` boundaries;
+    /// `cpos` marks what has been relayed.
     cbuf: Vec<u8>,
     cpos: usize,
-    /// router → shard pending output.
-    sout: Vec<u8>,
-    sout_pos: usize,
-    /// shard → router staging, frame-parsed for `ByeAck`.
-    sbuf: Vec<u8>,
-    spos: usize,
-    /// router → client pending output.
-    cout: Vec<u8>,
-    cout_pos: usize,
+    /// router → shard frames of one pass, written at once.
+    fwd: Vec<u8>,
     frames_in: u64,
-    frames_out: u64,
     clean: bool,
-    client_eof: bool,
+    eof: bool,
     drain_notified: bool,
     last_read: Instant,
-    last_write_progress: Instant,
 }
 
-impl Relay {
-    fn new(client: TcpStream, conn_id: u64) -> Self {
-        let now = Instant::now();
-        Relay {
-            client,
-            conn_id,
-            state: RelayState::AwaitRoute,
-            leg: None,
-            cbuf: Vec::new(),
-            cpos: 0,
-            sout: Vec::new(),
-            sout_pos: 0,
-            sbuf: Vec::new(),
-            spos: 0,
-            cout: Vec::new(),
-            cout_pos: 0,
-            frames_in: 0,
-            frames_out: 0,
-            clean: true,
-            client_eof: false,
-            drain_notified: false,
-            last_read: now,
-            last_write_progress: now,
+impl Relay<'_> {
+    fn send_client(&mut self, frame: &Frame) {
+        if !write_client(&self.out, &frame_bytes(frame), 1) {
+            self.close_dirty();
         }
     }
 
-    fn send_client(&mut self, frame: &Frame) {
-        encode_frame(frame, &mut self.cout);
-        self.frames_out += 1;
+    fn close_dirty(&mut self) {
+        self.drop_leg();
+        self.clean = false;
+        self.closing = true;
     }
 
     fn fail(&mut self, code: u16, message: &str) {
@@ -371,549 +435,328 @@ impl Relay {
             code,
             message: message.to_string(),
         });
-        self.clean = false;
-        self.state = RelayState::Closing;
+        self.close_dirty();
+    }
+
+    /// Ends the bound session (if any), back to awaiting a `Route`.
+    fn unbind(&mut self) -> Option<Bound> {
+        let bound = self.bound.take()?;
+        self.shared.daemon.deregister(bound.socket);
+        Some(bound)
     }
 
     /// Drops the shard leg (if any) without pooling it.
     fn drop_leg(&mut self) {
-        if let Some(leg) = self.leg.take() {
-            let _ = leg.shutdown(std::net::Shutdown::Both);
-        }
-        self.sout.clear();
-        self.sout_pos = 0;
-        self.sbuf.clear();
-        self.spos = 0;
-    }
-}
-
-enum Service {
-    Keep { progress: bool },
-    Close,
-}
-
-/// Drains `buf[*pos..]` into `stream` as far as the socket accepts.
-/// Returns `None` when the connection is dead, otherwise whether any
-/// bytes moved.
-fn pump_out(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    pos: &mut usize,
-    mark: &mut Instant,
-    now: Instant,
-) -> Option<bool> {
-    let mut progress = false;
-    while *pos < buf.len() {
-        match stream.write(&buf[*pos..]) {
-            Ok(0) => return None,
-            Ok(n) => {
-                *pos += n;
-                *mark = now;
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
+        if let Some(bound) = self.unbind() {
+            let _ = bound.leg.shutdown(Shutdown::Both);
         }
     }
-    if *pos == buf.len() && *pos > 0 {
-        buf.clear();
-        *pos = 0;
+
+    /// The shard leg died mid-session: tell the client, account the
+    /// error, close.
+    fn shard_lost(&mut self) {
+        self.drop_leg();
+        self.shared.relay_error();
+        self.fail(
+            codes::SHARD_UNAVAILABLE,
+            "shard connection lost mid-session",
+        );
     }
-    Some(progress)
-}
 
-/// Pulls from `stream` into `buf` until `cap` buffered bytes or the
-/// socket runs dry. Returns `None` on a dead connection, otherwise
-/// `(progress, eof)`.
-fn pump_in(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    pos: usize,
-    cap: usize,
-    now: Instant,
-    mark: &mut Instant,
-) -> Option<(bool, bool)> {
-    let mut scratch = [0u8; 16 * 1024];
-    let mut progress = false;
-    while buf.len() - pos < cap {
-        match stream.read(&mut scratch) {
-            Ok(0) => return Some((progress, true)),
-            Ok(n) => {
-                buf.extend_from_slice(&scratch[..n]);
-                *mark = now;
-                progress = true;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return None,
-        }
-    }
-    Some((progress, false))
-}
-
-/// Compacts a staging buffer once consumed (or once the dead prefix
-/// grows past 64 KiB).
-fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
-    if *pos == buf.len() {
-        buf.clear();
-        *pos = 0;
-    } else if *pos > 64 * 1024 {
-        buf.drain(..*pos);
-        *pos = 0;
-    }
-}
-
-/// The shard leg died mid-session: tell the client, account the
-/// error, close.
-fn shard_lost(relay: &mut Relay, shared: &Shared) {
-    relay.drop_leg();
-    // relaxed: monotonic counter; published by the Release decrement
-    // of live_conns at relay close.
-    shared.relay_errors.fetch_add(1, Ordering::Relaxed);
-    shared.count("router.errors", 1);
-    relay.fail(
-        codes::SHARD_UNAVAILABLE,
-        "shard connection lost mid-session",
-    );
-}
-
-/// Moves complete client frames toward the shard. In `AwaitRoute` the
-/// only legal frame is `Route`, which binds a shard (dialing or
-/// reusing a leg) and answers `Routed`. In `Active`, whole frames
-/// forward verbatim — except the *next* `Route`, which marks a session
-/// boundary and stays staged until `ByeAck` detaches the current leg.
-fn relay_client_frames(relay: &mut Relay, shared: &Shared) -> bool {
-    let mut progress = false;
-    loop {
-        match relay.state {
-            RelayState::AwaitRoute => {
-                let frame = match decode_frame(&relay.cbuf[relay.cpos..]) {
-                    Ok(None) => break,
-                    Ok(Some((frame, used))) => {
-                        relay.cpos += used;
-                        relay.frames_in += 1;
-                        frame
-                    }
-                    Err(err) => {
-                        relay.fail(codes::MALFORMED, &err.to_string());
-                        break;
-                    }
+    fn on_leg_event(&mut self, event: LegEvent) {
+        match event {
+            LegEvent::ByeAck { quiet } => {
+                // Session over. Pool the leg only when it is fully
+                // quiet: nothing forwarded after Bye, nothing received
+                // after the ByeAck. Dropping it otherwise closes it.
+                let Some(bound) = self.unbind() else {
+                    return;
                 };
-                let Frame::Route { key } = frame else {
-                    relay.fail(codes::BAD_STATE, "expected Route before session frames");
-                    break;
-                };
-                let Some(idx) = rendezvous_shard(key, &shared.names) else {
-                    relay.fail(codes::SHARD_UNAVAILABLE, "router has no shards");
-                    break;
-                };
-                match shared.acquire_leg(idx) {
-                    Ok(leg) => relay.leg = Some(leg),
-                    Err(e) => {
-                        // relaxed: monotonic counter; published by the
-                        // Release decrement of live_conns at close.
-                        shared.relay_errors.fetch_add(1, Ordering::Relaxed);
-                        shared.count("router.errors", 1);
-                        relay.fail(
-                            codes::SHARD_UNAVAILABLE,
-                            &format!("shard `{}` unreachable: {e}", shared.names[idx]),
-                        );
-                        break;
-                    }
-                }
-                relay.state = RelayState::Active(idx);
-                // relaxed: monotonic counter; published by the Release
-                // decrement of live_conns at relay close.
-                shared.routed.fetch_add(1, Ordering::Relaxed);
-                shared.count("router.routed", 1);
-                shared.emit(EventData::ShardRouted {
-                    conn: relay.conn_id,
-                    key,
-                    shard: shared.names[idx].clone(),
-                });
-                let name = shared.names[idx].clone();
-                relay.send_client(&Frame::Routed {
-                    shard: u32::try_from(idx).unwrap_or(u32::MAX),
-                    name,
-                });
-                progress = true;
-            }
-            RelayState::Active(_) => {
-                // Forward whole frames without decoding payloads; stop
-                // at a session boundary (the next Route) or when the
-                // shard-bound buffer is full (backpressure).
-                if relay.sout.len() - relay.sout_pos >= shared.cfg.relay_buf_cap {
-                    break;
-                }
-                let pending = &relay.cbuf[relay.cpos..];
-                if pending.len() >= 4 {
-                    let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]);
-                    if len == 0 || len > MAX_FRAME_LEN {
-                        relay.fail(codes::MALFORMED, "frame length out of bounds");
-                        break;
-                    }
-                }
-                match peek_frame_type(pending) {
-                    None => break,
-                    Some(TY_ROUTE) => break, // next session; wait for ByeAck
-                    Some(_) => {
-                        let len =
-                            u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]])
-                                as usize;
-                        let total = 4 + len;
-                        relay
-                            .sout
-                            .extend_from_slice(&relay.cbuf[relay.cpos..relay.cpos + total]);
-                        relay.cpos += total;
-                        relay.frames_in += 1;
-                        progress = true;
-                    }
+                if let (true, Ok(leg)) = (quiet && !bound.dirty, Arc::try_unwrap(bound.leg)) {
+                    self.shared.release_leg(bound.shard, leg);
                 }
             }
-            RelayState::Closing => break,
-        }
-    }
-    compact(&mut relay.cbuf, &mut relay.cpos);
-    progress
-}
-
-/// Moves complete shard frames toward the client, watching for
-/// `ByeAck`: that ends the session, so the leg detaches back to the
-/// shard's pool (when nothing is left in flight on it) and the relay
-/// returns to `AwaitRoute` — unblocking any staged next `Route`.
-fn relay_shard_frames(relay: &mut Relay, shared: &Shared) -> bool {
-    let mut progress = false;
-    while let RelayState::Active(idx) = relay.state {
-        if relay.cout.len() - relay.cout_pos >= shared.cfg.relay_buf_cap {
-            break; // client isn't keeping up; stop pulling decisions
-        }
-        let pending = &relay.sbuf[relay.spos..];
-        let (is_byeack, total) = match decode_frame(pending) {
-            Ok(None) => break,
-            Ok(Some((frame, used))) => (matches!(frame, Frame::ByeAck { .. }), used),
-            Err(_) => {
-                // The shard broke framing — treat the leg as lost.
-                shard_lost(relay, shared);
-                return true;
-            }
-        };
-        relay
-            .cout
-            .extend_from_slice(&relay.sbuf[relay.spos..relay.spos + total]);
-        relay.spos += total;
-        relay.frames_out += 1;
-        progress = true;
-        if is_byeack {
-            // Session over. Pool the leg only when it is fully quiet:
-            // nothing pending toward the shard and nothing buffered
-            // after the ByeAck.
-            let quiet = relay.sout.len() == relay.sout_pos && relay.spos == relay.sbuf.len();
-            if quiet {
-                if let Some(leg) = relay.leg.take() {
-                    shared.release_leg(idx, leg);
-                }
-                relay.sout.clear();
-                relay.sout_pos = 0;
-                relay.sbuf.clear();
-                relay.spos = 0;
-            } else {
-                relay.drop_leg();
-            }
-            relay.state = RelayState::AwaitRoute;
-        }
-    }
-    compact(&mut relay.sbuf, &mut relay.spos);
-    progress
-}
-
-/// One service pass over a relay. Returns whether to keep it.
-fn service(relay: &mut Relay, shared: &Shared) -> Service {
-    let mut progress = false;
-    let now = Instant::now();
-
-    // 1. Flush both pending outputs from the previous pass.
-    match pump_out(
-        &mut relay.client,
-        &mut relay.cout,
-        &mut relay.cout_pos,
-        &mut relay.last_write_progress,
-        now,
-    ) {
-        None => return Service::Close,
-        Some(p) => progress |= p,
-    }
-    if let Some(leg) = relay.leg.as_mut() {
-        match pump_out(
-            leg,
-            &mut relay.sout,
-            &mut relay.sout_pos,
-            &mut relay.last_write_progress,
-            now,
-        ) {
-            None => {
-                shard_lost(relay, shared);
-                progress = true;
-            }
-            Some(p) => progress |= p,
+            LegEvent::Lost => self.shard_lost(),
+            LegEvent::ClientGone => self.close_dirty(),
         }
     }
 
-    // 2. A closing relay lives only until its client output flushes.
-    if relay.state == RelayState::Closing {
-        if relay.cout.is_empty() {
-            return Service::Close;
-        }
-        if now.duration_since(relay.last_write_progress) > shared.cfg.write_timeout {
-            return Service::Close;
-        }
-        return Service::Keep { progress };
-    }
-
-    // 3. Drain notice (once) when shutdown begins.
-    if shared.draining() {
-        if !relay.drain_notified {
-            relay.drain_notified = true;
-            relay.send_client(&Frame::GoingAway {
-                reason: "router is shutting down".to_string(),
-            });
-            progress = true;
-        }
-        let deadline = shared.drain_deadline_at.lock().ok().and_then(|d| *d);
-        if deadline.is_some_and(|d| now >= d) {
-            relay.clean = false;
-            return Service::Close;
-        }
-    }
-
-    // 4. Pull client bytes, bounded by the staging cap *and* the
-    // shard-bound backlog so a stalled shard stops client reads too.
-    if !relay.client_eof && relay.sout.len() - relay.sout_pos < shared.cfg.relay_buf_cap {
-        match pump_in(
-            &mut relay.client,
-            &mut relay.cbuf,
-            relay.cpos,
-            shared.cfg.relay_buf_cap,
-            now,
-            &mut relay.last_read,
-        ) {
-            None => return Service::Close,
-            Some((p, eof)) => {
-                progress |= p;
-                relay.client_eof |= eof;
-            }
-        }
-    }
-
-    // 5. Pull shard bytes, bounded by the client-bound backlog.
-    if relay.cout.len() - relay.cout_pos < shared.cfg.relay_buf_cap {
-        let pulled = relay.leg.as_mut().map(|leg| {
-            pump_in(
-                leg,
-                &mut relay.sbuf,
-                relay.spos,
-                shared.cfg.relay_buf_cap,
-                now,
-                &mut relay.last_read,
-            )
-        });
-        match pulled {
-            Some(None | Some((_, true))) => {
-                shard_lost(relay, shared);
-                progress = true;
-            }
-            Some(Some((p, false))) => progress |= p,
-            None => {}
-        }
-    }
-
-    // 6. Relay frames both directions until neither makes progress —
-    // a ByeAck from the shard can unblock a staged Route from the
-    // client within the same pass (corked cross-session streaming).
-    loop {
-        let moved = relay_client_frames(relay, shared) | relay_shard_frames(relay, shared);
-        progress |= moved;
-        if !moved {
-            break;
-        }
-    }
-
-    // 7. Flush what this pass produced — same coalesced-write contract
-    // as the serve tier's end-of-pass flush.
-    match pump_out(
-        &mut relay.client,
-        &mut relay.cout,
-        &mut relay.cout_pos,
-        &mut relay.last_write_progress,
-        now,
-    ) {
-        None => return Service::Close,
-        Some(p) => progress |= p,
-    }
-    if let Some(leg) = relay.leg.as_mut() {
-        match pump_out(
-            leg,
-            &mut relay.sout,
-            &mut relay.sout_pos,
-            &mut relay.last_write_progress,
-            now,
-        ) {
-            None => {
-                shard_lost(relay, shared);
-                progress = true;
-            }
-            Some(p) => progress |= p,
-        }
-    }
-
-    // 8. Client EOF: once everything staged has been relayed and the
-    // shard owes nothing more (we are between sessions), close.
-    if relay.client_eof
-        && !has_complete_frame(&relay.cbuf[relay.cpos..])
-        && relay.state == RelayState::AwaitRoute
-        && relay.cout.is_empty()
-    {
-        return Service::Close;
-    }
-
-    // 9. Idle timeout.
-    if relay.state != RelayState::Closing
-        && now.duration_since(relay.last_read) > shared.cfg.idle_timeout
-    {
-        relay.fail(codes::IDLE_TIMEOUT, "no frames within the idle timeout");
-    }
-
-    Service::Keep { progress }
-}
-
-fn finalize(relay: &mut Relay, shared: &Shared) {
-    relay.drop_leg();
-    if !relay.clean {
-        // relaxed: monotonic counter; published by the Release
-        // decrement of live_conns below.
-        shared.relay_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.emit(EventData::ConnClosed {
-        conn: relay.conn_id,
-        frames_in: relay.frames_in,
-        frames_out: relay.frames_out,
-    });
-    // relaxed: admission gate only; an off-by-one race at the cap is
-    // benign (one connection briefly over/under the limit).
-    shared.active_conns.fetch_sub(1, Ordering::Relaxed);
-    // Release pairs with the Acquire load in worker_loop's drain exit,
-    // same contract as the serve tier.
-    shared.live_conns.fetch_sub(1, Ordering::Release);
-    let _ = relay.client.shutdown(std::net::Shutdown::Both);
-}
-
-fn worker_loop(shared: &Arc<Shared>, deques: &[Arc<Mutex<VecDeque<Relay>>>], me: usize) {
-    let own = &deques[me];
-    let mut idle = Backoff::new();
-    loop {
-        {
-            let mut injector = lock_unpoisoned(shared.injector.lock());
-            if !injector.is_empty() {
-                let mut q = lock_unpoisoned(own.lock());
-                q.append(&mut injector);
-            }
-        }
-        if lock_unpoisoned(own.lock()).is_empty() {
-            let victim = deques
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != me)
-                .max_by_key(|(_, d)| d.lock().map(|q| q.len()).unwrap_or(0));
-            if let Some((_, victim)) = victim {
-                let stolen = {
-                    let mut q = lock_unpoisoned(victim.lock());
-                    let keep = q.len() / 2;
-                    q.split_off(keep)
-                };
-                if !stolen.is_empty() {
-                    lock_unpoisoned(own.lock()).extend(stolen);
-                }
-            }
-        }
-        let batch = lock_unpoisoned(own.lock()).len();
-        if batch == 0 {
-            if shared.draining() && shared.live_conns.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            idle.wait();
-            continue;
-        }
-        let mut any_progress = false;
-        for _ in 0..batch {
-            let Some(mut relay) = lock_unpoisoned(own.lock()).pop_front() else {
-                break; // a thief got there first
-            };
-            match service(&mut relay, shared) {
-                Service::Keep { progress } => {
-                    any_progress |= progress;
-                    lock_unpoisoned(own.lock()).push_back(relay);
-                }
-                Service::Close => {
-                    finalize(&mut relay, shared);
-                    any_progress = true;
-                }
-            }
-        }
-        if any_progress {
-            idle.reset();
-        } else {
-            idle.wait();
-        }
-    }
-}
-
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    let mut idle = Backoff::new();
-    loop {
-        if shared.draining() {
+    /// Tells the client `GoingAway` once drain begins; closes the relay
+    /// once the drain deadline has passed.
+    fn check_drain(&mut self) {
+        let daemon = &self.shared.daemon;
+        if !daemon.draining() {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                idle.reset();
-                // relaxed: id allocation only needs atomicity, not ordering.
-                let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed) + 1;
-                // relaxed: monotonic counter; published by the Release
-                // decrement of live_conns when the relay retires.
-                shared.conns.fetch_add(1, Ordering::Relaxed);
-                shared.emit(EventData::ConnAccepted { conn: conn_id });
-                shared.count("router.conns", 1);
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let mut relay = Relay::new(stream, conn_id);
-                // relaxed: admission gate only; a stale read briefly
-                // over- or under-admits by one connection (benign).
-                if shared.active_conns.load(Ordering::Relaxed) >= shared.cfg.max_conns {
-                    relay.fail(codes::SERVER_FULL, "connection cap reached");
-                    let _ = relay.client.set_nonblocking(false);
-                    let _ = relay
-                        .client
-                        .set_write_timeout(Some(Duration::from_millis(100)));
-                    let _ = relay.client.write_all(&relay.cout);
-                    shared.emit(EventData::ConnClosed {
-                        conn: conn_id,
-                        frames_in: 0,
-                        frames_out: 1,
-                    });
-                    continue;
-                }
-                // relaxed: admission gate only; see the cap check above.
-                shared.active_conns.fetch_add(1, Ordering::Relaxed);
-                shared.live_conns.fetch_add(1, Ordering::AcqRel);
-                lock_unpoisoned(shared.injector.lock()).push_back(relay);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => idle.wait(),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => idle.wait(),
+        if !self.drain_notified {
+            self.drain_notified = true;
+            self.send_client(&Frame::GoingAway {
+                reason: "router is shutting down".to_string(),
+            });
+        }
+        if daemon.past_deadline(Instant::now()) {
+            self.close_dirty();
         }
     }
+
+    /// Blocks until the bound session's leg comes back (`ByeAck`) or is
+    /// lost, waking every [`WAKE`] to honour drain and the idle
+    /// timeout — never an unbounded wait on a stalled shard.
+    fn wait_leg(&mut self) {
+        while self.bound.is_some() {
+            match self.events.recv_timeout(WAKE) {
+                Ok(event) => self.on_leg_event(event),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    self.check_drain();
+                    if self.last_read.elapsed() > self.shared.cfg.idle_timeout {
+                        self.fail(codes::IDLE_TIMEOUT, "no frames within the idle timeout");
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => self.shard_lost(),
+            }
+        }
+    }
+
+    /// Binds a session: picks the shard, dials or reuses a leg,
+    /// answers `Routed`, and hands the leg to the leg reader.
+    fn route(&mut self, key: u64) {
+        let shared = self.shared;
+        let Some(idx) = rendezvous_shard(key, &shared.names) else {
+            self.fail(codes::SHARD_UNAVAILABLE, "router has no shards");
+            return;
+        };
+        let leg = match shared.acquire_leg(idx) {
+            Ok(leg) => Arc::new(leg),
+            Err(e) => {
+                shared.relay_error();
+                self.fail(
+                    codes::SHARD_UNAVAILABLE,
+                    &format!("shard `{}` unreachable: {e}", shared.names[idx]),
+                );
+                return;
+            }
+        };
+        // relaxed: monotonic counter; published by the Release
+        // decrement of the live count when the relay retires.
+        shared.routed.fetch_add(1, Ordering::Relaxed);
+        shared.daemon.count("router.routed", 1);
+        shared.daemon.emit(EventData::ShardRouted {
+            conn: self.conn_id,
+            key,
+            shard: shared.names[idx].clone(),
+        });
+        // Routed goes out before the leg reader may relay anything.
+        self.send_client(&Frame::Routed {
+            shard: u32::try_from(idx).unwrap_or(u32::MAX),
+            name: shared.names[idx].clone(),
+        });
+        if self.closing {
+            return;
+        }
+        let handed = self.jobs.send(Arc::clone(&leg)).is_ok();
+        self.bound = Some(Bound {
+            shard: idx,
+            socket: shared.daemon.register(&leg),
+            leg,
+            bye_sent: false,
+            dirty: false,
+        });
+        if !handed {
+            self.shard_lost();
+        }
+    }
+
+    /// Collects the complete client frames of a bound session into
+    /// `fwd`, stopping at the next `Route`.
+    fn collect_frames(&mut self) -> Stop {
+        let Some(bound) = self.bound.as_mut() else {
+            return Stop::Incomplete;
+        };
+        loop {
+            let pending = &self.cbuf[self.cpos..];
+            if pending.len() >= 4 {
+                let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]);
+                if len == 0 || len > MAX_FRAME_LEN {
+                    return Stop::Malformed;
+                }
+            }
+            let ty = match peek_frame_type(pending) {
+                None => return Stop::Incomplete,
+                Some(TY_ROUTE) => return Stop::Route,
+                Some(ty) => ty,
+            };
+            let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
+            self.fwd.extend_from_slice(&pending[..4 + len]);
+            self.cpos += 4 + len;
+            self.frames_in += 1;
+            bound.dirty |= bound.bye_sent;
+            bound.bye_sent |= ty == TY_BYE;
+        }
+    }
+
+    /// Moves complete client frames toward the shard. Unbound, the only
+    /// legal frame is `Route`. Bound, whole frames forward verbatim in
+    /// one write — except the *next* `Route`, which marks a session
+    /// boundary and waits for the current session's `ByeAck`.
+    fn relay_client_frames(&mut self) {
+        while !self.closing {
+            if self.bound.is_none() {
+                match decode_frame(&self.cbuf[self.cpos..]) {
+                    Ok(None) => break,
+                    Ok(Some((frame, used))) => {
+                        self.cpos += used;
+                        self.frames_in += 1;
+                        match frame {
+                            Frame::Route { key } => self.route(key),
+                            _ => {
+                                self.fail(codes::BAD_STATE, "expected Route before session frames")
+                            }
+                        }
+                    }
+                    Err(err) => self.fail(codes::MALFORMED, &err.to_string()),
+                }
+                continue;
+            }
+            let stop = self.collect_frames();
+            if !self.fwd.is_empty() {
+                let sent = self
+                    .bound
+                    .as_ref()
+                    .is_some_and(|b| (&*b.leg).write_all(&self.fwd).is_ok());
+                self.fwd.clear();
+                if !sent {
+                    self.shard_lost();
+                    break;
+                }
+            }
+            match stop {
+                Stop::Incomplete => break,
+                Stop::Malformed => self.fail(codes::MALFORMED, "frame length out of bounds"),
+                Stop::Route => self.wait_leg(),
+            }
+        }
+        self.cbuf.drain(..self.cpos);
+        self.cpos = 0;
+    }
+
+    /// Relays until the client finishes between sessions, the relay
+    /// fails, or the drain deadline passes.
+    fn run(&mut self) {
+        let shared = self.shared;
+        let cfg = &shared.cfg;
+        let _ = self.client.set_read_timeout(Some(WAKE));
+        let _ = self.client.set_write_timeout(Some(cfg.write_timeout));
+        let mut scratch = [0u8; 16 * 1024];
+        loop {
+            // Sessions the leg reader finished (or lost) meanwhile.
+            while let Ok(event) = self.events.try_recv() {
+                self.on_leg_event(event);
+            }
+            self.check_drain();
+            self.relay_client_frames();
+            if self.eof {
+                // Client EOF: close once the shard owes nothing more.
+                self.wait_leg();
+            }
+            if self.closing || self.eof {
+                return;
+            }
+            let room = cfg
+                .relay_buf_cap
+                .saturating_sub(self.cbuf.len())
+                .min(scratch.len());
+            if room == 0 {
+                self.fail(codes::MALFORMED, "frame exceeds the relay buffer");
+                return;
+            }
+            let mut input: &TcpStream = &self.client;
+            match input.read(&mut scratch[..room]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => {
+                    self.cbuf.extend_from_slice(&scratch[..n]);
+                    self.last_read = Instant::now();
+                }
+                Err(e) if timed_out(e.kind()) => {
+                    if self.last_read.elapsed() > cfg.idle_timeout {
+                        self.fail(codes::IDLE_TIMEOUT, "no frames within the idle timeout");
+                    }
+                }
+                Err(_) => return,
+            }
+        }
+    }
+}
+
+/// Admits or refuses one accepted client connection; an admitted one
+/// gets a relay thread and a leg-reader thread.
+fn spawn_relay(shared: &Arc<Shared>, stream: TcpStream) -> Option<JoinHandle<()>> {
+    let conn = shared
+        .daemon
+        .admit(stream, shared.cfg.max_conns, "router")?;
+    let out = Arc::new(Mutex::new(ClientOut {
+        stream: Arc::clone(&conn.stream),
+        frames_out: 0,
+    }));
+    let (jobs, job_rx) = mpsc::channel();
+    let (event_tx, events) = mpsc::channel();
+    let cap = shared.cfg.relay_buf_cap;
+    let reader_out = Arc::clone(&out);
+    let reader = shared.daemon.spawn(
+        format!("router-leg-{}", conn.conn_id),
+        conn.socket,
+        move || leg_reader(&reader_out, &job_rx, &event_tx, cap),
+    )?;
+    let thread_shared = Arc::clone(shared);
+    shared.daemon.spawn(
+        format!("router-conn-{}", conn.conn_id),
+        conn.socket,
+        move || {
+            let shared = thread_shared;
+            let mut relay = Relay {
+                shared: &shared,
+                conn_id: conn.conn_id,
+                client: Arc::clone(&conn.stream),
+                out,
+                jobs,
+                events,
+                bound: None,
+                closing: false,
+                cbuf: Vec::new(),
+                cpos: 0,
+                fwd: Vec::new(),
+                frames_in: 0,
+                clean: true,
+                eof: false,
+                drain_notified: false,
+                last_read: Instant::now(),
+            };
+            relay.run();
+            relay.drop_leg();
+            let Relay {
+                out,
+                jobs,
+                frames_in,
+                clean,
+                ..
+            } = relay;
+            // Closing the client first fails a leg-reader write the
+            // client stopped reading; dropping `jobs` ends the reader.
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            drop(jobs);
+            let _ = reader.join();
+            if !clean {
+                // relaxed: monotonic counter; published by the Release
+                // decrement of the live count just below.
+                shared.relay_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            shared.daemon.emit(EventData::ConnClosed {
+                conn: conn.conn_id,
+                frames_in,
+                frames_out: lock_unpoisoned(out.lock()).frames_out,
+            });
+            shared.daemon.retire(conn.socket);
+        },
+    )
 }
 
 /// A bound, running router. Dropping the handle shuts it down
@@ -921,8 +764,7 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
 pub struct Router {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Router {
@@ -950,53 +792,34 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
         let names = shards.iter().map(|s| s.name.clone()).collect();
         let pools = shards.iter().map(|_| Mutex::new(Vec::new())).collect();
         let shared = Arc::new(Shared {
+            daemon: Daemon::new(cfg.drain_deadline),
             cfg,
             shards,
             names,
-            state: AtomicU8::new(STATE_RUNNING),
-            start: Instant::now(),
-            telemetry: Mutex::new(Telemetry::enabled()),
-            injector: Mutex::new(VecDeque::new()),
             pools,
-            live_conns: AtomicUsize::new(0),
-            active_conns: AtomicUsize::new(0),
-            next_conn: AtomicU64::new(0),
-            conns: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             legs_opened: AtomicU64::new(0),
             legs_reused: AtomicU64::new(0),
             relay_errors: AtomicU64::new(0),
-            drain_deadline_at: Mutex::new(None),
         });
-        let deques: Vec<Arc<Mutex<VecDeque<Relay>>>> = (0..workers)
-            .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-            .collect();
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("router-accept".to_string())
-                .spawn(move || acceptor_loop(&shared, &listener))?
+                .spawn(move || {
+                    accept_loop(&shared.daemon, &listener, |stream| {
+                        spawn_relay(&shared, stream)
+                    })
+                })?
         };
-        let workers = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let deques = deques.clone();
-                std::thread::Builder::new()
-                    .name(format!("router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &deques, i))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Router {
             shared,
             addr,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -1017,64 +840,28 @@ impl Router {
 
     /// Builds the router's run manifest (`kind: "router"`).
     pub fn manifest(&self, name: &str) -> RunManifest {
-        let shared = &self.shared;
-        let (metrics, event_counts) = match shared.telemetry.lock() {
-            Ok(tel) => (tel.metrics().rollups(), tel.event_counts()),
-            Err(_) => (BTreeMap::new(), BTreeMap::new()),
-        };
-        let mut tags = BTreeMap::new();
-        tags.insert("workers".to_string(), shared.cfg.workers.to_string());
-        tags.insert("shards".to_string(), shared.names.join(","));
-        RunManifest {
-            kind: "router".to_string(),
-            name: name.to_string(),
-            policy: "relay".to_string(),
-            profile: "multi".to_string(),
-            seed: 0,
-            duration_us: shared.t_us(),
-            git: None,
-            created_unix_ms: None,
-            wall_ms: None,
-            tags,
-            metrics,
-            event_counts,
-        }
+        let tags = [("shards".to_string(), self.shared.names.join(","))].into();
+        self.shared.daemon.manifest("router", name, "relay", tags)
     }
 
-    /// The router's telemetry event stream as JSONL.
+    /// The router's retained telemetry events as JSONL — the first
+    /// few thousand; the manifest's event counts cover every event.
     pub fn events_jsonl(&self) -> String {
-        self.shared
-            .telemetry
-            .lock()
-            .map(|tel| tel.events_jsonl())
-            .unwrap_or_default()
+        self.shared.daemon.telemetry().events_jsonl()
     }
 
     /// Graceful shutdown: stop accepting, tell every relay
     /// [`Frame::GoingAway`], keep relaying until each client finishes
-    /// or the drain deadline passes, then join all threads, close
-    /// pooled shard legs, and return the final stats.
+    /// or the drain deadline passes, force-close what is left, join
+    /// all threads, close pooled shard legs, and return the final
+    /// stats.
     pub fn shutdown(mut self) -> RouterStats {
         self.begin_drain_and_join();
         self.shared.stats()
     }
 
     fn begin_drain_and_join(&mut self) {
-        if self.shared.state.swap(STATE_DRAINING, Ordering::AcqRel) == STATE_RUNNING {
-            if let Ok(mut d) = self.shared.drain_deadline_at.lock() {
-                *d = Some(Instant::now() + self.shared.cfg.drain_deadline);
-            }
-            let active = self.shared.live_conns.load(Ordering::Acquire);
-            self.shared.emit(EventData::ServeShutdown {
-                active_sessions: active as u64,
-            });
-        }
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.shared.daemon.shutdown(self.addr, self.acceptor.take());
         // Dropping pooled legs closes the idle shard connections so
         // the shards themselves can drain promptly.
         for pool in &self.shared.pools {

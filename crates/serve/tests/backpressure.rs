@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 
 fn router_config() -> RouterConfig {
     RouterConfig::default()
-        .with_workers(2)
         .with_drain_deadline(Duration::from_secs(2))
         .with_idle_timeout(Duration::from_secs(10))
 }
@@ -30,7 +29,6 @@ fn sequential_sessions_on_one_connection_reuse_one_pooled_leg() {
     let shard = Server::bind(
         "127.0.0.1:0",
         ServeConfig::default()
-            .with_workers(2)
             .with_drain_deadline(Duration::from_secs(2))
             .with_idle_timeout(Duration::from_secs(10)),
     )

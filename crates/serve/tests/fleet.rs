@@ -9,14 +9,12 @@ use std::time::Duration;
 
 fn shard_config() -> ServeConfig {
     ServeConfig::default()
-        .with_workers(2)
         .with_drain_deadline(Duration::from_secs(2))
         .with_idle_timeout(Duration::from_secs(10))
 }
 
 fn router_config() -> RouterConfig {
     RouterConfig::default()
-        .with_workers(2)
         .with_drain_deadline(Duration::from_secs(2))
         .with_idle_timeout(Duration::from_secs(10))
 }

@@ -19,7 +19,6 @@ fn thousand_concurrent_sessions_zero_loss_byte_identical() {
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig::default()
-            .with_workers(4)
             .with_drain_deadline(Duration::from_secs(3))
             .with_idle_timeout(Duration::from_secs(60)),
     )

@@ -12,7 +12,6 @@ use std::time::Duration;
 
 fn test_config() -> ServeConfig {
     ServeConfig::default()
-        .with_workers(2)
         .with_drain_deadline(Duration::from_secs(2))
         .with_idle_timeout(Duration::from_secs(10))
 }

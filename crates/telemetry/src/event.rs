@@ -107,6 +107,12 @@ impl EventKind {
         }
     }
 
+    /// Position of the kind in [`EventKind::ALL`] (the declaration
+    /// order).
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Inverse of [`EventKind::name`]. Additionally accepts `hotplug` as
     /// an umbrella for the four hotplug-related kinds in filters.
     pub fn from_name(name: &str) -> Option<EventKind> {
@@ -793,6 +799,13 @@ mod tests {
             assert_eq!(EventKind::from_name(k.name()), Some(k));
         }
         assert_eq!(EventKind::from_name("warp-drive"), None);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, k) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.index(), i, "{}", k.name());
+        }
     }
 
     #[test]

@@ -18,6 +18,10 @@ pub struct Telemetry {
     events: Vec<Event>,
     max_events: usize,
     dropped: u64,
+    /// Emitted events per kind, indexed like [`EventKind::ALL`] —
+    /// counted whether or not the event was retained, so
+    /// [`Telemetry::event_counts`] stays exact past the ceiling.
+    kind_counts: [u64; EventKind::ALL.len()],
     metrics: MetricSet,
 }
 
@@ -35,6 +39,7 @@ impl Telemetry {
             events: Vec::new(),
             max_events: DEFAULT_MAX_EVENTS,
             dropped: 0,
+            kind_counts: [0; EventKind::ALL.len()],
             metrics: MetricSet::new(),
         }
     }
@@ -52,7 +57,9 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Overrides the retained-event ceiling.
+    /// Overrides the retained-event ceiling. Past it events are only
+    /// counted: [`Telemetry::event_counts`] stays exact, the log keeps
+    /// the first `max` events.
     #[must_use]
     pub fn with_max_events(mut self, max: usize) -> Self {
         self.max_events = max;
@@ -65,6 +72,7 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
+        self.kind_counts[data.kind().index()] += 1;
         if self.events.len() >= self.max_events {
             self.dropped += 1;
             return;
@@ -156,13 +164,16 @@ impl Telemetry {
         &self.metrics
     }
 
-    /// Event totals per kind name (only kinds that occurred appear).
+    /// Event totals per kind name, counting every emitted event —
+    /// retained or dropped past the ceiling (only kinds that occurred
+    /// appear).
     pub fn event_counts(&self) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for e in &self.events {
-            *out.entry(e.kind().name().to_string()).or_insert(0) += 1;
-        }
-        out
+        EventKind::ALL
+            .into_iter()
+            .zip(self.kind_counts)
+            .filter(|&(_, n)| n > 0)
+            .map(|(k, n)| (k.name().to_string(), n))
+            .collect()
     }
 
     /// Events of one kind, in order.
@@ -245,6 +256,24 @@ mod tests {
         }
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.dropped_events(), 3);
+    }
+
+    #[test]
+    fn event_counts_stay_exact_past_the_ceiling() {
+        let mut t = Telemetry::enabled().with_max_events(3);
+        for i in 0..10 {
+            t.emit(i, EventData::CoreOnline { core: 0 });
+            if i % 2 == 0 {
+                t.emit(i, EventData::CoreOffline { core: 1 });
+            }
+        }
+        assert_eq!(t.events().len(), 3, "the log keeps the first 3");
+        assert_eq!(t.dropped_events(), 12);
+        assert_eq!(t.event_counts().get("core-online"), Some(&10));
+        assert_eq!(t.event_counts().get("core-offline"), Some(&5));
+        assert_eq!(t.event_counts().len(), 2, "kinds never emitted stay absent");
+        let total: u64 = t.event_counts().values().sum();
+        assert_eq!(total, t.events().len() as u64 + t.dropped_events());
     }
 
     #[test]
