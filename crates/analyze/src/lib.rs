@@ -9,8 +9,9 @@
 //!    every `Ordering::Relaxed` justified with a `// relaxed:`
 //!    annotation, doc tables in sync with code registries, and strict
 //!    lint headers (`forbid(unsafe_code)`, `deny(missing_docs)`) in
-//!    every crate. Run via `cargo test` (tier-1) or the
-//!    `mobicore-analyze` CLI.
+//!    every crate; every `cargo` command the docs show names a real
+//!    package and target ([`cargo_targets`]). Run via `cargo test`
+//!    (tier-1) or the `mobicore-analyze` CLI.
 //! 2. **Model checking** ([`model`]): a loom-style bounded-DFS
 //!    interleaving explorer with a C11-flavoured weak-memory model;
 //!    [`protocols`] holds replicas of the workspace's concurrency cores
@@ -25,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod cargo_targets;
 pub mod lint;
 pub mod model;
 pub mod protocols;

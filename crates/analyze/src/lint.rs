@@ -1,6 +1,6 @@
 //! The workspace invariant linter.
 //!
-//! Six rules, each encoding a MobiCore-specific invariant that
+//! Seven rules, each encoding a MobiCore-specific invariant that
 //! `rustc`/`clippy` cannot express:
 //!
 //! | rule | invariant |
@@ -9,8 +9,9 @@
 //! | `serve-no-panic-paths` | `crates/serve` protocol/session code must not `unwrap`/`expect`/`panic!` — a malformed frame must never kill a worker (escape: `// infallible:` with a proof) |
 //! | `relaxed-needs-justification` | every `Ordering::Relaxed` outside tests carries a `// relaxed:` comment saying why the weak ordering is sound |
 //! | `crate-lint-headers` | every crate root pins `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
-//! | `registry-doc-sync` | frame types, event kinds, governor, profile and sim-engine registries are each fully enumerated (backticked) in their doc page |
+//! | `registry-doc-sync` | frame types, event kinds, policy, arena, profile and sim-engine registries are each fully enumerated (backticked) in their doc page |
 //! | `next-tick-equivalence-coverage` | every `fn next_tick_us` wake-time implementation is registered here and exercised by the engine-equivalence suite |
+//! | `doc-cargo-targets` | every `cargo run\|test\|bench` command in the docs, CI and verify recipe names a package and `--bin`/`--test`/`--bench`/`--example` target that exists ([`crate::cargo_targets`]) |
 //!
 //! Escape annotations go on the offending line or the line directly
 //! above. The linter runs in tier-1 (`tests/static_analysis.rs`) and
@@ -53,7 +54,7 @@ impl fmt::Display for Finding {
 }
 
 /// Rule identifiers with one-line descriptions (CLI `rules` output).
-pub const RULES: [(&str, &str); 6] = [
+pub const RULES: [(&str, &str); 7] = [
     (
         "no-wall-clock-in-sim",
         "crates/sim (incl. the event scheduler) must stay on virtual time: no Instant::now/SystemTime outside tests (escape: // wall-clock:)",
@@ -72,11 +73,15 @@ pub const RULES: [(&str, &str); 6] = [
     ),
     (
         "registry-doc-sync",
-        "frame/event/governor/profile/engine registries must be fully enumerated in their docs",
+        "frame/event/policy/arena/profile/engine registries must be fully enumerated in their docs",
     ),
     (
         "next-tick-equivalence-coverage",
         "every fn next_tick_us wake-time impl must be registered in NEXT_TICK_IMPLS and exercised by the engine-equivalence suite",
+    ),
+    (
+        "doc-cargo-targets",
+        "cargo run/test/bench commands in README, DESIGN, EXPERIMENTS, docs/, CI and the verify recipe must name existing packages and targets",
     ),
 ];
 
@@ -323,23 +328,23 @@ const REGISTRIES: [RegistrySpec; 7] = [
         what: "event kind",
     },
     RegistrySpec {
-        source: "crates/governors/src/registry.rs",
+        source: "crates/core/src/registry.rs",
         extract: Extract::ArrayStrings("NAMES"),
         doc: "docs/serving.md",
-        what: "governor name",
+        what: "policy name",
     },
     RegistrySpec {
-        // The tournament races every registered governor, so its doc
-        // page must list them all too — a new governor that shows up in
-        // docs/serving.md but not on the leaderboard page is drift.
-        source: "crates/governors/src/registry.rs",
-        extract: Extract::ArrayStrings("NAMES"),
+        // The tournament races the arena, so its doc page must list
+        // every arena policy — one that shows up in docs/serving.md but
+        // not on the leaderboard page is drift.
+        source: "crates/core/src/registry.rs",
+        extract: Extract::ArrayStrings("ARENA"),
         doc: "docs/tournament.md",
-        what: "governor name",
+        what: "arena policy",
     },
     RegistrySpec {
-        source: "crates/serve/src/registry.rs",
-        extract: Extract::ArrayStrings("PROFILE_NAMES"),
+        source: "crates/model/src/profiles.rs",
+        extract: Extract::ArrayStrings("NAMES"),
         doc: "docs/serving.md",
         what: "device profile",
     },
@@ -404,7 +409,8 @@ fn registry_doc_sync(root: &Path, out: &mut Vec<Finding>) -> Result<(), String> 
 }
 
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
-/// `src/` and `crates/*/src/`, plus the registry-vs-docs checks.
+/// `src/` and `crates/*/src/`, plus the registry-vs-docs, wake-time
+/// coverage and doc cargo-command checks.
 /// Returns findings sorted by path and line; empty means clean.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let mut files = Vec::new();
@@ -436,6 +442,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     }
     registry_doc_sync(root, &mut findings)?;
     next_tick_coverage(root, &mut findings)?;
+    crate::cargo_targets::check_workspace(root, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
@@ -497,7 +504,7 @@ mod tests {
         let findings = lint_source("crates/sim/src/engine.rs", bad);
         assert_eq!(rules_of(&findings), ["no-wall-clock-in-sim"]);
         // The same token outside the sim crate is fine.
-        assert!(lint_source("crates/bench/src/timer.rs", bad).is_empty());
+        assert!(lint_source("crates/sweep/src/timer.rs", bad).is_empty());
     }
 
     #[test]

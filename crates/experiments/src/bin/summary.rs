@@ -5,11 +5,9 @@
 //! cargo run --release -p mobicore-experiments --bin summary [-- --quick]
 //! ```
 
-use mobicore::MobiCore;
+use mobicore::registry;
 use mobicore_experiments::{games_suite, runner};
-use mobicore_governors::AndroidDefaultPolicy;
 use mobicore_model::{profiles, Battery};
-use mobicore_sim::CpuPolicy;
 use mobicore_workloads::{BusyLoop, GeekBenchApp};
 
 fn main() {
@@ -25,17 +23,13 @@ fn main() {
     println!("────────────────────────────────────────────────────────────");
 
     let sink = runner::ManifestSink::from_env("summary");
+    let policy = |name| registry::build(name, &profile, runner::SEED).expect("registered policy");
 
     // 1. static benchmark
-    let run_bl = |mob: bool| {
-        let policy: Box<dyn CpuPolicy> = if mob {
-            Box::new(MobiCore::new(&profile))
-        } else {
-            Box::new(AndroidDefaultPolicy::new(&profile))
-        };
+    let run_bl = |name| {
         runner::run_policy(
             &profile,
-            policy,
+            policy(name),
             vec![Box::new(BusyLoop::with_target_util(
                 4,
                 0.3,
@@ -47,7 +41,7 @@ fn main() {
             &sink,
         )
     };
-    let (a, m) = (run_bl(false), run_bl(true));
+    let (a, m) = (run_bl("android-default"), run_bl("mobicore"));
     let bl_saving = runner::pct_saving(a.avg_power_mw, m.avg_power_mw);
     println!(
         "busy-loop 30 %      paper: −13.9 % avg   measured: {:.1} % ({:.0} → {:.0} mW)",
@@ -55,22 +49,17 @@ fn main() {
     );
 
     // 2. GeekBench efficiency
-    let run_gb = |mob: bool| {
-        let policy: Box<dyn CpuPolicy> = if mob {
-            Box::new(MobiCore::new(&profile))
-        } else {
-            Box::new(AndroidDefaultPolicy::new(&profile))
-        };
+    let run_gb = |name| {
         runner::run_policy(
             &profile,
-            policy,
+            policy(name),
             vec![Box::new(GeekBenchApp::standard(4))],
             secs,
             runner::SEED,
             &sink,
         )
     };
-    let (ga, gm) = (run_gb(false), run_gb(true));
+    let (ga, gm) = (run_gb("android-default"), run_gb("mobicore"));
     let eff = |r: &mobicore_sim::SimReport| r.first_metric("score").unwrap_or(0.0) / r.avg_power_mw;
     println!(
         "GeekBench score/W   paper: ≈ +23 %        measured: {:+.1} %",

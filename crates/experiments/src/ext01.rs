@@ -7,23 +7,13 @@
 
 use crate::result::ExperimentResult;
 use crate::runner::{self, parallel_map};
-use mobicore::MobiCore;
-use mobicore_governors::{GovernorPolicy, Interactive, Ondemand, Schedutil};
+use mobicore::registry;
 use mobicore_model::profiles;
 use mobicore_sim::CpuPolicy;
 use mobicore_workloads::{BusyLoop, GeekBenchApp};
 
 fn make_policy(kind: &str, profile: &mobicore_model::DeviceProfile) -> Box<dyn CpuPolicy> {
-    let opps = profile.opps().clone();
-    match kind {
-        "ondemand" => Box::new(GovernorPolicy::dvfs_only(Box::new(Ondemand::new()), opps)),
-        "interactive" => Box::new(GovernorPolicy::dvfs_only(
-            Box::new(Interactive::new()),
-            opps,
-        )),
-        "schedutil" => Box::new(GovernorPolicy::dvfs_only(Box::new(Schedutil::new()), opps)),
-        _ => Box::new(MobiCore::new(profile)),
-    }
+    registry::build(kind, profile, runner::SEED).expect("registered policy")
 }
 
 /// Runs the experiment.

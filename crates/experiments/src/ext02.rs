@@ -8,9 +8,8 @@
 
 use crate::result::ExperimentResult;
 use crate::runner::{self, parallel_map};
-use mobicore::{MobiCore, ThermalAwareMobiCore};
+use mobicore::registry;
 use mobicore_model::profiles;
-use mobicore_sim::CpuPolicy;
 use mobicore_workloads::BusyLoop;
 
 /// Runs the experiment.
@@ -26,15 +25,10 @@ pub fn run(quick: bool) -> ExperimentResult {
     res.line("policy,avg_power_mw,max_temp_c,firmware_throttle_frac,executed_gcycles");
 
     let sink = runner::ManifestSink::from_env("ext02");
-    let rows = parallel_map(vec![false, true], |thermal_aware| {
-        let policy: Box<dyn CpuPolicy> = if thermal_aware {
-            Box::new(ThermalAwareMobiCore::new(&profile))
-        } else {
-            Box::new(MobiCore::new(&profile))
-        };
+    let rows = parallel_map(vec!["mobicore", "mobicore-thermal"], |name| {
         let r = runner::run_policy(
             &profile,
-            policy,
+            registry::build(name, &profile, runner::SEED).expect("registered policy"),
             vec![Box::new(BusyLoop::with_target_util(
                 4,
                 1.0,
@@ -45,24 +39,19 @@ pub fn run(quick: bool) -> ExperimentResult {
             runner::SEED,
             &sink,
         );
-        (thermal_aware, r)
+        (name, r)
     });
-    for (aware, r) in &rows {
+    for (name, r) in &rows {
         res.line(format!(
-            "{},{:.1},{:.1},{:.3},{:.2}",
-            if *aware {
-                "mobicore-thermal"
-            } else {
-                "mobicore"
-            },
+            "{name},{:.1},{:.1},{:.3},{:.2}",
             r.avg_power_mw,
             r.max_temp_c,
             r.thermal_throttled_frac,
             r.executed_cycles as f64 / 1e9
         ));
     }
-    let plain = &rows.iter().find(|r| !r.0).expect("ran").1;
-    let aware = &rows.iter().find(|r| r.0).expect("ran").1;
+    let plain = &rows[0].1;
+    let aware = &rows[1].1;
 
     res.check(
         "thermal-aware variant runs no hotter",

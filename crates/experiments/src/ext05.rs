@@ -11,7 +11,7 @@
 
 use crate::result::ExperimentResult;
 use crate::runner::{self, parallel_map};
-use mobicore::MobiCore;
+use mobicore::registry;
 use mobicore_governors::{DefaultHotplug, GovernorPolicy, NoHotplug, Ondemand, RqHotplug};
 use mobicore_model::profiles;
 use mobicore_sim::CpuPolicy;
@@ -35,7 +35,7 @@ fn policy(kind: &str, profile: &mobicore_model::DeviceProfile) -> Box<dyn CpuPol
             Box::new(RqHotplug::new()),
             opps,
         )),
-        _ => Box::new(MobiCore::new(profile)),
+        _ => registry::build(kind, profile, runner::SEED).expect("registered policy"),
     }
 }
 

@@ -79,7 +79,7 @@ pub struct FleetSpec {
     pub chunk: usize,
     /// Scenario name from `mobicore_workloads::scenario::CATALOG`.
     pub scenario: String,
-    /// Policy: `mobicore` or a stock-governor registry name.
+    /// Policy: a `mobicore::registry` name.
     pub policy: String,
     /// Simulated seconds per device.
     pub secs: u64,
@@ -145,8 +145,8 @@ pub struct FleetOutput {
 ///
 /// # Panics
 ///
-/// Panics on a name neither `mobicore` nor in the governor registry —
-/// [`run`] validates names up front so the panic carries the CLI error.
+/// Panics on a name [`mobicore::registry`] does not know — [`run`]
+/// validates names up front so the panic carries the CLI error.
 fn build_policy(spec: &FleetSpec, profile: &DeviceProfile) -> Box<dyn mobicore_sim::CpuPolicy> {
     crate::policy::by_name(&spec.policy, profile, crate::runner::SEED)
         .unwrap_or_else(|| panic!("unknown policy {:?}", spec.policy))

@@ -15,13 +15,8 @@
 //! The REPL is a pure function of its input stream, so it is fully
 //! testable (and scriptable: `phone < script.txt`).
 
-use mobicore::{MobiCore, ThermalAwareMobiCore};
-use mobicore_governors::{
-    AndroidDefaultPolicy, Conservative, GovernorPolicy, Interactive, Ondemand, Performance,
-    Powersave, Schedutil,
-};
+use mobicore::registry;
 use mobicore_model::{profiles, Battery, DeviceProfile};
-use mobicore_sim::builtin::PinnedPolicy;
 use mobicore_sim::{CpuPolicy, SimConfig, Simulation, TraceLevel};
 use mobicore_workloads::{BusyLoop, GameApp, GameProfile, GeekBenchApp, VideoPlayback};
 use std::io::{BufRead, Write};
@@ -46,33 +41,23 @@ impl Session {
         }
     }
 
+    /// Resolves the policy through [`registry::build`]; `android` and
+    /// bare `pinned` are shorthands for `android-default` and all cores
+    /// pinned at the top OPP.
     fn build_policy(&self) -> Result<Box<dyn CpuPolicy>, String> {
-        let opps = self.profile.opps().clone();
-        Ok(match self.policy_kind.as_str() {
-            "android" => Box::new(AndroidDefaultPolicy::new(&self.profile)),
-            "mobicore" => Box::new(MobiCore::new(&self.profile)),
-            "mobicore-thermal" => Box::new(ThermalAwareMobiCore::new(&self.profile)),
-            "ondemand" => Box::new(GovernorPolicy::dvfs_only(Box::new(Ondemand::new()), opps)),
-            "interactive" => Box::new(GovernorPolicy::dvfs_only(
-                Box::new(Interactive::new()),
-                opps,
-            )),
-            "conservative" => Box::new(GovernorPolicy::dvfs_only(
-                Box::new(Conservative::new()),
-                opps,
-            )),
-            "schedutil" => Box::new(GovernorPolicy::dvfs_only(Box::new(Schedutil::new()), opps)),
-            "performance" => Box::new(GovernorPolicy::dvfs_only(
-                Box::new(Performance::new()),
-                opps,
-            )),
-            "powersave" => Box::new(GovernorPolicy::dvfs_only(Box::new(Powersave::new()), opps)),
-            "pinned" => Box::new(PinnedPolicy::new(
+        let name = match self.policy_kind.as_str() {
+            "android" => "android-default".to_string(),
+            "pinned" => format!(
+                "pinned:{}:{}",
                 self.profile.n_cores(),
-                self.profile.opps().max_khz(),
-            )),
-            other => return Err(format!("unknown policy {other:?}; see `help`")),
-        })
+                self.profile.opps().max_khz().0
+            ),
+            other => other.to_string(),
+        };
+        match registry::build(&name, &self.profile, self.seed) {
+            Some(policy) => Ok(policy),
+            None => Err(format!("unknown policy {name:?}; see `help`")),
+        }
     }
 
     fn build_workload(&self, spec: &str) -> Result<Box<dyn mobicore_sim::Workload>, String> {
@@ -134,8 +119,11 @@ impl Session {
     }
 }
 
-const HELP: &str = "commands:
-  policy <android|mobicore|mobicore-thermal|ondemand|interactive|conservative|schedutil|performance|powersave|pinned>
+/// The `help` text; the policy list comes from [`registry::NAMES`].
+fn help() -> String {
+    format!(
+        "commands:
+  policy <android|pinned|pinned:CORES:KHZ|{}>
   workload <busyloop UTIL | game \"NAME\" | geekbench | video>   (repeatable)
   gaming on|off          use the display-on gaming power profile
   seed N                 set the workload seed
@@ -147,7 +135,10 @@ const HELP: &str = "commands:
   analyze                trace statistics (residency, transitions, jank)
   reset                  discard the phone, keep the configuration
   help                   this text
-  quit";
+  quit",
+        registry::NAMES.join("|")
+    )
+}
 
 /// Runs the REPL over arbitrary I/O. Returns the number of commands
 /// executed.
@@ -169,7 +160,7 @@ pub fn run_repl(input: impl BufRead, mut out: impl Write) -> std::io::Result<usi
         let (cmd, rest) = line.split_once(' ').unwrap_or((line, ""));
         let rest = rest.trim();
         let outcome: Result<String, String> = match cmd {
-            "help" => Ok(HELP.to_string()),
+            "help" => Ok(help()),
             "quit" | "exit" => break,
             "policy" => {
                 session.policy_kind = rest.to_string();

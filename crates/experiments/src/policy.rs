@@ -1,53 +1,13 @@
-//! One place that resolves a policy wire name into a running
-//! [`CpuPolicy`] — `"mobicore"` plus every governor-registry name — so
-//! the fleet harness, the tournament, and future CLIs agree on what a
-//! policy string means.
+//! Policy names for the fleet harness, the sweeps and the tournament:
+//! forwards to [`mobicore::registry`], the one table every front end
+//! resolves names through.
 
-use mobicore_model::DeviceProfile;
-use mobicore_sim::CpuPolicy;
+/// Builds the named policy for a profile ([`mobicore::registry::build`]);
+/// the seed only matters to the `learned` governor.
+pub use mobicore::registry::build as by_name;
 
-/// Every name [`by_name`] accepts, in a stable order: `mobicore` first,
-/// then the governor registry (which ends with `learned`).
+/// The arena the experiments race, in a stable order: `mobicore` first,
+/// `learned` last ([`mobicore::registry::ARENA`]).
 pub fn names() -> Vec<&'static str> {
-    let mut out = vec!["mobicore"];
-    out.extend(mobicore_governors::registry::NAMES);
-    out
-}
-
-/// Builds the named policy for `profile`, or `None` for an unknown name.
-///
-/// `seed` only matters to the `learned` governor (its exploration RNG);
-/// every other policy is already a deterministic function of the
-/// snapshot stream and ignores it.
-pub fn by_name(
-    name: &str,
-    profile: &DeviceProfile,
-    seed: u64,
-) -> Option<Box<dyn CpuPolicy + Send>> {
-    if name == "mobicore" {
-        return Some(Box::new(mobicore::MobiCore::new(profile)));
-    }
-    mobicore_governors::registry::build_seeded(name, profile, seed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mobicore_model::profiles;
-
-    #[test]
-    fn every_listed_name_builds() {
-        let profile = profiles::nexus5();
-        for name in names() {
-            let policy = by_name(name, &profile, 1).unwrap_or_else(|| panic!("{name} builds"));
-            assert!(!policy.name().is_empty());
-        }
-        assert!(by_name("warp-drive", &profile, 1).is_none());
-    }
-
-    #[test]
-    fn learned_is_among_the_names() {
-        assert!(names().contains(&"learned"));
-        assert!(names().contains(&"mobicore"));
-    }
+    mobicore::registry::ARENA.to_vec()
 }

@@ -64,11 +64,6 @@ impl ExperimentResult {
         self.lines.push(line.into());
     }
 
-    /// Appends a formatted data line.
-    pub fn linef(&mut self, args: fmt::Arguments<'_>) {
-        self.lines.push(args.to_string());
-    }
-
     /// Appends a check.
     pub fn check(
         &mut self,

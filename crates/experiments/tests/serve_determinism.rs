@@ -110,8 +110,8 @@ fn seeded_runs(
     seed: u64,
 ) -> ((String, String, String), (String, String, String)) {
     let profile = mobicore_model::profiles::nexus5();
-    let local = mobicore_serve::registry::build_policy_seeded(policy_name, &profile, seed)
-        .expect("policy exists locally");
+    let local =
+        mobicore::registry::build(policy_name, &profile, seed).expect("policy exists locally");
     let local_name = local.name().to_string();
     let local_run = run_sim(local, "mixed-day-mini", 2);
     let remote = RemotePolicy::connect(addr, policy_name, "nexus5", seed).expect("connect");
@@ -133,7 +133,7 @@ fn every_registered_policy_honours_the_client_seed_over_loopback() {
     .expect("bind");
     let addr = server.local_addr().to_string();
 
-    for name in mobicore_serve::registry::policy_names() {
+    for name in mobicore::registry::NAMES {
         let mut local_reports = Vec::new();
         for seed in SEEDS {
             let (local, remote) = seeded_runs(&addr, name, seed);
@@ -163,6 +163,6 @@ fn every_registered_policy_honours_the_client_seed_over_loopback() {
 
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 0);
-    let runs = mobicore_serve::registry::policy_names().len() * SEEDS.len();
+    let runs = mobicore::registry::NAMES.len() * SEEDS.len();
     assert_eq!(stats.sessions, runs as u64, "one session per remote run");
 }

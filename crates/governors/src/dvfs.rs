@@ -50,13 +50,6 @@ impl Ondemand {
         }
     }
 
-    /// Overrides the up-threshold.
-    #[must_use]
-    pub fn with_up_threshold(mut self, pct: f64) -> Self {
-        self.up_threshold = pct.clamp(1.0, 100.0);
-        self
-    }
-
     /// One ondemand estimate as a **pure transition function**: the
     /// governor's only persistent state (its last estimate) goes in, the
     /// next estimate comes out. [`DvfsGovernor::target`] and the

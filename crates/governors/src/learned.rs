@@ -317,11 +317,6 @@ impl LearnedGovernor {
         self.state = state;
     }
 
-    /// Number of selectable operating points (cores × OPP × quota).
-    pub fn action_count(&self) -> usize {
-        self.actions.len()
-    }
-
     fn next_u64(&mut self) -> u64 {
         let mut x = self.state.rng;
         x ^= x << 13;

@@ -43,7 +43,6 @@ pub mod android;
 pub mod dvfs;
 pub mod hotplug;
 pub mod learned;
-pub mod registry;
 
 pub use adapter::GovernorPolicy;
 pub use android::AndroidDefaultPolicy;

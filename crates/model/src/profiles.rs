@@ -285,6 +285,45 @@ pub fn figure1_fleet() -> Vec<DeviceProfile> {
     ]
 }
 
+/// Wire names of every built-in profile, in the order the invariant
+/// checker sweeps them: the [`figure1_fleet`] phones, then the gaming
+/// Nexus 5 and the synthetic octa-core.
+pub const NAMES: [&str; 8] = [
+    "nexus-s",
+    "motorola-mb810",
+    "galaxy-s2",
+    "nexus4",
+    "nexus5",
+    "lg-g3",
+    "nexus5-gaming",
+    "synthetic-octa",
+];
+
+/// Builds a built-in profile by wire name (`nexus5`, one of [`NAMES`]).
+pub fn by_name(name: &str) -> Option<DeviceProfile> {
+    let build = match name {
+        "nexus-s" => nexus_s,
+        "motorola-mb810" => motorola_mb810,
+        "galaxy-s2" => galaxy_s2,
+        "nexus4" => nexus4,
+        "nexus5" => nexus5,
+        "lg-g3" => lg_g3,
+        "nexus5-gaming" => nexus5_gaming,
+        "synthetic-octa" => synthetic_octa,
+        _ => return None,
+    };
+    Some(build())
+}
+
+/// Builds a built-in profile by display name (`Nexus 5`, its
+/// [`DeviceProfile::name`]).
+pub fn by_display_name(name: &str) -> Option<DeviceProfile> {
+    NAMES
+        .iter()
+        .filter_map(|n| by_name(n))
+        .find(|p| p.name() == name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,12 +17,11 @@
 
 use crate::protocol::{decode_frame, encode_frame, Frame, WireError, PROTOCOL_VERSION};
 use mobicore_sim::{Command, CpuControl, CpuPolicy, PolicySnapshot};
-use mobicore_telemetry::{EventData, Histogram};
+use mobicore_telemetry::EventData;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -545,7 +544,6 @@ impl ClientSession {
 /// manifest as the same policy running in process.
 pub struct RemotePolicy {
     sess: ClientSession,
-    rtt_sink: Option<Arc<Mutex<Histogram>>>,
     errors: u64,
 }
 
@@ -563,16 +561,8 @@ impl RemotePolicy {
     ) -> Result<RemotePolicy, ClientError> {
         Ok(RemotePolicy {
             sess: ClientSession::connect(addr, policy, profile, seed)?,
-            rtt_sink: None,
             errors: 0,
         })
-    }
-
-    /// Records each request's round-trip time (µs) into `sink`.
-    #[must_use]
-    pub fn with_rtt_sink(mut self, sink: Arc<Mutex<Histogram>>) -> Self {
-        self.rtt_sink = Some(sink);
-        self
     }
 
     /// Sets the session's pipelining window. `on_sample` is inherently
@@ -614,7 +604,6 @@ impl CpuPolicy for RemotePolicy {
     }
 
     fn on_sample(&mut self, snap: &PolicySnapshot, ctl: &mut CpuControl) {
-        let t0 = Instant::now();
         let decision = match self.sess.request(snap) {
             Ok(d) => d,
             Err(_) => {
@@ -622,11 +611,6 @@ impl CpuPolicy for RemotePolicy {
                 return;
             }
         };
-        if let Some(sink) = &self.rtt_sink {
-            if let Ok(mut h) = sink.lock() {
-                h.record(t0.elapsed().as_secs_f64() * 1e6);
-            }
-        }
         for cmd in decision.commands {
             match cmd {
                 Command::SetFreq { core, khz } => ctl.set_freq(core, khz),

@@ -24,7 +24,7 @@
 
 use crate::client::ClientSession;
 use crate::protocol::{frame_bytes, Frame};
-use crate::registry;
+use mobicore_model::profiles;
 use mobicore_sim::builtin::{PinnedPolicy, RecordingPolicy, SnapshotRecorder};
 use mobicore_sim::{PolicySnapshot, SimConfig, Simulation};
 use mobicore_sweep::Executor;
@@ -176,7 +176,7 @@ pub fn record_snapshots(
     secs: u64,
 ) -> Result<Vec<PolicySnapshot>, String> {
     let device =
-        registry::profile_by_name(profile).ok_or_else(|| format!("unknown profile `{profile}`"))?;
+        profiles::by_name(profile).ok_or_else(|| format!("unknown profile `{profile}`"))?;
     let workload = scenario::by_name(scenario_name, &device, seed)
         .ok_or_else(|| format!("unknown scenario `{scenario_name}`"))?;
     let recorder = SnapshotRecorder::new();
@@ -206,8 +206,8 @@ fn local_reference(
     seed: u64,
     snaps: &[PolicySnapshot],
 ) -> Option<Vec<Vec<u8>>> {
-    let device = registry::profile_by_name(profile)?;
-    let mut p = registry::build_policy_seeded(policy, &device, seed)?;
+    let device = profiles::by_name(profile)?;
+    let mut p = mobicore::registry::build(policy, &device, seed)?;
     let mut ctl = mobicore_sim::CpuControl::new();
     let mut out = Vec::with_capacity(snaps.len());
     for (i, snap) in snaps.iter().enumerate() {

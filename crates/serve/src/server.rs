@@ -34,9 +34,9 @@ use crate::conn::{accept_loop, timed_out, Daemon, WAKE};
 use crate::protocol::{
     codes, decode_frame, encode_frame, has_complete_frame, Frame, PROTOCOL_VERSION,
 };
-use crate::registry;
 use mobicore_analyze::sync::atomic::{AtomicU64, Ordering};
 use mobicore_analyze::sync::Arc;
+use mobicore_model::profiles;
 use mobicore_sim::{CpuControl, CpuPolicy};
 use mobicore_telemetry::{EventData, RunManifest};
 
@@ -109,13 +109,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_queue_budget(mut self, n: usize) -> Self {
         self.queue_budget = n.max(1);
-        self
-    }
-
-    /// Overrides the advertised pipelining window (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_pipeline_window(mut self, n: usize) -> Self {
-        self.pipeline_window = n.max(1);
         self
     }
 }
@@ -386,14 +379,14 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
                 );
                 return;
             }
-            let Some(device) = registry::profile_by_name(&profile) else {
+            let Some(device) = profiles::by_name(&profile) else {
                 sess.fail(
                     codes::UNKNOWN_PROFILE,
                     &format!("unknown profile `{profile}`"),
                 );
                 return;
             };
-            let Some(resolved) = registry::build_policy_seeded(&policy, &device, seed) else {
+            let Some(resolved) = mobicore::registry::build(&policy, &device, seed) else {
                 sess.fail(codes::UNKNOWN_POLICY, &format!("unknown policy `{policy}`"));
                 return;
             };

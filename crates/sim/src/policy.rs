@@ -236,11 +236,6 @@ impl CpuControl {
         std::mem::take(&mut self.commands)
     }
 
-    /// Number of queued commands.
-    pub fn command_count(&self) -> usize {
-        self.commands.len()
-    }
-
     /// Moves the queued commands into `out`, keeping this buffer's
     /// capacity for the next invocation (the simulator reuses one
     /// `CpuControl` across samples; see docs/performance.md).

@@ -77,11 +77,6 @@ impl WorkloadRt {
         self.threads.len() - 1
     }
 
-    /// Number of threads spawned so far.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Queues `cycles` of work tagged `tag` on `thread`.
     ///
     /// # Panics

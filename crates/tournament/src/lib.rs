@@ -43,7 +43,7 @@ use std::time::Instant;
 pub struct TournamentSpec {
     /// Free-form tournament name (lands in the leaderboard).
     pub name: String,
-    /// Policy wire names (`mobicore` + governor registry).
+    /// Policy wire names (`mobicore::registry`; defaults to its `ARENA`).
     pub policies: Vec<String>,
     /// Scenario names from `mobicore_workloads::scenario::CATALOG`.
     pub scenarios: Vec<String>,

@@ -5,7 +5,6 @@
 //! slow-mode transitions of Table 2 on the patterns a phone actually
 //! spends its day on.
 
-use mobicore_model::Khz;
 use mobicore_sim::{ThreadId, Wake, Workload, WorkloadReport, WorkloadRt};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -284,12 +283,6 @@ impl Workload for VideoPlayback {
                 },
             )
     }
-}
-
-/// Convenience: the default video decode cost tuned so playback needs
-/// roughly a third of one core at the lowest Nexus 5 OPP.
-pub fn default_video(khz_min: Khz) -> VideoPlayback {
-    VideoPlayback::new(khz_min.cycles_in_us(11_000))
 }
 
 #[cfg(test)]

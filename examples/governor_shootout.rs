@@ -5,43 +5,25 @@
 //! cargo run --release --example governor_shootout
 //! ```
 
-use mobicore::MobiCore;
-use mobicore_governors::{
-    Conservative, GovernorPolicy, Interactive, Ondemand, Performance, Powersave,
-};
+use mobicore::registry;
 use mobicore_model::profiles;
-use mobicore_sim::{CpuPolicy, SimConfig, Simulation};
+use mobicore_sim::{SimConfig, Simulation};
 use mobicore_workloads::GeekBenchApp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile = profiles::nexus5();
-    let opps = profile.opps().clone();
-    let policies: Vec<Box<dyn CpuPolicy>> = vec![
-        Box::new(GovernorPolicy::dvfs_only(
-            Box::new(Performance::new()),
-            opps.clone(),
-        )),
-        Box::new(GovernorPolicy::dvfs_only(
-            Box::new(Ondemand::new()),
-            opps.clone(),
-        )),
-        Box::new(GovernorPolicy::dvfs_only(
-            Box::new(Interactive::new()),
-            opps.clone(),
-        )),
-        Box::new(GovernorPolicy::dvfs_only(
-            Box::new(Conservative::new()),
-            opps.clone(),
-        )),
-        Box::new(GovernorPolicy::dvfs_only(
-            Box::new(Powersave::new()),
-            opps.clone(),
-        )),
-        Box::new(MobiCore::new(&profile)),
+    let names = [
+        "performance",
+        "ondemand",
+        "interactive",
+        "conservative",
+        "powersave",
+        "mobicore",
     ];
 
     println!("policy           score     mW  score/W   energy mJ");
-    for policy in policies {
+    for name in names {
+        let policy = registry::build(name, &profile, 3).expect("registered policy");
         let cfg = SimConfig::new(profile.clone())
             .with_duration_secs(25)
             .with_seed(3)
