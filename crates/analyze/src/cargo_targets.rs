@@ -1,7 +1,12 @@
-//! The `doc-cargo-targets` rule: every `cargo run|test|bench` command
-//! the docs, the CI workflow and the verify recipe show must name
-//! packages and targets that exist, so a deleted or renamed test target
-//! cannot linger in the docs as a claim of coverage nothing runs.
+//! The two manifest-driven rules.
+//!
+//! * `doc-cargo-targets`: every `cargo run|test|bench` command the docs,
+//!   the CI workflow and the verify recipe show must name packages and
+//!   targets that exist, so a deleted or renamed test target cannot
+//!   linger in the docs as a claim of coverage nothing runs.
+//! * `unused-dependency`: every `[dependencies]`/`[dev-dependencies]`
+//!   entry of a workspace member must be used by that package's code,
+//!   so a stand-in crate nothing calls cannot stay wired in.
 //!
 //! Targets are read from the manifests the way cargo discovers them —
 //! explicit `[[bin]]`/`[[test]]`/`[[bench]]`/`[[example]]` entries plus
@@ -33,6 +38,22 @@ const KINDS: [(&str, &str, &str); 4] = [
 /// One package's targets, as `(flag, target name)` pairs.
 type Targets = BTreeSet<(&'static str, String)>;
 
+/// Manifest sections whose entries [`unused_dependencies`] checks.
+const DEP_SECTIONS: [&str; 2] = ["[dependencies]", "[dev-dependencies]"];
+
+/// Directories of a package whose `.rs` files may use its dependencies.
+const SOURCE_DIRS: [&str; 4] = ["src", "tests", "benches", "examples"];
+
+/// One workspace package, as read from its manifest.
+#[derive(Debug, Default)]
+struct Package {
+    /// The directory holding its `Cargo.toml`.
+    dir: PathBuf,
+    targets: Targets,
+    /// Dependency names with their 1-based manifest line.
+    deps: Vec<(usize, String)>,
+}
+
 /// The entries of `dir`; none when it does not exist.
 fn entries(dir: &Path) -> impl Iterator<Item = PathBuf> {
     std::fs::read_dir(dir)
@@ -49,14 +70,24 @@ fn value(line: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// The name and targets of the package whose manifest is in `dir`.
-fn load_package(dir: &Path) -> Option<(String, Targets)> {
+/// The name of the dependency an entry line declares
+/// (`foo.workspace = true`, `foo = { path = ".." }`, `foo = "1"`).
+fn dep_name(line: &str) -> Option<String> {
+    let name = line[..line.find(['.', '='])?].trim();
+    (!name.is_empty() && !name.starts_with('#')).then(|| name.to_string())
+}
+
+/// The package whose manifest is in `dir`, with its name.
+fn load_package(dir: &Path) -> Option<(String, Package)> {
     let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).ok()?;
     let (mut name, mut targets, mut explicit) = (None, Targets::new(), BTreeSet::new());
+    let mut deps = Vec::new();
     let mut section = "";
-    for line in manifest.lines().map(str::trim) {
+    for (idx, line) in manifest.lines().map(str::trim).enumerate() {
         if line.starts_with('[') {
             section = line;
+        } else if DEP_SECTIONS.contains(&section) {
+            deps.extend(dep_name(line).map(|dep| (idx + 1, dep)));
         } else if let Some(path) = value(line, "path") {
             explicit.insert(path);
         } else if let Some(v) = value(line, "name") {
@@ -88,12 +119,13 @@ fn load_package(dir: &Path) -> Option<(String, Targets)> {
             }
         }
     }
-    Some((name, targets))
+    let dir = dir.to_path_buf();
+    Some((name, Package { dir, targets, deps }))
 }
 
 /// Every package of the workspace: the root package and each package
 /// under `crates/` and `vendored/` (the root manifest's `members`).
-fn workspace(root: &Path) -> BTreeMap<String, Targets> {
+fn workspace(root: &Path) -> BTreeMap<String, Package> {
     let members = entries(&root.join("crates")).chain(entries(&root.join("vendored")));
     std::iter::once(root.to_path_buf())
         .chain(members)
@@ -163,7 +195,7 @@ fn commands(text: &str) -> Vec<(usize, Vec<(&'static str, String)>)> {
 /// Checks the commands of one file (`rel`, workspace-relative) against
 /// the packages of `ws`. A `--manifest-path` command targets another
 /// workspace (`perfbench/`): only its manifest has to exist under `root`.
-fn check_text(rel: &str, text: &str, ws: &BTreeMap<String, Targets>, root: &Path) -> Vec<Finding> {
+fn check_text(rel: &str, text: &str, ws: &BTreeMap<String, Package>, root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
     for (line, args) in commands(text) {
         let mut finding = |message: String| {
@@ -196,7 +228,7 @@ fn check_text(rel: &str, text: &str, ws: &BTreeMap<String, Targets>, root: &Path
             if scope.is_empty()
                 || scope
                     .iter()
-                    .any(|(_, t)| t.contains(&(*flag, target.clone())))
+                    .any(|(_, p)| p.targets.contains(&(*flag, target.clone())))
             {
                 continue;
             }
@@ -210,9 +242,61 @@ fn check_text(rel: &str, text: &str, ws: &BTreeMap<String, Targets>, root: &Path
     out
 }
 
-/// Runs the rule over [`DOC_FILES`] and `docs/*.md` under `root`.
+/// Whether `text` uses the crate `ident` as `ident::` or `use ident`.
+fn uses_crate(text: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(ident).any(|(at, _)| {
+        let (before, after) = (&text[..at], &text[at + ident.len()..]);
+        !before.ends_with(is_ident)
+            && !after.starts_with(is_ident)
+            && (after.starts_with("::") || before.ends_with("use "))
+    })
+}
+
+/// The `unused-dependency` findings of the package `name`, whose
+/// manifest is `manifest` (workspace-relative) and whose `.rs` files
+/// read `sources`.
+fn unused_dependencies(manifest: &str, name: &str, pkg: &Package, sources: &str) -> Vec<Finding> {
+    pkg.deps
+        .iter()
+        .filter(|(_, dep)| !uses_crate(sources, &dep.replace('-', "_")))
+        .map(|(line, dep)| Finding {
+            file: manifest.to_string(),
+            line: *line,
+            rule: "unused-dependency",
+            message: format!(
+                "`{dep}` is declared but no `.rs` file of `{name}` uses it \
+                 (`{}::` or `use {0}`); drop the entry",
+                dep.replace('-', "_")
+            ),
+        })
+        .collect()
+}
+
+/// Runs `unused-dependency` over every workspace member, and
+/// `doc-cargo-targets` over [`DOC_FILES`] and `docs/*.md` under `root`.
 pub fn check_workspace(root: &Path, out: &mut Vec<Finding>) {
     let ws = workspace(root);
+    for (name, pkg) in &ws {
+        let mut files = Vec::new();
+        for sub in SOURCE_DIRS {
+            // An unreadable directory hides uses, which can only add
+            // findings, never mask one.
+            let _ = crate::lint::collect_rs(&pkg.dir.join(sub), &mut files);
+        }
+        let sources: Vec<String> = files
+            .iter()
+            .filter_map(|f| std::fs::read_to_string(f).ok())
+            .collect();
+        let dir = pkg.dir.strip_prefix(root).unwrap_or(&pkg.dir);
+        let manifest = dir.join("Cargo.toml").to_string_lossy().replace('\\', "/");
+        out.extend(unused_dependencies(
+            &manifest,
+            name,
+            pkg,
+            &sources.join("\n"),
+        ));
+    }
     let mut docs: Vec<String> = entries(&root.join("docs"))
         .filter_map(|p| Some(format!("docs/{}", p.file_name()?.to_str()?)))
         .filter(|n| n.ends_with(".md"))
@@ -231,15 +315,18 @@ mod tests {
 
     #[test]
     fn stale_commands_are_flagged_and_live_ones_are_not() {
-        let targets = |ts: [(&'static str, &str); 2]| ts.map(|(f, t)| (f, t.to_string())).into();
+        let package = |ts: [(&'static str, &str); 2]| Package {
+            targets: ts.map(|(f, t)| (f, t.to_string())).into(),
+            ..Package::default()
+        };
         let ws = BTreeMap::from([
             (
                 "mobicore-experiments".to_string(),
-                targets([("--test", "engine_equivalence"), ("--bin", "all")]),
+                package([("--test", "engine_equivalence"), ("--bin", "all")]),
             ),
             (
                 "mobicore-repro".to_string(),
-                targets([("--test", "ablations"), ("--example", "quickstart")]),
+                package([("--test", "ablations"), ("--example", "quickstart")]),
             ),
         ]);
         let doc = "MOBICORE_BENCH_GATE=1 cargo test --release -p mobicore-bench --test bench_gate\n\
@@ -271,8 +358,9 @@ mod tests {
     #[test]
     fn manifests_are_read_like_cargo_does() {
         let ws = workspace(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
-        let has =
-            |pkg: &str, flag: &'static str, name: &str| ws[pkg].contains(&(flag, name.into()));
+        let has = |pkg: &str, flag: &'static str, name: &str| {
+            ws[pkg].targets.contains(&(flag, name.into()))
+        };
         // An explicit [[bin]] renames its file: the stem is no target.
         assert!(has("mobicore-experiments", "--bin", "mobicore-fleetsim"));
         assert!(!has("mobicore-experiments", "--bin", "fleetsim"));
@@ -281,5 +369,45 @@ mod tests {
         assert!(has("mobicore-checker", "--bin", "checker"));
         assert!(!has("mobicore-checker", "--bin", "mobicore-checker"));
         assert!(has("mobicore-repro", "--example", "quickstart"));
+        // Dependency entries keep their manifest line, in both sections.
+        let deps = |pkg: &str| {
+            ws[pkg]
+                .deps
+                .iter()
+                .map(|d| d.1.as_str())
+                .collect::<Vec<_>>()
+        };
+        assert!(deps("mobicore-workloads").contains(&"rand"));
+        assert!(deps("mobicore-repro").contains(&"mobicore-analyze"));
+        assert!(!deps("mobicore-repro").contains(&"rand"));
+    }
+
+    #[test]
+    fn unused_dependency_is_flagged_and_used_ones_are_not() {
+        let deps = [
+            "mobicore-model.workspace = true",
+            "proptest.workspace = true",
+            "rand = { path = \"vendored/rand\" }",
+            "# rand.workspace = true",
+            "mobicore.workspace = true",
+        ];
+        let pkg = Package {
+            deps: deps
+                .iter()
+                .enumerate()
+                .filter_map(|(i, l)| Some((i + 1, dep_name(l)?)))
+                .collect(),
+            ..Package::default()
+        };
+        let sources = "use mobicore_model::Khz;\n\
+                       use proptest::prelude::*;\n\
+                       use mobicore;\n\
+                       let x = operand::rand_seed(); // grand::x, rand_core::y\n";
+        let found: Vec<String> =
+            unused_dependencies("crates/demo/Cargo.toml", "demo", &pkg, sources)
+                .into_iter()
+                .map(|f| format!("{}:{}: [{}]", f.file, f.line, f.rule))
+                .collect();
+        assert_eq!(found, ["crates/demo/Cargo.toml:3: [unused-dependency]"]);
     }
 }

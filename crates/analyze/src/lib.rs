@@ -1,7 +1,7 @@
 //! `mobicore-analyze` — static analysis and concurrency verification
 //! for the MobiCore workspace.
 //!
-//! Three layers, all dependency-free:
+//! Two layers, both dependency-free:
 //!
 //! 1. **Lint** ([`lint`], [`source`]): line/token-level rules enforcing
 //!    workspace invariants — no wall-clock reads in simulator hot
@@ -18,10 +18,6 @@
 //!    (sweep work-stealing deque, serve drain/backpressure state
 //!    machine) checked against exactly-once / termination / rising-edge
 //!    properties.
-//! 3. **Facade** ([`sync`]): the `std::sync` surface the concurrency
-//!    crates import. In normal builds it is a zero-cost re-export of
-//!    `std`; under `--cfg mobicore_model` it swaps in the model types
-//!    so protocol code compiles against both.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -31,4 +27,3 @@ pub mod lint;
 pub mod model;
 pub mod protocols;
 pub mod source;
-pub mod sync;

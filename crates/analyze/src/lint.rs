@@ -1,6 +1,6 @@
 //! The workspace invariant linter.
 //!
-//! Seven rules, each encoding a MobiCore-specific invariant that
+//! Eight rules, each encoding a MobiCore-specific invariant that
 //! `rustc`/`clippy` cannot express:
 //!
 //! | rule | invariant |
@@ -12,6 +12,7 @@
 //! | `registry-doc-sync` | frame types, event kinds, policy, arena, profile and sim-engine registries are each fully enumerated (backticked) in their doc page |
 //! | `next-tick-equivalence-coverage` | every `fn next_tick_us` wake-time implementation is registered here and exercised by the engine-equivalence suite |
 //! | `doc-cargo-targets` | every `cargo run\|test\|bench` command in the docs, CI and verify recipe names a package and `--bin`/`--test`/`--bench`/`--example` target that exists ([`crate::cargo_targets`]) |
+//! | `unused-dependency` | every `[dependencies]`/`[dev-dependencies]` entry of a workspace member appears as `ident::` or `use ident` in that package's `.rs` files ([`crate::cargo_targets`]) |
 //!
 //! Escape annotations go on the offending line or the line directly
 //! above. The linter runs in tier-1 (`tests/static_analysis.rs`) and
@@ -54,7 +55,7 @@ impl fmt::Display for Finding {
 }
 
 /// Rule identifiers with one-line descriptions (CLI `rules` output).
-pub const RULES: [(&str, &str); 7] = [
+pub const RULES: [(&str, &str); 8] = [
     (
         "no-wall-clock-in-sim",
         "crates/sim (incl. the event scheduler) must stay on virtual time: no Instant::now/SystemTime outside tests (escape: // wall-clock:)",
@@ -82,6 +83,10 @@ pub const RULES: [(&str, &str); 7] = [
     (
         "doc-cargo-targets",
         "cargo run/test/bench commands in README, DESIGN, EXPERIMENTS, docs/, CI and the verify recipe must name existing packages and targets",
+    ),
+    (
+        "unused-dependency",
+        "every [dependencies]/[dev-dependencies] entry of a workspace member must appear as ident:: or use ident in that package's .rs files",
     ),
 ];
 
@@ -410,7 +415,7 @@ fn registry_doc_sync(root: &Path, out: &mut Vec<Finding>) -> Result<(), String> 
 
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
 /// `src/` and `crates/*/src/`, plus the registry-vs-docs, wake-time
-/// coverage and doc cargo-command checks.
+/// coverage, doc cargo-command and unused-dependency checks.
 /// Returns findings sorted by path and line; empty means clean.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let mut files = Vec::new();
@@ -447,7 +452,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     Ok(findings)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> Result<(), String> {
+pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> Result<(), String> {
     if !dir.is_dir() {
         return Ok(());
     }

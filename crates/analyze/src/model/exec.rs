@@ -533,17 +533,6 @@ impl Execution {
         let _st = self.lock_loop(st, me, mutex);
     }
 
-    pub(crate) fn condvar_notify_one(&self, me: usize, cv: usize) {
-        let mut st = self.begin_op(me);
-        if st.condvars[cv].waiters.is_empty() {
-            return;
-        }
-        let n = st.condvars[cv].waiters.len();
-        let i = if n == 1 { 0 } else { st.choices.choose(n) };
-        let woken = st.condvars[cv].waiters.remove(i);
-        st.threads[woken] = Status::Runnable;
-    }
-
     pub(crate) fn condvar_notify_all(&self, me: usize, cv: usize) {
         let mut st = self.begin_op(me);
         let waiters = std::mem::take(&mut st.condvars[cv].waiters);

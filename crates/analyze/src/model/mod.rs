@@ -192,13 +192,6 @@ impl Model {
         self
     }
 
-    /// Caps stale atomic reads per execution.
-    #[must_use]
-    pub fn with_stale_read_bound(mut self, n: u32) -> Self {
-        self.stale_read_bound = n;
-        self
-    }
-
     /// Explores `f` under every (bounded) schedule. The closure runs
     /// once per schedule as modeled thread 0; it may spawn up to
     /// [`MAX_THREADS`]` - 1` children via [`thread::spawn`] and must

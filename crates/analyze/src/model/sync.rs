@@ -13,7 +13,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{LockResult, Mutex as StdMutex, MutexGuard as StdGuard};
 
 /// Plain `std::sync::Arc`: reference counting needs no modeling (the
-/// checker does not chase leaks), so the facade shares one Arc.
+/// checker does not chase leaks).
 pub use std::sync::Arc;
 
 /// A model-checked mutual-exclusion lock.
@@ -138,12 +138,6 @@ impl Condvar {
         })
     }
 
-    /// Wakes one waiter (explorer's choice when several wait).
-    pub fn notify_one(&self) {
-        let c = ctx();
-        c.exec.condvar_notify_one(c.id, self.id);
-    }
-
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         let c = ctx();
@@ -157,8 +151,8 @@ impl Default for Condvar {
     }
 }
 
-/// The atomic types, in a module mirroring `std::sync::atomic` so the
-/// facade can re-export either wholesale.
+/// The atomic types, in a module mirroring `std::sync::atomic` so code
+/// written against the model reads like `std` code.
 pub mod atomic {
     pub use std::sync::atomic::Ordering;
 

@@ -1,10 +1,9 @@
 //! MobiCore tunables, their validation diagnostics, and sanitization.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How MobiCore turns its observation into per-core frequencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrequencyRule {
     /// Eq. (9): `f_new = f_ondemand · (K·q) · n_max / n` — the rule the
     /// thesis implements.
@@ -55,7 +54,7 @@ pub enum FrequencyRule {
 /// assert!(mobicore.avg_power_mw < android.avg_power_mw);
 /// # Ok::<(), mobicore_sim::SimError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobiCoreConfig {
     /// Individual core load (%) below which a core may be off-lined
     /// (§5.2: "if the individual workload of a core is under 10%, we

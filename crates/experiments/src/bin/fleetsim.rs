@@ -47,9 +47,9 @@ fn parse_spec() -> FleetSpec {
             "--secs" => spec.secs = value.parse().unwrap_or_else(|_| usage()),
             "--seed" => spec.base_seed = value.parse().unwrap_or_else(|_| usage()),
             "--manifest" => spec.manifest_dir = Some(PathBuf::from(value)),
-            "--jobs" => match value.parse::<usize>() {
-                Ok(n) if n > 0 => std::env::set_var(mobicore_sweep::JOBS_ENV, value),
-                _ => usage(),
+            "--jobs" => match mobicore_sweep::parse_jobs(value) {
+                Some(n) => std::env::set_var(mobicore_sweep::JOBS_ENV, n.to_string()),
+                None => usage(),
             },
             _ => usage(),
         }

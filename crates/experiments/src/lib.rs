@@ -91,14 +91,15 @@ pub fn bin_main(id: &str) {
         // the experiments crate itself.
         std::env::set_var("MOBICORE_MANIFEST_DIR", dir);
     }
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0);
-    if let Some(n) = jobs {
-        std::env::set_var(mobicore_sweep::JOBS_ENV, n.to_string());
+    if let Some(i) = args.iter().position(|a| a == "--jobs") {
+        let value = args.get(i + 1).map_or("", String::as_str);
+        match mobicore_sweep::parse_jobs(value) {
+            Some(n) => std::env::set_var(mobicore_sweep::JOBS_ENV, n.to_string()),
+            None => {
+                eprintln!("--jobs needs a positive worker count, got {value:?}");
+                std::process::exit(2);
+            }
+        }
     }
     if let Some(name) = args
         .iter()

@@ -8,10 +8,8 @@
 //! tank with a configurable usable fraction — deliberately simple, and
 //! documented as such.
 
-use serde::{Deserialize, Serialize};
-
 /// A phone battery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     /// Rated capacity, mAh.
     pub capacity_mah: f64,

@@ -28,7 +28,6 @@
 use crate::opp::OppTable;
 use crate::quota::Quota;
 use crate::units::{Khz, MilliVolts, Utilization};
-use serde::{Deserialize, Serialize};
 
 /// Dynamic power of one busy core, Eq. (1): `C_eff · V² · f · u`, in mW.
 ///
@@ -58,7 +57,7 @@ pub fn energy_mj(power_mw: f64, duration_us: u64) -> f64 {
 }
 
 /// The fitted analytic model MobiCore reasons with.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuEnergyModel {
     /// Effective switched capacitance, farads (Eq. (1); the thesis fixes
     /// its IPC dependence to a constant, §4.2).

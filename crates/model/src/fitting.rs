@@ -22,10 +22,9 @@
 use crate::error::ModelError;
 use crate::opp::OppTable;
 use crate::profile::{DeviceProfile, DeviceProfileBuilder};
-use serde::{Deserialize, Serialize};
 
 /// One measured sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Online cores during the measurement.
     pub cores: usize,
@@ -38,7 +37,7 @@ pub struct PowerSample {
 }
 
 /// The fixed shape parameters the linear fit is conditioned on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitShape {
     /// Cluster power exponent.
     pub cluster_exp: f64,
@@ -72,7 +71,7 @@ impl FitShape {
 }
 
 /// The recovered coefficients plus the fit quality.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitResult {
     /// Always-on platform floor, mW.
     pub base_mw: f64,

@@ -16,10 +16,8 @@
 //! reproduces the paper's measured behaviour exactly: an idle online
 //! core always pays the per-OPP `idle_mw`.
 
-use serde::{Deserialize, Serialize};
-
 /// One idle state in the ladder.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdleState {
     /// Name as it would appear under `cpuidle/state<n>/name`.
     pub name: String,
@@ -35,7 +33,7 @@ pub struct IdleState {
 }
 
 /// A validated ladder of idle states, shallow to deep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdleLadder {
     states: Vec<IdleState>,
 }

@@ -12,11 +12,10 @@
 use crate::error::ModelError;
 use crate::profile::DeviceProfile;
 use crate::units::Khz;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `(cores, OPP)` combination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OperatingPoint {
     /// Number of online cores, `1..=n_cores`.
     pub cores: usize,
@@ -31,7 +30,7 @@ impl fmt::Display for OperatingPoint {
 }
 
 /// A feasible point annotated with its predicted cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvaluatedPoint {
     /// The combination.
     pub point: OperatingPoint,

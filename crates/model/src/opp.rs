@@ -9,10 +9,9 @@
 
 use crate::error::ModelError;
 use crate::units::{Khz, MilliVolts};
-use serde::{Deserialize, Serialize};
 
 /// One operating performance point of a CPU core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Opp {
     /// Core clock frequency.
     pub khz: Khz,
@@ -51,7 +50,7 @@ impl Opp {
 /// assert_eq!(table.min_khz().as_mhz(), 300.0);
 /// assert_eq!(table.max_khz().as_mhz(), 2265.6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OppTable {
     opps: Vec<Opp>,
 }

@@ -24,10 +24,9 @@ use crate::idle::IdleLadder;
 use crate::opp::OppTable;
 use crate::thermal::ThermalParams;
 use crate::units::Khz;
-use serde::{Deserialize, Serialize};
 
 /// Instantaneous activity of one core, the input to the power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreActivity {
     /// Whether the core is online (hot-plugged in).
     pub online: bool,
@@ -74,7 +73,7 @@ impl CoreActivity {
 }
 
 /// Decomposition of a device power sample, all in mW.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerBreakdown {
     /// Always-on platform floor.
     pub base_mw: f64,
@@ -115,7 +114,7 @@ pub struct ClusterPowerCache {
 ///
 /// Construct the phones of the thesis with [`crate::profiles`], or build a
 /// custom device with [`DeviceProfileBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     name: String,
     n_cores: usize,

@@ -7,7 +7,6 @@
 //! as a fraction of the full bandwidth.
 
 use crate::units::quantize_u64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A global CPU bandwidth quota as a fraction of full bandwidth.
@@ -16,7 +15,7 @@ use std::fmt;
 /// controller from starving the system outright (the paper only ever
 /// multiplies by 0.9 per period, but repeated application must bottom out
 /// somewhere).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Quota(f64);
 
 impl Quota {

@@ -15,10 +15,8 @@
 //! CMOS model predicts (paper Figure 4). The dynamics live in
 //! `mobicore-sim::thermal`; only the parameters live here.
 
-use serde::{Deserialize, Serialize};
-
 /// First-order RC thermal model parameters plus throttle trip points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalParams {
     /// Ambient (and initial package) temperature, °C.
     pub ambient_c: f64,

@@ -4,7 +4,6 @@
 //! millivolts and (in our power models) power in milliwatts; we keep the
 //! same conventions so sysfs strings round-trip without conversion factors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CPU frequency in kilohertz, the native unit of Linux cpufreq.
@@ -18,9 +17,7 @@ use std::fmt;
 /// assert_eq!(f.as_mhz(), 2265.6);
 /// assert!(Khz(300_000) < f);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Khz(pub u32);
 
 impl Khz {
@@ -135,9 +132,7 @@ impl From<u32> for Khz {
 ///
 /// The Nexus 5 Krait 400 rail spans 900 mV (at 300 MHz) to 1200 mV (at
 /// 2.2656 GHz) — paper Table 1.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MilliVolts(pub u32);
 
 impl MilliVolts {
@@ -171,7 +166,7 @@ impl From<u32> for MilliVolts {
 /// assert_eq!(u.as_fraction(), 0.375);
 /// assert_eq!(Utilization::new(7.0), Utilization::FULL); // clamped
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Utilization(f64);
 
 impl Utilization {

@@ -13,12 +13,12 @@
 //! shutdown returns within its deadline.
 
 use crate::protocol::{codes, frame_bytes, Frame};
-use mobicore_analyze::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use mobicore_analyze::sync::{lock_unpoisoned, Arc, Mutex, MutexGuard};
 use mobicore_telemetry::{EventData, RunManifest, Telemetry};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -41,6 +41,12 @@ pub(crate) fn timed_out(kind: ErrorKind) -> bool {
         kind,
         ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
     )
+}
+
+/// The guard of a lock even if a thread panicked holding it: every
+/// structure a daemon locks stays valid across a panic.
+pub(crate) fn lock_unpoisoned<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// One admitted connection.
@@ -66,10 +72,9 @@ pub(crate) struct Daemon {
     next_socket: AtomicU64,
     sockets: Mutex<HashMap<u64, Arc<TcpStream>>>,
     /// Paired with `exited`: a connection thread takes it after its
-    /// `live_conns` decrement and notifies. The timed wait lives
-    /// outside the modeled `sync` facade, so these are `std` types.
-    exit_lock: std::sync::Mutex<()>,
-    exited: std::sync::Condvar,
+    /// `live_conns` decrement and notifies.
+    exit_lock: Mutex<()>,
+    exited: Condvar,
 }
 
 impl Daemon {
@@ -84,8 +89,8 @@ impl Daemon {
             live_conns: AtomicUsize::new(0),
             next_socket: AtomicU64::new(0),
             sockets: Mutex::new(HashMap::new()),
-            exit_lock: std::sync::Mutex::new(()),
-            exited: std::sync::Condvar::new(),
+            exit_lock: Mutex::new(()),
+            exited: Condvar::new(),
         }
     }
 

@@ -33,16 +33,15 @@
 //! daemon: `GoingAway` within one wake period, then a force-close of
 //! every client socket and active leg left at the drain deadline.
 
-use crate::conn::{accept_loop, timed_out, Daemon, WAKE};
+use crate::conn::{accept_loop, lock_unpoisoned, timed_out, Daemon, WAKE};
 use crate::protocol::{
     codes, decode_frame, frame_bytes, peek_frame_type, Frame, MAX_FRAME_LEN, TY_BYE, TY_ROUTE,
 };
-use mobicore_analyze::sync::atomic::{AtomicU64, Ordering};
-use mobicore_analyze::sync::{lock_unpoisoned, Arc, Mutex};
 use mobicore_telemetry::{EventData, RunManifest};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 

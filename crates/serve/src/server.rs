@@ -34,14 +34,14 @@ use crate::conn::{accept_loop, timed_out, Daemon, WAKE};
 use crate::protocol::{
     codes, decode_frame, encode_frame, has_complete_frame, Frame, PROTOCOL_VERSION,
 };
-use mobicore_analyze::sync::atomic::{AtomicU64, Ordering};
-use mobicore_analyze::sync::Arc;
 use mobicore_model::profiles;
 use mobicore_sim::{CpuControl, CpuPolicy};
 use mobicore_telemetry::{EventData, RunManifest};
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 

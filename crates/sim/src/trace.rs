@@ -2,15 +2,12 @@
 //! hardware states" the thesis' kernel application produces (§3.1).
 //!
 //! Full traces keep one [`TraceSample`] per trace period; every run also
-//! keeps cheap running aggregates. A compact binary encoding (via
-//! `bytes`) is provided so long traces can be shipped around without the
+//! keeps cheap running aggregates. A compact little-endian binary
+//! encoding is provided so long traces can be shipped around without the
 //! `Vec` overhead.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
-
 /// One retained trace row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSample {
     /// Sample time, µs.
     pub t_us: u64,
@@ -59,50 +56,44 @@ impl Trace {
     }
 
     /// Encodes the trace to a compact little-endian binary blob.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(
-            u32::try_from(self.samples.len()).expect("trace longer than the u32 wire format"),
-        );
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let n = u32::try_from(self.samples.len()).expect("trace longer than the u32 wire format");
+        buf.extend_from_slice(&n.to_le_bytes());
         for s in &self.samples {
-            buf.put_u64_le(s.t_us);
-            buf.put_f64_le(s.power_mw);
-            buf.put_f64_le(s.temp_c);
-            buf.put_f64_le(s.quota);
-            buf.put_u8(u8::try_from(s.khz.len()).expect("more cores than the u8 wire format"));
+            buf.extend_from_slice(&s.t_us.to_le_bytes());
+            buf.extend_from_slice(&s.power_mw.to_le_bytes());
+            buf.extend_from_slice(&s.temp_c.to_le_bytes());
+            buf.extend_from_slice(&s.quota.to_le_bytes());
+            buf.push(u8::try_from(s.khz.len()).expect("more cores than the u8 wire format"));
             for &k in &s.khz {
-                buf.put_u32_le(k);
+                buf.extend_from_slice(&k.to_le_bytes());
             }
             for &u in &s.util_pct {
-                buf.put_f32_le(u);
+                buf.extend_from_slice(&u.to_le_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a blob produced by [`Trace::to_bytes`].
     ///
     /// Returns `None` on truncated or malformed input.
-    pub fn from_bytes(mut data: Bytes) -> Option<Self> {
-        if data.remaining() < 4 {
-            return None;
-        }
-        let n = data.get_u32_le() as usize;
+    pub fn from_bytes(mut data: &[u8]) -> Option<Self> {
+        let n = u32::from_le_bytes(take(&mut data)?) as usize;
         let mut samples = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            if data.remaining() < 8 + 8 + 8 + 8 + 1 {
-                return None;
-            }
-            let t_us = data.get_u64_le();
-            let power_mw = data.get_f64_le();
-            let temp_c = data.get_f64_le();
-            let quota = data.get_f64_le();
-            let cores = data.get_u8() as usize;
-            if data.remaining() < cores * (4 + 4) {
-                return None;
-            }
-            let khz = (0..cores).map(|_| data.get_u32_le()).collect();
-            let util_pct = (0..cores).map(|_| data.get_f32_le()).collect();
+            let t_us = u64::from_le_bytes(take(&mut data)?);
+            let power_mw = f64::from_le_bytes(take(&mut data)?);
+            let temp_c = f64::from_le_bytes(take(&mut data)?);
+            let quota = f64::from_le_bytes(take(&mut data)?);
+            let [cores] = take(&mut data)?;
+            let khz = (0..cores)
+                .map(|_| take(&mut data).map(u32::from_le_bytes))
+                .collect::<Option<_>>()?;
+            let util_pct = (0..cores)
+                .map(|_| take(&mut data).map(f32::from_le_bytes))
+                .collect::<Option<_>>()?;
             samples.push(TraceSample {
                 t_us,
                 power_mw,
@@ -114,6 +105,13 @@ impl Trace {
         }
         Some(Trace { samples })
     }
+}
+
+/// Consumes the next `N` bytes of `data`; `None` when fewer remain.
+fn take<const N: usize>(data: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = data.split_first_chunk::<N>()?;
+    *data = rest;
+    Some(*head)
 }
 
 #[cfg(test)]
@@ -137,7 +135,7 @@ mod tests {
         tr.push(sample(0));
         tr.push(sample(10_000));
         let bytes = tr.to_bytes();
-        let back = Trace::from_bytes(bytes).unwrap();
+        let back = Trace::from_bytes(&bytes).unwrap();
         assert_eq!(back, tr);
         assert_eq!(back.len(), 2);
     }
@@ -146,7 +144,7 @@ mod tests {
     fn empty_round_trip() {
         let tr = Trace::new();
         assert!(tr.is_empty());
-        let back = Trace::from_bytes(tr.to_bytes()).unwrap();
+        let back = Trace::from_bytes(&tr.to_bytes()).unwrap();
         assert!(back.is_empty());
     }
 
@@ -155,16 +153,13 @@ mod tests {
         let mut tr = Trace::new();
         tr.push(sample(0));
         let bytes = tr.to_bytes();
-        let truncated = bytes.slice(0..bytes.len() - 3);
-        assert!(Trace::from_bytes(truncated).is_none());
-        assert!(Trace::from_bytes(Bytes::from_static(&[1, 2])).is_none());
+        assert!(Trace::from_bytes(&bytes[..bytes.len() - 3]).is_none());
+        assert!(Trace::from_bytes(&[1, 2]).is_none());
     }
 
     #[test]
     fn length_prefix_must_match() {
         // Claim 5 samples but provide none.
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(5);
-        assert!(Trace::from_bytes(buf.freeze()).is_none());
+        assert!(Trace::from_bytes(&5u32.to_le_bytes()).is_none());
     }
 }

@@ -49,7 +49,7 @@ proptest! {
                 util_pct: util,
             });
         }
-        let back = Trace::from_bytes(t.to_bytes()).expect("own encoding decodes");
+        let back = Trace::from_bytes(&t.to_bytes()).expect("own encoding decodes");
         prop_assert_eq!(back, t);
     }
 
@@ -69,7 +69,7 @@ proptest! {
         }
         let bytes = t.to_bytes();
         let cut = cut.min(bytes.len());
-        let _ = Trace::from_bytes(bytes.slice(0..cut)); // must not panic
+        let _ = Trace::from_bytes(&bytes[..cut]); // must not panic
     }
 
     /// Sysfs sequences of register/write/read/refresh keep the store

@@ -45,10 +45,10 @@
 #![warn(clippy::float_cmp, clippy::cast_possible_truncation)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use mobicore_analyze::sync::{lock_unpoisoned, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{LockResult, Mutex};
 
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "MOBICORE_JOBS";
@@ -331,12 +331,22 @@ fn steal<T>(deques: &[Mutex<VecDeque<(usize, T)>>], me: usize) -> Option<(usize,
     None
 }
 
+/// The guard of a lock even if a job panicked holding it: a panicking
+/// job is caught and reported, and the deques and result slots stay
+/// structurally valid.
+fn lock_unpoisoned<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A worker count as `--jobs` and `MOBICORE_JOBS` spell it: a positive
+/// integer, surrounding whitespace allowed. `None` for anything else.
+pub fn parse_jobs(value: &str) -> Option<usize> {
+    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
 /// `MOBICORE_JOBS` as a positive worker count, if set and parsable.
 pub fn jobs_from_env() -> Option<usize> {
-    std::env::var(JOBS_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
+    std::env::var(JOBS_ENV).ok().as_deref().and_then(parse_jobs)
 }
 
 /// The machine's available parallelism (1 if undetectable).
@@ -419,14 +429,14 @@ mod tests {
 
     #[test]
     fn jobs_env_parsing() {
-        // Not set (or set elsewhere): parse helper only, no env mutation
-        // here to stay test-order independent.
-        assert_eq!("4".trim().parse::<usize>().ok().filter(|&n| n > 0), Some(4));
-        assert_eq!("0".trim().parse::<usize>().ok().filter(|&n| n > 0), None);
-        assert_eq!(
-            "banana".trim().parse::<usize>().ok().filter(|&n| n > 0),
-            None
-        );
+        // The parse helper only: no env mutation here, to stay
+        // test-order independent.
+        assert_eq!(parse_jobs("4"), Some(4));
+        assert_eq!(parse_jobs(" 8\n"), Some(8));
+        assert_eq!(parse_jobs("0"), None);
+        assert_eq!(parse_jobs("-1"), None);
+        assert_eq!(parse_jobs("banana"), None);
+        assert_eq!(parse_jobs(""), None);
         assert!(default_jobs() >= 1);
     }
 

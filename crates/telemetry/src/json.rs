@@ -1,9 +1,7 @@
 //! A minimal JSON tree, writer and parser.
 //!
-//! The build environment vendors a stub `serde` with no serializer (see
-//! `vendored/README.md`), so every telemetry format — JSONL event lines,
-//! run manifests — is written and parsed by this self-contained module
-//! instead. Objects keep insertion order, so emitted documents are
+//! Every telemetry format — JSONL event lines, run manifests — is
+//! written and parsed by this self-contained module. Objects keep insertion order, so emitted documents are
 //! byte-stable given the same inputs (what the golden-file schema test
 //! relies on).
 

@@ -17,8 +17,8 @@
 //!
 //! * **zero-cost when disabled** — every [`Telemetry`] entry point is one
 //!   branch when the sink is off; the simulator can keep its hot loop.
-//! * **self-contained** — the vendored `serde` is a no-op stub, so the
-//!   [`json`] module carries its own writer and parser; no dependencies.
+//! * **self-contained** — the [`json`] module carries its own writer and
+//!   parser; no dependencies.
 //! * **deterministic bytes** — same run, same manifest bytes (`BTreeMap`
 //!   ordering everywhere), so golden-file tests and cross-run diffs work.
 //!

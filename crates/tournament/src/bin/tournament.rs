@@ -88,12 +88,8 @@ fn parse(argv: &[String]) -> Result<(TournamentSpec, Option<String>), String> {
                 }
             }
             "--jobs" => {
-                let n: usize = value("--jobs")?
-                    .parse()
-                    .map_err(|_| "--jobs needs a positive count".to_string())?;
-                if n == 0 {
-                    return Err("--jobs needs a positive count".to_string());
-                }
+                let n = mobicore_sweep::parse_jobs(&value("--jobs")?)
+                    .ok_or_else(|| "--jobs needs a positive count".to_string())?;
                 std::env::set_var(mobicore_sweep::JOBS_ENV, n.to_string());
             }
             "--out" => out = Some(value("--out")?),

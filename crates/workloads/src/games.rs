@@ -21,13 +21,12 @@ use mobicore_model::{quantize_u64, quantize_usize};
 use mobicore_sim::{ThreadId, Workload, WorkloadReport, WorkloadRt};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Vsync ceiling: no more than 60 presents per second.
 pub const VSYNC_MIN_FRAME_US: u64 = 16_667;
 
 /// Static description of one game title.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GameProfile {
     /// Title.
     pub name: String,

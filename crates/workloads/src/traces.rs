@@ -6,10 +6,9 @@
 
 use mobicore_model::{quantize_u64, Khz};
 use mobicore_sim::{ThreadId, Workload, WorkloadReport, WorkloadRt};
-use serde::{Deserialize, Serialize};
 
 /// One trace sample: hold a demand level for a duration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Duration of this segment, µs.
     pub duration_us: u64,
@@ -18,7 +17,7 @@ pub struct TracePoint {
 }
 
 /// A recorded utilization trace.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UtilTrace {
     points: Vec<TracePoint>,
 }

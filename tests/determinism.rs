@@ -60,7 +60,7 @@ fn trace_round_trips_through_bytes() {
     let r = game_run(3, true);
     assert!(!r.trace.is_empty());
     let bytes = r.trace.to_bytes();
-    let back = mobicore_sim::trace::Trace::from_bytes(bytes).expect("valid encoding");
+    let back = mobicore_sim::trace::Trace::from_bytes(&bytes).expect("valid encoding");
     assert_eq!(back, r.trace);
 }
 
