@@ -23,8 +23,7 @@
 //!
 //! [`Mode::Independent`] keeps the old shape — one device per build, own
 //! profile, own path table, one `git describe` per manifest — as the
-//! baseline the `bench.fleetsim_device_s_per_wall_s` metric is compared
-//! against (BENCH_07; docs/performance.md).
+//! baseline fleet mode is compared against (docs/performance.md).
 
 use crate::runner::ManifestSink;
 use mobicore_model::{profiles, DeviceProfile};
@@ -136,8 +135,7 @@ pub struct FleetOutput {
     pub chunks: usize,
     /// Wall-clock seconds for the whole run (builds included).
     pub wall_s: f64,
-    /// Simulated device-seconds per wall-second — the BENCH_07
-    /// `bench.fleetsim_device_s_per_wall_s` metric.
+    /// Simulated device-seconds per wall-second.
     pub device_s_per_wall_s: f64,
 }
 

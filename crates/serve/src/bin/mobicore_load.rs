@@ -1,39 +1,34 @@
 //! The `mobicore-load` generator binary.
 //!
 //! ```text
-//! mobicore-load ADDR [--sessions N] [--drivers N] [--window W]
-//!               [--policy NAME] [--profile NAME] [--scenario NAME]
-//!               [--seed N] [--snapshots N] [--no-verify]
-//!               [--manifest PATH]
-//! mobicore-load ADDR --fleet N [--per-conn N] [--drivers N]
-//!               [--window W] [--policy NAME] [--profile NAME]
+//! mobicore-load ADDR [--sessions N] [--per-conn K] [--drivers N]
+//!               [--window W] [--route] [--policy NAME] [--profile NAME]
 //!               [--scenario NAME] [--seed N] [--snapshots N]
 //!               [--no-verify] [--manifest PATH] [--det-manifest PATH]
 //! ```
 //!
-//! Without `--fleet`: opens `--sessions` concurrent sessions against
-//! the daemon at `ADDR`, replays the recorded scenario stream through
-//! each in windowed batches, and prints decisions/s plus RTT
-//! p50/p99/p999.
+//! Runs `--sessions` sessions against the daemon at `ADDR`, `--per-conn`
+//! back to back on each connection (default 1: every session on its
+//! own connection, all open at once), replays the recorded scenario
+//! stream through each in windowed batches, and prints decisions/s plus
+//! RTT p50/p99/p999. With `--route`, `ADDR` is a `mobicore-router`:
+//! each session routes by its index and the per-shard tallies are
+//! printed too. `--det-manifest` writes the deterministic manifest
+//! (counts only, byte-identical run to run at a fixed seed).
 //!
-//! With `--fleet N`: drives N device sessions through the
-//! `mobicore-router` at `ADDR`, multiplexed `--per-conn` to a
-//! connection, and prints overall and per-shard tallies;
-//! `--det-manifest` writes the deterministic aggregate manifest
-//! (byte-identical run to run at a fixed seed).
-//!
-//! Either mode exits nonzero when any decision was dropped, reordered,
-//! or differed from the in-process reference.
+//! Exits 1 when any decision was dropped, reordered, or differed from
+//! the in-process reference, and 2 on a usage error.
 
 #![forbid(unsafe_code)]
 #![warn(clippy::float_cmp, clippy::cast_possible_truncation)]
 
-use mobicore_serve::{run_fleet, run_load, FleetConfig, LoadConfig};
+use mobicore_serve::{run_load, LoadConfig};
+use mobicore_telemetry::RunManifest;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mobicore-load ADDR [--fleet N] [--sessions N] [--per-conn N] \
-         [--drivers N] [--window W] [--policy NAME] [--profile NAME] \
+        "usage: mobicore-load ADDR [--sessions N] [--per-conn K] [--drivers N] \
+         [--window W] [--route] [--policy NAME] [--profile NAME] \
          [--scenario NAME] [--seed N] [--snapshots N] [--no-verify] \
          [--manifest PATH] [--det-manifest PATH]"
     );
@@ -52,22 +47,26 @@ fn parse<T: std::str::FromStr>(args: &mut std::slice::Iter<'_, String>, flag: &s
     v
 }
 
+fn write_manifest(path: &str, manifest: &RunManifest) {
+    if let Err(e) = std::fs::write(path, manifest.to_json_text()) {
+        eprintln!("mobicore-load: cannot write {path}: {e}");
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut addr: Option<String> = None;
     let mut cfg = LoadConfig::default();
-    let mut fleet_sessions: Option<usize> = None;
-    let mut per_conn: usize = 128;
     let mut manifest_path: Option<String> = None;
     let mut det_manifest_path: Option<String> = None;
     let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--fleet" => fleet_sessions = Some(parse(&mut args, "--fleet")),
-            "--per-conn" => per_conn = parse(&mut args, "--per-conn"),
             "--sessions" => cfg.sessions = parse(&mut args, "--sessions"),
+            "--per-conn" => cfg.per_conn = parse(&mut args, "--per-conn"),
             "--drivers" => cfg.drivers = parse(&mut args, "--drivers"),
             "--window" => cfg.window = parse(&mut args, "--window"),
+            "--route" => cfg.route = true,
             "--policy" => cfg.policy = parse(&mut args, "--policy"),
             "--profile" => cfg.profile = parse(&mut args, "--profile"),
             "--scenario" => cfg.scenario = parse(&mut args, "--scenario"),
@@ -85,18 +84,6 @@ fn main() {
         }
     }
     let Some(addr) = addr else { usage() };
-
-    if let Some(sessions) = fleet_sessions {
-        run_fleet_mode(
-            &addr,
-            &cfg,
-            sessions,
-            per_conn,
-            manifest_path,
-            det_manifest_path,
-        );
-        return;
-    }
 
     let report = match run_load(&addr, &cfg) {
         Ok(r) => r,
@@ -121,74 +108,12 @@ fn main() {
         report.rtt_us.quantile(0.999),
         report.backpressure_seen,
     );
-    println!(
-        "errors={} reordered={} mismatches={}",
-        report.errors, report.reordered, report.mismatches,
-    );
-    if let Some(path) = &manifest_path {
-        let manifest = report.manifest("mobicore-load", &cfg);
-        if let Err(e) = std::fs::write(path, manifest.to_json_text()) {
-            eprintln!("mobicore-load: cannot write {path}: {e}");
-        }
-    }
-    if !report.clean() {
-        eprintln!("mobicore-load: FAILED integrity checks");
-        std::process::exit(1);
-    }
-}
-
-fn run_fleet_mode(
-    addr: &str,
-    base: &LoadConfig,
-    sessions: usize,
-    per_conn: usize,
-    manifest_path: Option<String>,
-    det_manifest_path: Option<String>,
-) {
-    let cfg = FleetConfig {
-        sessions,
-        per_conn,
-        drivers: base.drivers,
-        window: base.window,
-        policy: base.policy.clone(),
-        profile: base.profile.clone(),
-        scenario: base.scenario.clone(),
-        seed: base.seed,
-        record_secs: base.record_secs,
-        snapshots_per_session: base.snapshots_per_session,
-        verify: base.verify,
-    };
-    let report = match run_fleet(addr, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mobicore-load: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "fleet sessions={} decisions={} ({} server-side) stream_len={} wall_s={:.3}",
-        report.sessions,
-        report.decisions,
-        report.server_decisions,
-        report.stream_len,
-        report.wall_s,
-    );
-    println!(
-        "decisions/s={:.0} rtt p50={:.0}us p99={:.0}us backpressure={}",
-        report.decisions_per_s,
-        report.rtt_us.quantile(0.50),
-        report.rtt_us.quantile(0.99),
-        report.backpressure_seen,
-    );
-    for (name, n) in &report.shard_sessions {
+    for (shard, t) in &report.shards {
         println!(
-            "shard {name}: sessions={} decisions={} rtt p99={:.0}us",
-            n,
-            report.shard_decisions.get(name).copied().unwrap_or(0),
-            report
-                .shard_rtt_us
-                .get(name)
-                .map_or(0.0, |h| h.quantile(0.99)),
+            "shard {shard}: sessions={} decisions={} rtt p99={:.0}us",
+            t.sessions,
+            t.decisions,
+            t.rtt_us.quantile(0.99),
         );
     }
     println!(
@@ -196,16 +121,10 @@ fn run_fleet_mode(
         report.errors, report.reordered, report.mismatches,
     );
     if let Some(path) = &manifest_path {
-        let manifest = report.manifest("mobicore-fleet", &cfg);
-        if let Err(e) = std::fs::write(path, manifest.to_json_text()) {
-            eprintln!("mobicore-load: cannot write {path}: {e}");
-        }
+        write_manifest(path, &report.manifest("mobicore-load", &cfg));
     }
     if let Some(path) = &det_manifest_path {
-        let manifest = report.deterministic_manifest("mobicore-fleet", &cfg);
-        if let Err(e) = std::fs::write(path, manifest.to_json_text()) {
-            eprintln!("mobicore-load: cannot write {path}: {e}");
-        }
+        write_manifest(path, &report.deterministic_manifest("mobicore-load", &cfg));
     }
     if !report.clean() {
         eprintln!("mobicore-load: FAILED integrity checks");

@@ -97,9 +97,9 @@ pub struct RemoteDecision {
 ///
 /// One connection can carry many sessions back to back
 /// ([`ClientSession::end_session`] then [`ClientSession::hello`]
-/// again) — through a `mobicore-router`, each is preceded by
-/// [`ClientSession::route`] so consecutive sessions may land on
-/// different shards over the same hot client connection.
+/// again) — through a `mobicore-router`, each opens with
+/// [`ClientSession::route_hello`] instead, so consecutive sessions may
+/// land on different shards over the same hot client connection.
 #[derive(Debug)]
 pub struct ClientSession {
     stream: TcpStream,
@@ -113,7 +113,6 @@ pub struct ClientSession {
     session_id: u64,
     policy_name: String,
     sampling_us: u64,
-    shard: Option<(u32, String)>,
     backpressure_seen: u64,
     going_away: bool,
 }
@@ -131,47 +130,20 @@ impl ClientSession {
         profile: &str,
         seed: u64,
     ) -> Result<ClientSession, ClientError> {
-        Self::connect_with_timeout(addr, policy, profile, seed, Duration::from_secs(30))
-    }
-
-    /// [`ClientSession::connect`] with explicit read/write timeouts.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClientSession::connect`].
-    pub fn connect_with_timeout<A: ToSocketAddrs>(
-        addr: A,
-        policy: &str,
-        profile: &str,
-        seed: u64,
-        timeout: Duration,
-    ) -> Result<ClientSession, ClientError> {
-        let mut sess = Self::connect_raw_with_timeout(addr, timeout)?;
+        let mut sess = Self::connect_raw(addr)?;
         sess.hello(policy, profile, seed)?;
         Ok(sess)
     }
 
-    /// Opens the TCP connection without starting a session. Follow
-    /// with [`ClientSession::route`] (against a router) and/or
-    /// [`ClientSession::hello`].
+    /// Opens the TCP connection, with 30-s read/write timeouts, without
+    /// starting a session. Follow with [`ClientSession::hello`], or
+    /// [`ClientSession::route_hello`] against a router.
     ///
     /// # Errors
     ///
     /// Socket errors only; nothing is sent yet.
     pub fn connect_raw<A: ToSocketAddrs>(addr: A) -> Result<ClientSession, ClientError> {
-        Self::connect_raw_with_timeout(addr, Duration::from_secs(30))
-    }
-
-    /// [`ClientSession::connect_raw`] with explicit read/write
-    /// timeouts.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClientSession::connect_raw`].
-    pub fn connect_raw_with_timeout<A: ToSocketAddrs>(
-        addr: A,
-        timeout: Duration,
-    ) -> Result<ClientSession, ClientError> {
+        let timeout = Duration::from_secs(30);
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
@@ -188,7 +160,6 @@ impl ClientSession {
             session_id: 0,
             policy_name: String::new(),
             sampling_us: 0,
-            shard: None,
             backpressure_seen: 0,
             going_away: false,
         })
@@ -236,12 +207,6 @@ impl ClientSession {
     /// Backpressure notices received so far.
     pub fn backpressure_seen(&self) -> u64 {
         self.backpressure_seen
-    }
-
-    /// The `(index, name)` of the shard the last [`ClientSession::route`]
-    /// bound, when talking through a router.
-    pub fn shard(&self) -> Option<(u32, &str)> {
-        self.shard.as_ref().map(|(i, n)| (*i, n.as_str()))
     }
 
     /// Queues `frame` into the corked write buffer; no syscall happens
@@ -304,45 +269,58 @@ impl ClientSession {
         self.going_away
     }
 
-    /// Against a `mobicore-router`: asks for the shard owning `key`
-    /// and binds this connection's next session to it. Must precede
-    /// [`ClientSession::hello`]; between sessions it may be repeated
-    /// with a different key.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Remote`] when the router has no reachable shard;
-    /// wire/socket failures otherwise.
-    pub fn route(&mut self, key: u64) -> Result<(u32, String), ClientError> {
-        self.queue(&Frame::Route { key });
-        match self.recv()? {
-            Frame::Routed { shard, name } => {
-                self.shard = Some((shard, name.clone()));
-                Ok((shard, name))
-            }
-            Frame::Error { code, message } => Err(ClientError::Remote { code, message }),
-            _ => Err(ClientError::UnexpectedFrame("expected Routed")),
-        }
-    }
-
     /// Starts a session: Hello, wait for HelloAck. Legal on a fresh
     /// connection and again after [`ClientSession::end_session`].
-    ///
-    /// When routing, the Route and Hello frames share one corked flush
-    /// — use [`ClientSession::route_hello`] for that single-round-trip
-    /// path.
     ///
     /// # Errors
     ///
     /// [`ClientError::Remote`] when the server rejects the version,
     /// policy, or profile; I/O and wire errors otherwise.
     pub fn hello(&mut self, policy: &str, profile: &str, seed: u64) -> Result<(), ClientError> {
+        self.queue_hello(policy, profile, seed);
+        self.await_hello_ack()
+    }
+
+    /// Against a `mobicore-router`: Route + Hello corked into one flush
+    /// (one round trip through the router instead of two). The router
+    /// binds the session to the shard owning `key`; returns that
+    /// shard's `(index, name)`. Between sessions it may be repeated
+    /// with a different key.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Remote`] when the router has no reachable shard
+    /// or the shard rejects the Hello; wire/socket failures otherwise.
+    pub fn route_hello(
+        &mut self,
+        key: u64,
+        policy: &str,
+        profile: &str,
+        seed: u64,
+    ) -> Result<(u32, String), ClientError> {
+        self.queue(&Frame::Route { key });
+        self.queue_hello(policy, profile, seed);
+        let routed = match self.recv()? {
+            Frame::Routed { shard, name } => (shard, name),
+            Frame::Error { code, message } => return Err(ClientError::Remote { code, message }),
+            _ => return Err(ClientError::UnexpectedFrame("expected Routed")),
+        };
+        self.await_hello_ack()?;
+        Ok(routed)
+    }
+
+    fn queue_hello(&mut self, policy: &str, profile: &str, seed: u64) {
         self.queue(&Frame::Hello {
             version: PROTOCOL_VERSION,
             policy: policy.to_string(),
             profile: profile.to_string(),
             seed,
         });
+    }
+
+    /// Reads the HelloAck that answers a queued Hello and adopts the
+    /// session it describes.
+    fn await_hello_ack(&mut self) -> Result<(), ClientError> {
         match self.recv()? {
             Frame::HelloAck {
                 version,
@@ -365,64 +343,6 @@ impl ClientSession {
             Frame::Error { code, message } => Err(ClientError::Remote { code, message }),
             _ => Err(ClientError::UnexpectedFrame("expected HelloAck")),
         }
-    }
-
-    /// Route + Hello corked into one flush (one round trip through the
-    /// router instead of two): queues both frames, then reads Routed
-    /// and HelloAck.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClientSession::route`] and [`ClientSession::hello`].
-    pub fn route_hello(
-        &mut self,
-        key: u64,
-        policy: &str,
-        profile: &str,
-        seed: u64,
-    ) -> Result<(u32, String), ClientError> {
-        self.queue(&Frame::Route { key });
-        self.queue(&Frame::Hello {
-            version: PROTOCOL_VERSION,
-            policy: policy.to_string(),
-            profile: profile.to_string(),
-            seed,
-        });
-        let routed = match self.recv()? {
-            Frame::Routed { shard, name } => {
-                self.shard = Some((shard, name.clone()));
-                (shard, name)
-            }
-            Frame::Error { code, message } => return Err(ClientError::Remote { code, message }),
-            _ => return Err(ClientError::UnexpectedFrame("expected Routed")),
-        };
-        match self.recv()? {
-            Frame::HelloAck {
-                version,
-                session,
-                policy,
-                sampling_us,
-                window,
-            } => {
-                if version != PROTOCOL_VERSION {
-                    return Err(ClientError::UnexpectedFrame("HelloAck version"));
-                }
-                self.session_id = session;
-                self.policy_name = policy;
-                self.sampling_us = sampling_us;
-                self.server_window = window;
-                self.seq = 0;
-                self.inflight.clear();
-                Ok(routed)
-            }
-            Frame::Error { code, message } => Err(ClientError::Remote { code, message }),
-            _ => Err(ClientError::UnexpectedFrame("expected HelloAck")),
-        }
-    }
-
-    /// Snapshots submitted but not yet collected.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Queues one snapshot into the corked buffer and returns its
@@ -496,8 +416,8 @@ impl ClientSession {
     }
 
     /// Ends the current session (Bye → ByeAck) but keeps the
-    /// connection open for another [`ClientSession::route`] /
-    /// [`ClientSession::hello`]. Late pipelined decisions are drained
+    /// connection open for another [`ClientSession::hello`] /
+    /// [`ClientSession::route_hello`]. Late pipelined decisions are drained
     /// and discarded; returns the server-side decision count.
     ///
     /// # Errors

@@ -13,17 +13,19 @@
 //! thread — replies leave as soon as the policy returns — with bounded
 //! per-connection buffers, explicit [`protocol::Frame::Backpressure`]
 //! notices, typed rejection of malformed frames, and a graceful drain
-//! bounded by a deadline on shutdown. The companion
-//! load generator ([`load`]) holds N concurrent sessions open, replays
-//! a recorded scenario stream through each, and verifies ordering and
-//! byte-identity while measuring decisions/s and RTT quantiles.
+//! bounded by a deadline on shutdown.
 //!
 //! For fleet scale, the shard router ([`router`]) binds sessions to a
 //! pool of serve shards by rendezvous hashing over stable shard names
-//! and relays frames with hot shard-connection reuse; the fleet
-//! orchestrator ([`load::run_fleet`]) drives 100k+ device sessions
-//! through it with batched, corked frame I/O and emits a
-//! deterministic, byte-identical aggregate manifest at a fixed seed.
+//! and relays frames with hot shard-connection reuse.
+//!
+//! The load generator ([`load::run_load`]) drives sessions against a
+//! daemon, or with `route` through the router, many per connection
+//! over batched, corked frame I/O. It replays a recorded scenario
+//! stream through each session, verifies ordering and byte-identity,
+//! measures decisions/s and RTT quantiles, and tallies each shard of a
+//! routed run; its counts-only manifest is byte-identical at a fixed
+//! seed.
 //!
 //! See `docs/serving.md` for the protocol specification, session
 //! lifecycle, and the benchmark reproduction recipes.
@@ -45,9 +47,7 @@ pub mod router;
 pub mod server;
 
 pub use client::{ClientError, ClientSession, RemoteDecision, RemotePolicy};
-pub use load::{
-    record_snapshots, run_fleet, run_load, FleetConfig, FleetReport, LoadConfig, LoadReport,
-};
+pub use load::{record_snapshots, run_load, LoadConfig, LoadReport, ShardTally};
 pub use protocol::{Frame, WireError, PROTOCOL_VERSION};
 pub use router::{rendezvous_shard, Router, RouterConfig, RouterStats, Shard};
 pub use server::{ServeConfig, ServeStats, Server, ServerHandle};

@@ -1,50 +1,57 @@
-//! The `mobicore-load` generator: drives N concurrent sessions against
-//! a daemon from a recorded snapshot stream and verifies, per session,
-//! that every decision comes back in order and **byte-identical** to
-//! what the same policy produces in process.
+//! The `mobicore-load` generator: drives device sessions against a
+//! `mobicore-serve` daemon, or through a `mobicore-router` in front of
+//! serve shards, from a recorded snapshot stream and verifies, per
+//! session, that every decision comes back in order and
+//! **byte-identical** to what the same policy produces in process.
 //!
 //! The snapshot stream is recorded once by running the named scenario
 //! through a local `Simulation` under a [`RecordingPolicy`] — so every
 //! session replays the same realistic utilization trace, and the local
 //! reference replay sees exactly the bytes the daemon saw.
 //!
+//! [`run_load`] opens `ceil(sessions / per_conn)` connections up front
+//! and splits them over `drivers` threads. Each connection carries
+//! `per_conn` sessions back to back and holds one open at a time, so
+//! up to `ceil(sessions / per_conn)` sessions are live at once.
 //! Snapshots are sent in windowed batches over the corked client
 //! buffer: `window` snapshots per flush, then the whole batch of
 //! decisions collected — one write syscall and one read burst per
 //! batch instead of per frame.
 //!
-//! [`run_fleet`] scales the same machinery to fleet size through a
-//! `mobicore-router`: each connection job multiplexes `per_conn`
-//! device sessions back to back (Route + Hello corked into one round
-//! trip each), jobs run on the sweep executor's submission-ordered
-//! [`Executor::run_ordered`], and the aggregate manifest is
-//! deterministic — byte-identical run to run at a fixed seed.
-//!
-//! [`Executor::run_ordered`]: mobicore_sweep::Executor::run_ordered
+//! A routed run (`route`) opens each session with Route + Hello corked
+//! into one round trip, keyed by the session index, and tallies each
+//! shard apart. Every count in the report is a pure function of the
+//! config, which [`LoadReport::deterministic_manifest`] serializes —
+//! byte-identical run to run at a fixed seed.
 
 use crate::client::ClientSession;
 use crate::protocol::{frame_bytes, Frame};
 use mobicore_model::profiles;
 use mobicore_sim::builtin::{PinnedPolicy, RecordingPolicy, SnapshotRecorder};
 use mobicore_sim::{PolicySnapshot, SimConfig, Simulation};
-use mobicore_sweep::Executor;
 use mobicore_telemetry::{EventData, Histogram, RunManifest, Telemetry};
 use mobicore_workloads::scenario;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::ops::Range;
 use std::time::Instant;
 
 /// What one load run should do.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Concurrent sessions to hold open.
+    /// Device sessions to run in total.
     pub sessions: usize,
-    /// Driver threads multiplexing those sessions.
+    /// Sessions each connection carries back to back (clamped to ≥ 1).
+    pub per_conn: usize,
+    /// Driver threads the connections are split over.
     pub drivers: usize,
     /// Pipelining window: snapshots corked per flush and kept in
     /// flight before the batch of decisions is collected (capped by
     /// the server's HelloAck advertisement).
     pub window: usize,
+    /// Talk to a `mobicore-router`: each session opens with
+    /// [`ClientSession::route_hello`] keyed by its session index, and
+    /// the report tallies each shard apart.
+    pub route: bool,
     /// Policy name each session requests.
     pub policy: String,
     /// Device profile name each session requests.
@@ -66,8 +73,10 @@ impl Default for LoadConfig {
     fn default() -> Self {
         LoadConfig {
             sessions: 64,
+            per_conn: 1,
             drivers: 4,
             window: 8,
+            route: false,
             policy: "mobicore".to_string(),
             profile: "nexus5".to_string(),
             scenario: "mixed-day-mini".to_string(),
@@ -79,7 +88,8 @@ impl Default for LoadConfig {
     }
 }
 
-/// What a load run measured.
+/// What a load run measured. Wall-clock numbers (throughput, RTT)
+/// vary run to run; every count is a pure function of the config.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Sessions that completed handshake + teardown.
@@ -92,7 +102,8 @@ pub struct LoadReport {
     pub decisions_per_s: f64,
     /// Round-trip times, µs (one sample per decision).
     pub rtt_us: Histogram,
-    /// Sessions that failed (connect, stream, or teardown error).
+    /// Sessions that failed (connect, route, stream, or teardown
+    /// error); a dead connection fails every session it had left.
     pub errors: u64,
     /// Decisions whose echoed sequence number did not match the
     /// request — must be 0.
@@ -100,13 +111,30 @@ pub struct LoadReport {
     /// Decisions that differed byte-for-byte from the local replay —
     /// must be 0 (only counted when `verify` is on).
     pub mismatches: u64,
-    /// Backpressure notices observed across all sessions.
+    /// Backpressure notices observed across all connections.
     pub backpressure_seen: u64,
     /// Sum of server-side per-session decision counts from ByeAck —
     /// equals `decisions` when nothing was dropped.
     pub server_decisions: u64,
-    /// Snapshots in the recorded stream each session replays.
+    /// Snapshots each session replays.
     pub stream_len: u64,
+    /// Per-shard tallies of a routed run, keyed by the shard name the
+    /// router reported; empty for a direct run.
+    pub shards: BTreeMap<String, ShardTally>,
+    /// Telemetry of the run (one `fleet-shard-summary` event per
+    /// shard), as JSONL.
+    pub events_jsonl: String,
+}
+
+/// One shard's share of a routed run.
+#[derive(Debug, Clone, Default)]
+pub struct ShardTally {
+    /// Sessions the shard completed.
+    pub sessions: u64,
+    /// Decisions received from the shard.
+    pub decisions: u64,
+    /// Round-trip times of those decisions, µs.
+    pub rtt_us: Histogram,
 }
 
 impl LoadReport {
@@ -119,38 +147,76 @@ impl LoadReport {
             && self.decisions == self.server_decisions
     }
 
-    /// Builds the run manifest (`kind: "load"`) for this report.
+    /// Builds the run manifest (`kind: "load"`): the
+    /// [`LoadReport::deterministic_manifest`] plus the wall-clock
+    /// numbers (duration, throughput, RTT quantiles overall and per
+    /// shard) and the count of `fleet-shard-summary` events.
     pub fn manifest(&self, name: &str, cfg: &LoadConfig) -> RunManifest {
+        let mut manifest = self.deterministic_manifest(name, cfg);
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        {
+            manifest.duration_us = (self.wall_s * 1e6) as u64;
+        }
+        let metrics = &mut manifest.metrics;
+        #[allow(clippy::cast_precision_loss)]
+        metrics.insert(
+            "load.backpressure_seen".to_string(),
+            self.backpressure_seen as f64,
+        );
+        metrics.insert("load.wall_s".to_string(), self.wall_s);
+        metrics.insert("load.decisions_per_s".to_string(), self.decisions_per_s);
+        metrics.insert("load.rtt_p50_us".to_string(), self.rtt_us.quantile(0.50));
+        metrics.insert("load.rtt_p99_us".to_string(), self.rtt_us.quantile(0.99));
+        metrics.insert("load.rtt_p999_us".to_string(), self.rtt_us.quantile(0.999));
+        for (shard, t) in &self.shards {
+            metrics.insert(format!("load.rtt_p99_us.{shard}"), t.rtt_us.quantile(0.99));
+        }
+        if !self.shards.is_empty() {
+            manifest
+                .event_counts
+                .insert("fleet-shard-summary".to_string(), self.shards.len() as u64);
+        }
+        manifest
+    }
+
+    /// Builds the deterministic manifest: counts only (overall and per
+    /// shard), `duration_us` pinned to 0 — the rendered text is
+    /// byte-identical run to run at a fixed seed.
+    pub fn deterministic_manifest(&self, name: &str, cfg: &LoadConfig) -> RunManifest {
         let mut metrics = BTreeMap::new();
-        metrics.insert("load.sessions".to_string(), self.sessions as f64);
         #[allow(clippy::cast_precision_loss)]
         {
+            metrics.insert("load.sessions".to_string(), self.sessions as f64);
             metrics.insert("load.decisions".to_string(), self.decisions as f64);
             metrics.insert("load.errors".to_string(), self.errors as f64);
             metrics.insert("load.reordered".to_string(), self.reordered as f64);
             metrics.insert("load.mismatches".to_string(), self.mismatches as f64);
             metrics.insert(
-                "load.backpressure_seen".to_string(),
-                self.backpressure_seen as f64,
+                "load.server_decisions".to_string(),
+                self.server_decisions as f64,
             );
+            metrics.insert("load.stream_len".to_string(), self.stream_len as f64);
+            for (shard, t) in &self.shards {
+                metrics.insert(format!("load.sessions.{shard}"), t.sessions as f64);
+                metrics.insert(format!("load.decisions.{shard}"), t.decisions as f64);
+            }
         }
-        metrics.insert("load.wall_s".to_string(), self.wall_s);
-        metrics.insert("serve.decisions_per_s".to_string(), self.decisions_per_s);
-        metrics.insert("serve.rtt_p50_us".to_string(), self.rtt_us.quantile(0.50));
-        metrics.insert("serve.rtt_p99_us".to_string(), self.rtt_us.quantile(0.99));
-        metrics.insert("serve.rtt_p999_us".to_string(), self.rtt_us.quantile(0.999));
         let mut tags = BTreeMap::new();
         tags.insert("scenario".to_string(), cfg.scenario.clone());
         tags.insert("drivers".to_string(), cfg.drivers.to_string());
+        tags.insert("per_conn".to_string(), cfg.per_conn.to_string());
         tags.insert("window".to_string(), cfg.window.to_string());
+        if !self.shards.is_empty() {
+            let names: Vec<&str> = self.shards.keys().map(String::as_str).collect();
+            tags.insert("shards".to_string(), names.join(","));
+        }
         RunManifest {
             kind: "load".to_string(),
             name: name.to_string(),
             policy: cfg.policy.clone(),
             profile: cfg.profile.clone(),
             seed: cfg.seed,
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            duration_us: (self.wall_s * 1e6) as u64,
+            duration_us: 0,
             git: None,
             created_unix_ms: None,
             wall_ms: None,
@@ -222,7 +288,7 @@ fn local_reference(
 }
 
 #[derive(Default)]
-struct DriverTally {
+struct Tally {
     sessions: u64,
     decisions: u64,
     errors: u64,
@@ -231,6 +297,36 @@ struct DriverTally {
     backpressure: u64,
     server_decisions: u64,
     rtt: Histogram,
+}
+
+impl Tally {
+    fn absorb(&mut self, t: &Tally) {
+        self.sessions += t.sessions;
+        self.decisions += t.decisions;
+        self.errors += t.errors;
+        self.reordered += t.reordered;
+        self.mismatches += t.mismatches;
+        self.backpressure += t.backpressure;
+        self.server_decisions += t.server_decisions;
+        self.rtt.merge(&t.rtt);
+    }
+}
+
+/// What one driver thread (or the whole run) tallied: overall, and per
+/// shard for a routed run.
+#[derive(Default)]
+struct Totals {
+    all: Tally,
+    shards: BTreeMap<String, Tally>,
+}
+
+impl Totals {
+    fn absorb(&mut self, part: Totals) {
+        self.all.absorb(&part.all);
+        for (shard, t) in part.shards {
+            self.shards.entry(shard).or_default().absorb(&t);
+        }
+    }
 }
 
 /// Walks one session through `snaps[sent..sent + batch]` as a single
@@ -242,7 +338,7 @@ fn drive_batch(
     reference: Option<&Vec<Vec<u8>>>,
     sent: usize,
     batch: usize,
-    tally: &mut DriverTally,
+    tally: &mut Tally,
 ) -> bool {
     let t0 = Instant::now();
     for snap in &snaps[sent..sent + batch] {
@@ -278,450 +374,145 @@ fn drive_batch(
     true
 }
 
-/// One driver thread: hold `count` sessions open concurrently and walk
-/// them through the whole stream in windowed rounds — each session
-/// submits a corked batch of up to `window` snapshots (one flush, one
-/// write syscall), then collects the batch of decisions.
-#[allow(clippy::needless_pass_by_value)]
-fn drive(
-    addr: String,
-    cfg: LoadConfig,
-    snaps: Arc<Vec<PolicySnapshot>>,
-    reference: Arc<Option<Vec<Vec<u8>>>>,
-    count: usize,
-) -> DriverTally {
-    let mut tally = DriverTally::default();
-    let mut sessions: Vec<Option<ClientSession>> = Vec::with_capacity(count);
-    for _ in 0..count {
-        match ClientSession::connect(&addr, &cfg.policy, &cfg.profile, cfg.seed) {
-            Ok(s) => sessions.push(Some(s.with_window(cfg.window))),
-            Err(_) => {
-                tally.errors += 1;
-                sessions.push(None);
-            }
-        }
-    }
-    let limit = if cfg.snapshots_per_session == 0 {
-        snaps.len()
-    } else {
-        cfg.snapshots_per_session.min(snaps.len())
-    };
-    let mut sent = 0usize;
-    while sent < limit {
-        // The effective window is identical across sessions (same
-        // request, same server) — the min guards the degenerate case.
-        let batch = sessions
-            .iter()
-            .flatten()
-            .map(ClientSession::window)
-            .min()
-            .unwrap_or(1)
-            .min(limit - sent);
-        for slot in &mut sessions {
-            let Some(sess) = slot.as_mut() else { continue };
-            if !drive_batch(
-                sess,
-                &snaps,
-                reference.as_ref().as_ref(),
-                sent,
-                batch,
-                &mut tally,
-            ) {
-                tally.errors += 1;
-                *slot = None;
-            }
-        }
-        sent += batch;
-    }
-    for slot in sessions {
-        let Some(sess) = slot else { continue };
-        tally.backpressure += sess.backpressure_seen();
-        match sess.finish() {
-            Ok(n) => {
-                tally.server_decisions += n;
-                tally.sessions += 1;
-            }
-            Err(_) => tally.errors += 1,
-        }
-    }
-    tally
+/// One connection and the sessions (indices `next..end`) it still has
+/// to carry; `sess` is `None` once it is closed or dead.
+struct Conn {
+    sess: Option<ClientSession>,
+    next: u64,
+    end: u64,
+    shard: Option<String>,
+    /// The current session's tally, folded into the totals when the
+    /// session ends.
+    cur: Tally,
 }
 
-/// Runs the load: `cfg.sessions` concurrent sessions over
-/// `cfg.drivers` threads against the daemon at `addr`.
-///
-/// # Errors
-///
-/// Returns a description when the snapshot recording or local
-/// reference replay cannot be built; per-session network failures are
-/// *counted* in the report instead.
-pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, String> {
-    let snaps = Arc::new(record_snapshots(
-        &cfg.profile,
-        &cfg.scenario,
-        cfg.seed,
-        cfg.record_secs,
-    )?);
-    let reference = if cfg.verify {
-        Some(
-            local_reference(&cfg.policy, &cfg.profile, cfg.seed, &snaps)
-                .ok_or_else(|| format!("cannot build local reference for `{}`", cfg.policy))?,
-        )
-    } else {
-        None
-    };
-    let reference = Arc::new(reference);
-    let drivers = cfg.drivers.clamp(1, cfg.sessions.max(1));
-    let base = cfg.sessions / drivers;
-    let extra = cfg.sessions % drivers;
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(drivers);
-    for d in 0..drivers {
-        let count = base + usize::from(d < extra);
-        if count == 0 {
-            continue;
+impl Conn {
+    fn open(addr: &str, window: usize, sessions: Range<u64>) -> Conn {
+        Conn {
+            sess: ClientSession::connect_raw(addr)
+                .ok()
+                .map(|s| s.with_window(window)),
+            next: sessions.start,
+            end: sessions.end,
+            shard: None,
+            cur: Tally::default(),
         }
-        let addr = addr.to_string();
-        let cfg = cfg.clone();
-        let snaps = Arc::clone(&snaps);
-        let reference = Arc::clone(&reference);
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("load-driver-{d}"))
-                .spawn(move || drive(addr, cfg, snaps, reference, count))
-                .map_err(|e| e.to_string())?,
-        );
     }
-    let mut total = DriverTally::default();
-    for h in handles {
-        let t = h.join().map_err(|_| "driver thread panicked".to_string())?;
-        total.sessions += t.sessions;
-        total.decisions += t.decisions;
-        total.errors += t.errors;
-        total.reordered += t.reordered;
-        total.mismatches += t.mismatches;
-        total.backpressure += t.backpressure;
-        total.server_decisions += t.server_decisions;
-        total.rtt.merge(&t.rtt);
+
+    /// Opens session `next`: Hello, or Route + Hello when routed.
+    /// Returns `false` when the connection is dead.
+    fn start(&mut self, cfg: &LoadConfig) -> bool {
+        let Some(sess) = self.sess.as_mut() else {
+            return false;
+        };
+        if !cfg.route {
+            return sess.hello(&cfg.policy, &cfg.profile, cfg.seed).is_ok();
+        }
+        match sess.route_hello(self.next, &cfg.policy, &cfg.profile, cfg.seed) {
+            Ok((_, name)) => {
+                self.shard = Some(name);
+                true
+            }
+            Err(_) => false,
+        }
     }
-    let wall_s = started.elapsed().as_secs_f64();
-    let stream_len = if cfg.snapshots_per_session == 0 {
-        snaps.len()
-    } else {
-        cfg.snapshots_per_session.min(snaps.len())
-    };
-    #[allow(clippy::cast_precision_loss)]
-    Ok(LoadReport {
-        sessions: total.sessions,
-        decisions: total.decisions,
-        wall_s,
-        decisions_per_s: if wall_s > 0.0 {
-            total.decisions as f64 / wall_s
+
+    /// Folds the current session into `out`. A failed session kills
+    /// the connection, and every session it had left counts as an
+    /// error; the connection closes once it has none left.
+    fn finish_session(&mut self, ok: bool, out: &mut Totals) {
+        let cur = std::mem::take(&mut self.cur);
+        if let Some(shard) = self.shard.take() {
+            out.shards.entry(shard).or_default().absorb(&cur);
+        }
+        out.all.absorb(&cur);
+        if ok {
+            self.next += 1;
         } else {
-            0.0
-        },
-        rtt_us: total.rtt,
-        errors: total.errors,
-        reordered: total.reordered,
-        mismatches: total.mismatches,
-        backpressure_seen: total.backpressure,
-        server_decisions: total.server_decisions,
-        stream_len: stream_len as u64,
-    })
-}
-
-/// What one fleet run should do: `sessions` device sessions driven
-/// through a `mobicore-router`, multiplexed `per_conn` to a
-/// connection, with connection jobs spread over the sweep executor.
-#[derive(Debug, Clone)]
-pub struct FleetConfig {
-    /// Total device sessions to run (each routes by its device id).
-    pub sessions: usize,
-    /// Device sessions multiplexed back to back per connection job.
-    pub per_conn: usize,
-    /// Executor jobs running connection jobs concurrently.
-    pub drivers: usize,
-    /// Pipelining window per session (see [`LoadConfig::window`]).
-    pub window: usize,
-    /// Policy name each session requests.
-    pub policy: String,
-    /// Device profile name each session requests.
-    pub profile: String,
-    /// Scenario whose recorded snapshot stream every session replays.
-    pub scenario: String,
-    /// Seed for the scenario recording.
-    pub seed: u64,
-    /// Scenario seconds to record (bounds the per-session stream).
-    pub record_secs: u64,
-    /// Cap on snapshots each session sends (0 = the whole recording).
-    pub snapshots_per_session: usize,
-    /// Verify decisions byte-for-byte against a local replay.
-    pub verify: bool,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            sessions: 1024,
-            per_conn: 128,
-            drivers: 4,
-            window: 8,
-            policy: "mobicore".to_string(),
-            profile: "nexus5".to_string(),
-            scenario: "mixed-day-mini".to_string(),
-            seed: 7,
-            record_secs: 6,
-            snapshots_per_session: 2,
-            verify: true,
+            out.all.errors += self.end - self.next;
+            self.next = self.end;
         }
-    }
-}
-
-/// What a fleet run measured. The shape splits in two: wall-clock
-/// numbers (throughput, RTT) vary run to run, while every *count* is
-/// a pure function of the config — which is what
-/// [`FleetReport::deterministic_manifest`] serializes, byte-identical
-/// across runs at a fixed seed.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Device sessions that completed handshake + teardown.
-    pub sessions: u64,
-    /// Decisions received across all sessions.
-    pub decisions: u64,
-    /// Wall-clock seconds of the whole fleet run.
-    pub wall_s: f64,
-    /// Decisions per wall-clock second.
-    pub decisions_per_s: f64,
-    /// Round-trip times, µs, merged across shards.
-    pub rtt_us: Histogram,
-    /// Sessions that failed (connect, route, stream, or teardown).
-    pub errors: u64,
-    /// Decisions whose echoed sequence number did not match — must
-    /// be 0.
-    pub reordered: u64,
-    /// Decisions that differed byte-for-byte from the local replay —
-    /// must be 0 (only counted when `verify` is on).
-    pub mismatches: u64,
-    /// Backpressure notices observed across all connections.
-    pub backpressure_seen: u64,
-    /// Sum of server-side per-session decision counts from ByeAck.
-    pub server_decisions: u64,
-    /// Snapshots each session replays.
-    pub stream_len: u64,
-    /// Sessions per shard, keyed by stable shard name.
-    pub shard_sessions: BTreeMap<String, u64>,
-    /// Decisions per shard, keyed by stable shard name.
-    pub shard_decisions: BTreeMap<String, u64>,
-    /// RTT histogram per shard, keyed by stable shard name.
-    pub shard_rtt_us: BTreeMap<String, Histogram>,
-    /// Telemetry of the run (one `FleetShardSummary` per shard),
-    /// as JSONL.
-    pub events_jsonl: String,
-}
-
-impl FleetReport {
-    /// `true` when every session finished with zero drops, zero
-    /// reorders, and (if verified) zero mismatches.
-    pub fn clean(&self) -> bool {
-        self.errors == 0
-            && self.reordered == 0
-            && self.mismatches == 0
-            && self.decisions == self.server_decisions
-    }
-
-    fn count_metrics(&self) -> BTreeMap<String, f64> {
-        let mut metrics = BTreeMap::new();
-        #[allow(clippy::cast_precision_loss)]
-        {
-            metrics.insert("fleet.sessions".to_string(), self.sessions as f64);
-            metrics.insert("fleet.decisions".to_string(), self.decisions as f64);
-            metrics.insert("fleet.errors".to_string(), self.errors as f64);
-            metrics.insert("fleet.reordered".to_string(), self.reordered as f64);
-            metrics.insert("fleet.mismatches".to_string(), self.mismatches as f64);
-            metrics.insert(
-                "fleet.server_decisions".to_string(),
-                self.server_decisions as f64,
-            );
-            metrics.insert("fleet.stream_len".to_string(), self.stream_len as f64);
-            for (name, n) in &self.shard_sessions {
-                metrics.insert(format!("fleet.sessions.{name}"), *n as f64);
-            }
-            for (name, n) in &self.shard_decisions {
-                metrics.insert(format!("fleet.decisions.{name}"), *n as f64);
+        if self.next == self.end {
+            if let Some(sess) = self.sess.take() {
+                out.all.backpressure += sess.backpressure_seen();
             }
         }
-        metrics
-    }
-
-    fn tags(&self, cfg: &FleetConfig) -> BTreeMap<String, String> {
-        let mut tags = BTreeMap::new();
-        tags.insert("scenario".to_string(), cfg.scenario.clone());
-        tags.insert("per_conn".to_string(), cfg.per_conn.to_string());
-        tags.insert("window".to_string(), cfg.window.to_string());
-        tags.insert(
-            "shards".to_string(),
-            self.shard_sessions
-                .keys()
-                .cloned()
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        tags
-    }
-
-    /// Builds the full run manifest (`kind: "fleet"`): counts plus the
-    /// wall-clock numbers (throughput, per-shard RTT quantiles).
-    pub fn manifest(&self, name: &str, cfg: &FleetConfig) -> RunManifest {
-        let mut metrics = self.count_metrics();
-        #[allow(clippy::cast_precision_loss)]
-        metrics.insert(
-            "fleet.backpressure_seen".to_string(),
-            self.backpressure_seen as f64,
-        );
-        metrics.insert("fleet.wall_s".to_string(), self.wall_s);
-        metrics.insert("fleet.decisions_per_s".to_string(), self.decisions_per_s);
-        metrics.insert("fleet.rtt_p50_us".to_string(), self.rtt_us.quantile(0.50));
-        metrics.insert("fleet.rtt_p99_us".to_string(), self.rtt_us.quantile(0.99));
-        for (name, h) in &self.shard_rtt_us {
-            metrics.insert(format!("fleet.rtt_p99_us.{name}"), h.quantile(0.99));
-        }
-        let mut event_counts = BTreeMap::new();
-        event_counts.insert(
-            "fleet-shard-summary".to_string(),
-            self.shard_sessions.len() as u64,
-        );
-        RunManifest {
-            kind: "fleet".to_string(),
-            name: name.to_string(),
-            policy: cfg.policy.clone(),
-            profile: cfg.profile.clone(),
-            seed: cfg.seed,
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            duration_us: (self.wall_s * 1e6) as u64,
-            git: None,
-            created_unix_ms: None,
-            wall_ms: None,
-            tags: self.tags(cfg),
-            metrics,
-            event_counts,
-        }
-    }
-
-    /// Builds the deterministic aggregate manifest: counts only
-    /// (overall and per shard), `duration_us` pinned to 0 — the
-    /// rendered text is byte-identical run to run at a fixed seed.
-    pub fn deterministic_manifest(&self, name: &str, cfg: &FleetConfig) -> RunManifest {
-        RunManifest {
-            kind: "fleet".to_string(),
-            name: name.to_string(),
-            policy: cfg.policy.clone(),
-            profile: cfg.profile.clone(),
-            seed: cfg.seed,
-            duration_us: 0,
-            git: None,
-            created_unix_ms: None,
-            wall_ms: None,
-            tags: self.tags(cfg),
-            metrics: self.count_metrics(),
-            event_counts: BTreeMap::new(),
-        }
     }
 }
 
-#[derive(Default)]
-struct FleetTally {
-    sessions: u64,
-    decisions: u64,
-    errors: u64,
-    reordered: u64,
-    mismatches: u64,
-    backpressure: u64,
-    server_decisions: u64,
-    shard_sessions: BTreeMap<String, u64>,
-    shard_decisions: BTreeMap<String, u64>,
-    shard_rtt: BTreeMap<String, Histogram>,
-}
-
-/// One connection job: `count` device sessions back to back over a
-/// single router connection, each bound by `route_hello` (Route +
-/// Hello in one corked round trip) and streamed in windowed batches.
-fn fleet_conn(
+/// One driver thread: opens its connections, then runs their sessions
+/// in rounds — every connection starts its next session, all of them
+/// stream the snapshots in windowed batches (one corked flush per
+/// batch), and every session ends with Bye/ByeAck.
+fn drive(
     addr: &str,
-    cfg: &FleetConfig,
+    cfg: &LoadConfig,
     snaps: &[PolicySnapshot],
     reference: Option<&Vec<Vec<u8>>>,
     limit: usize,
-    first_device: u64,
-    count: u64,
-) -> FleetTally {
-    let mut tally = FleetTally::default();
-    let Ok(mut sess) = ClientSession::connect_raw(addr) else {
-        tally.errors += count;
-        return tally;
-    };
-    sess.set_window(cfg.window);
-    for device in first_device..first_device + count {
-        let shard = match sess.route_hello(device, &cfg.policy, &cfg.profile, cfg.seed) {
-            Ok((_, name)) => name,
-            Err(_) => {
-                // The connection is gone; every remaining session on
-                // this job is lost.
-                tally.errors += first_device + count - device;
-                return tally;
+    conns: &[Range<u64>],
+) -> Totals {
+    let mut out = Totals::default();
+    let mut conns: Vec<Conn> = conns
+        .iter()
+        .map(|r| Conn::open(addr, cfg.window, r.clone()))
+        .collect();
+    while conns.iter().any(|c| c.next < c.end) {
+        for c in conns.iter_mut().filter(|c| c.next < c.end) {
+            if !c.start(cfg) {
+                c.finish_session(false, &mut out);
             }
-        };
-        let mut inner = DriverTally::default();
+        }
         let mut sent = 0usize;
-        let mut dead = false;
         while sent < limit {
-            let batch = sess.window().min(limit - sent);
-            if !drive_batch(&mut sess, snaps, reference, sent, batch, &mut inner) {
-                dead = true;
-                break;
+            // The effective window is identical across sessions (same
+            // request, same server) — the min guards the degenerate case.
+            let batch = conns
+                .iter()
+                .filter_map(|c| c.sess.as_ref())
+                .map(ClientSession::window)
+                .min()
+                .unwrap_or(1)
+                .min(limit - sent);
+            for c in &mut conns {
+                let Some(sess) = c.sess.as_mut() else {
+                    continue;
+                };
+                if !drive_batch(sess, snaps, reference, sent, batch, &mut c.cur) {
+                    c.finish_session(false, &mut out);
+                }
             }
             sent += batch;
         }
-        tally.decisions += inner.decisions;
-        tally.reordered += inner.reordered;
-        tally.mismatches += inner.mismatches;
-        *tally.shard_decisions.entry(shard.clone()).or_default() += inner.decisions;
-        tally
-            .shard_rtt
-            .entry(shard.clone())
-            .or_default()
-            .merge(&inner.rtt);
-        if dead {
-            tally.errors += first_device + count - device;
-            return tally;
-        }
-        match sess.end_session() {
-            Ok(n) => {
-                tally.server_decisions += n;
-                tally.sessions += 1;
-                *tally.shard_sessions.entry(shard).or_default() += 1;
-            }
-            Err(_) => {
-                tally.errors += first_device + count - device;
-                return tally;
-            }
+        for c in &mut conns {
+            let Some(sess) = c.sess.as_mut() else {
+                continue;
+            };
+            let ok = match sess.end_session() {
+                Ok(n) => {
+                    c.cur.server_decisions += n;
+                    c.cur.sessions += 1;
+                    true
+                }
+                Err(_) => false,
+            };
+            c.finish_session(ok, &mut out);
         }
     }
-    tally.backpressure = sess.backpressure_seen();
-    tally
+    out
 }
 
-/// Runs the fleet: `cfg.sessions` device sessions through the router
-/// at `addr`, multiplexed `cfg.per_conn` per connection, connection
-/// jobs spread over `cfg.drivers` executor workers in submission
-/// order — so the merged tallies (and the deterministic manifest
-/// built from them) do not depend on scheduling.
+/// Runs the load: `cfg.sessions` sessions against the daemon (or,
+/// with `cfg.route`, the router) at `addr`, `cfg.per_conn` per
+/// connection, the connections split over at most `cfg.drivers`
+/// threads.
 ///
 /// # Errors
 ///
 /// Returns a description when the snapshot recording or local
-/// reference replay cannot be built; per-session failures are
-/// *counted* in the report instead.
-pub fn run_fleet(addr: &str, cfg: &FleetConfig) -> Result<FleetReport, String> {
+/// reference replay cannot be built, or a driver thread fails;
+/// per-session network failures are *counted* in the report instead.
+pub fn run_load(addr: &str, cfg: &LoadConfig) -> Result<LoadReport, String> {
     let snaps = record_snapshots(&cfg.profile, &cfg.scenario, cfg.seed, cfg.record_secs)?;
     let limit = if cfg.snapshots_per_session == 0 {
         snaps.len()
@@ -736,81 +527,76 @@ pub fn run_fleet(addr: &str, cfg: &FleetConfig) -> Result<FleetReport, String> {
     } else {
         None
     };
-    let per_conn = cfg.per_conn.max(1) as u64;
-    let total = cfg.sessions as u64;
-    let mut jobs = Vec::new();
-    let mut start = 0u64;
-    while start < total {
-        let count = per_conn.min(total - start);
-        jobs.push((start, count));
-        start += count;
-    }
-    let exec = Executor::new(cfg.drivers.max(1));
+    let per_conn = cfg.per_conn.max(1);
+    let conns: Vec<Range<u64>> = (0..cfg.sessions)
+        .step_by(per_conn)
+        .map(|first| first as u64..(first + per_conn).min(cfg.sessions) as u64)
+        .collect();
+    let per_driver = conns.len().div_ceil(cfg.drivers.max(1)).max(1);
     let started = Instant::now();
-    let tallies = exec.run_ordered(jobs, |_, (first_device, count)| {
-        fleet_conn(
-            addr,
-            cfg,
-            &snaps,
-            reference.as_ref(),
-            limit,
-            first_device,
-            count,
-        )
-    });
+    let parts = std::thread::scope(|s| {
+        let mut handles = Vec::new();
+        for (d, part) in conns.chunks(per_driver).enumerate() {
+            let (snaps, reference) = (&snaps, reference.as_ref());
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("load-driver-{d}"))
+                    .spawn_scoped(s, move || drive(addr, cfg, snaps, reference, limit, part))
+                    .map_err(|e| e.to_string())?,
+            );
+        }
+        handles
+            .into_iter()
+            .map(|h| h.join().map_err(|_| "driver thread panicked".to_string()))
+            .collect::<Result<Vec<Totals>, String>>()
+    })?;
     let wall_s = started.elapsed().as_secs_f64();
-    let mut total = FleetTally::default();
-    for t in tallies {
-        total.sessions += t.sessions;
-        total.decisions += t.decisions;
-        total.errors += t.errors;
-        total.reordered += t.reordered;
-        total.mismatches += t.mismatches;
-        total.backpressure += t.backpressure;
-        total.server_decisions += t.server_decisions;
-        for (name, n) in t.shard_sessions {
-            *total.shard_sessions.entry(name).or_default() += n;
-        }
-        for (name, n) in t.shard_decisions {
-            *total.shard_decisions.entry(name).or_default() += n;
-        }
-        for (name, h) in t.shard_rtt {
-            total.shard_rtt.entry(name).or_default().merge(&h);
-        }
+    let mut run = Totals::default();
+    for part in parts {
+        run.absorb(part);
     }
-    let rtt_us = Histogram::merged(total.shard_rtt.values());
     let mut telemetry = Telemetry::enabled();
     let t_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    for (name, sessions) in &total.shard_sessions {
+    for (shard, t) in &run.shards {
         telemetry.emit(
             t_us,
             EventData::FleetShardSummary {
-                shard: name.clone(),
-                sessions: *sessions,
-                decisions: total.shard_decisions.get(name).copied().unwrap_or(0),
+                shard: shard.clone(),
+                sessions: t.sessions,
+                decisions: t.decisions,
             },
         );
     }
+    let all = run.all;
     #[allow(clippy::cast_precision_loss)]
-    Ok(FleetReport {
-        sessions: total.sessions,
-        decisions: total.decisions,
+    Ok(LoadReport {
+        sessions: all.sessions,
+        decisions: all.decisions,
         wall_s,
         decisions_per_s: if wall_s > 0.0 {
-            total.decisions as f64 / wall_s
+            all.decisions as f64 / wall_s
         } else {
             0.0
         },
-        rtt_us,
-        errors: total.errors,
-        reordered: total.reordered,
-        mismatches: total.mismatches,
-        backpressure_seen: total.backpressure,
-        server_decisions: total.server_decisions,
+        rtt_us: all.rtt,
+        errors: all.errors,
+        reordered: all.reordered,
+        mismatches: all.mismatches,
+        backpressure_seen: all.backpressure,
+        server_decisions: all.server_decisions,
         stream_len: limit as u64,
-        shard_sessions: total.shard_sessions,
-        shard_decisions: total.shard_decisions,
-        shard_rtt_us: total.shard_rtt,
+        shards: run
+            .shards
+            .into_iter()
+            .map(|(shard, t)| {
+                let tally = ShardTally {
+                    sessions: t.sessions,
+                    decisions: t.decisions,
+                    rtt_us: t.rtt,
+                };
+                (shard, tally)
+            })
+            .collect(),
         events_jsonl: telemetry.events_jsonl(),
     })
 }

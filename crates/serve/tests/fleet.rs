@@ -1,9 +1,9 @@
 //! Router + fleet loopback tests: a real `mobicore-router` in front
-//! of two real `mobicore-serve` shards, driven by the fleet
-//! orchestrator. Kept small — these run in tier-1 `cargo test -q`.
+//! of two real `mobicore-serve` shards, driven by the load generator
+//! in routed mode. Kept small — these run in tier-1 `cargo test -q`.
 
 use mobicore_serve::{
-    run_fleet, ClientSession, FleetConfig, Router, RouterConfig, ServeConfig, Server, Shard,
+    run_load, ClientSession, LoadConfig, Router, RouterConfig, ServeConfig, Server, Shard,
 };
 use std::time::Duration;
 
@@ -38,15 +38,16 @@ fn fleet_stack() -> (Server, Server, Router) {
     (s0, s1, router)
 }
 
-fn small_fleet_config() -> FleetConfig {
-    FleetConfig {
+fn small_fleet_config() -> LoadConfig {
+    LoadConfig {
         sessions: 60,
         per_conn: 10,
         drivers: 2,
         window: 4,
+        route: true,
         record_secs: 1,
         snapshots_per_session: 3,
-        ..FleetConfig::default()
+        ..LoadConfig::default()
     }
 }
 
@@ -98,12 +99,12 @@ fn fleet_run_is_clean_and_covers_both_shards() {
     let addr = router.local_addr().to_string();
     let cfg = small_fleet_config();
 
-    let report = run_fleet(&addr, &cfg).expect("fleet runs");
+    let report = run_load(&addr, &cfg).expect("fleet runs");
     assert_eq!(report.sessions, 60, "{report:?}");
     assert_eq!(report.decisions, 60 * 3, "{report:?}");
     assert!(report.clean(), "{report:?}");
-    assert_eq!(report.shard_sessions.len(), 2, "both shards must serve");
-    let total: u64 = report.shard_sessions.values().sum();
+    assert_eq!(report.shards.len(), 2, "both shards must serve");
+    let total: u64 = report.shards.values().map(|s| s.sessions).sum();
     assert_eq!(total, 60);
     assert!(report.events_jsonl.contains("fleet-shard-summary"));
 
@@ -133,7 +134,7 @@ fn fleet_manifest_is_byte_identical_across_runs() {
 
     let (s0, s1, router) = fleet_stack();
     let addr = router.local_addr().to_string();
-    let first = run_fleet(&addr, &cfg).expect("fleet run 1");
+    let first = run_load(&addr, &cfg).expect("fleet run 1");
     router.shutdown();
     s0.shutdown();
     s1.shutdown();
@@ -142,7 +143,7 @@ fn fleet_manifest_is_byte_identical_across_runs() {
     // addresses, so the deterministic manifest must not move a byte.
     let (s0, s1, router) = fleet_stack();
     let addr = router.local_addr().to_string();
-    let second = run_fleet(&addr, &cfg).expect("fleet run 2");
+    let second = run_load(&addr, &cfg).expect("fleet run 2");
     router.shutdown();
     s0.shutdown();
     s1.shutdown();

@@ -27,8 +27,10 @@ fn thousand_concurrent_sessions_zero_loss_byte_identical() {
 
     let cfg = LoadConfig {
         sessions: SESSIONS,
+        per_conn: 1,
         drivers: 8,
         window: 4,
+        route: false,
         policy: "mobicore".to_string(),
         profile: "nexus5".to_string(),
         scenario: "mixed-day-mini".to_string(),

@@ -752,15 +752,13 @@ impl Simulation {
             self.fill_snapshot();
             self.policy.on_sample(&self.snap, &mut self.ctl);
             if self.telemetry.is_enabled() {
-                // Warm variants: the sampling block is on both engines'
-                // hot path, and must not allocate once warm.
-                self.telemetry.count_warm("sim.samples", 1);
-                self.telemetry.record_warm(
+                self.telemetry.count("sim.samples", 1);
+                self.telemetry.record(
                     "overall_util_pct",
                     self.snap.overall_util.as_fraction() * 100.0,
                 );
                 self.telemetry
-                    .record_warm("quota_pct", self.snap.quota.as_fraction() * 100.0);
+                    .record("quota_pct", self.snap.quota.as_fraction() * 100.0);
             }
             // Notes first: the decision record should precede the
             // freq/hotplug/quota events it causes at the same timestamp.
@@ -769,7 +767,7 @@ impl Simulation {
             }
             let mut cmds = std::mem::take(&mut self.scratch.cmds);
             self.ctl.drain_commands_into(&mut cmds);
-            self.telemetry.count_warm("sim.commands", cmds.len() as u64);
+            self.telemetry.count("sim.commands", cmds.len() as u64);
             for cmd in cmds.drain(..) {
                 self.apply_command(cmd);
             }
@@ -1277,12 +1275,9 @@ impl Simulation {
         }
         self.bw_denied_last_tick = false;
         if self.telemetry.is_enabled() {
-            // The warm variants skip the per-call key allocation once
-            // the metric exists — the burst loop must stay
-            // allocation-free when warm (docs/simulator.md).
-            self.telemetry.count_warm("sim.ticks", done);
-            self.telemetry.record_repeat_warm("power_mw", power, done);
-            self.telemetry.gauge_warm("temp_c", last_pre_tick_temp);
+            self.telemetry.count("sim.ticks", done);
+            self.telemetry.record_repeat("power_mw", power, done);
+            self.telemetry.gauge("temp_c", last_pre_tick_temp);
         }
         self.sysfs_stale = true;
     }

@@ -60,15 +60,16 @@ fn allocs() -> u64 {
     TL_ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
-#[test]
-fn tick_loop_is_allocation_free_after_warmup() {
+/// Steps a busy cyclic-engine simulation through one warm simulated
+/// second and returns the allocations that second made.
+fn cyclic_warm_second_allocs(telemetry: bool) -> u64 {
     let f_max = Khz(2_265_600);
     let profile = profiles::nexus5();
     let cfg = SimConfig::new(profile)
         .with_duration_secs(3)
         .with_seed(42)
         .without_mpdecision()
-        .with_telemetry(false);
+        .with_telemetry(telemetry);
     let mut sim =
         Simulation::new(cfg, Box::new(PinnedPolicy::new(4, f_max))).expect("valid config");
     sim.add_workload(Box::new(BusyLoop::with_target_util(4, 0.7, f_max, 42)));
@@ -83,7 +84,12 @@ fn tick_loop_is_allocation_free_after_warmup() {
     while sim.now_us() < 2_000_000 {
         sim.step();
     }
-    let delta = allocs() - before;
+    allocs() - before
+}
+
+#[test]
+fn tick_loop_is_allocation_free_after_warmup() {
+    let delta = cyclic_warm_second_allocs(false);
     assert_eq!(
         delta, 0,
         "expected zero heap allocations across 1 simulated second of \
@@ -92,14 +98,27 @@ fn tick_loop_is_allocation_free_after_warmup() {
 }
 
 #[test]
-fn event_engine_quiet_loop_is_allocation_free_after_warmup() {
+fn tick_loop_with_telemetry_is_allocation_free_after_warmup() {
+    // The default config records per-tick metrics; once every metric
+    // name exists, updating it must not allocate its key again.
+    let delta = cyclic_warm_second_allocs(true);
+    assert_eq!(
+        delta, 0,
+        "expected zero heap allocations across 1 simulated second of \
+         warm tick loop with telemetry on, observed {delta}"
+    );
+}
+
+/// Runs a workload-free event-engine simulation through one warm
+/// simulated second and returns the allocations that second made.
+fn event_quiet_warm_second_allocs(telemetry: bool) -> u64 {
     let f_max = Khz(2_265_600);
     let profile = profiles::nexus5();
     let cfg = SimConfig::new(profile)
         .with_duration_secs(3)
         .with_seed(42)
         .without_mpdecision()
-        .with_telemetry(false)
+        .with_telemetry(telemetry)
         .with_engine(SimEngine::EventDriven);
     let mut sim =
         Simulation::new(cfg, Box::new(PinnedPolicy::new(4, f_max))).expect("valid config");
@@ -113,11 +132,26 @@ fn event_engine_quiet_loop_is_allocation_free_after_warmup() {
 
     let before = allocs();
     sim.run_until(2_000_000);
-    let delta = allocs() - before;
+    allocs() - before
+}
+
+#[test]
+fn event_engine_quiet_loop_is_allocation_free_after_warmup() {
+    let delta = event_quiet_warm_second_allocs(false);
     assert_eq!(
         delta, 0,
         "expected zero heap allocations across 1 simulated second of \
          warm quiet bursts, observed {delta}"
+    );
+}
+
+#[test]
+fn event_engine_quiet_loop_with_telemetry_is_allocation_free_after_warmup() {
+    let delta = event_quiet_warm_second_allocs(true);
+    assert_eq!(
+        delta, 0,
+        "expected zero heap allocations across 1 simulated second of \
+         warm quiet bursts with telemetry on, observed {delta}"
     );
 }
 

@@ -51,7 +51,7 @@ pub enum EventKind {
     ServeShutdown,
     /// The router bound a session key to a shard.
     ShardRouted,
-    /// Per-shard rollup of one fleet orchestrator run.
+    /// Per-shard rollup of one routed load run.
     FleetShardSummary,
 }
 
@@ -149,7 +149,7 @@ impl EventKind {
             EventKind::Backpressure => "A session crossed its queue budget (rising edge only).",
             EventKind::ServeShutdown => "The serve daemon began graceful shutdown (drain started).",
             EventKind::ShardRouted => "The router bound a session key to a shard.",
-            EventKind::FleetShardSummary => "Per-shard rollup of one fleet orchestrator run.",
+            EventKind::FleetShardSummary => "Per-shard rollup of one routed load run.",
         }
     }
 }
@@ -317,7 +317,7 @@ pub enum EventData {
         /// The winning shard's stable name.
         shard: String,
     },
-    /// Per-shard rollup of one fleet orchestrator run.
+    /// Per-shard rollup of one routed load run.
     FleetShardSummary {
         /// The shard's stable name.
         shard: String,

@@ -232,73 +232,46 @@ impl MetricSet {
         Self::default()
     }
 
+    // Each update looks the name up first and allocates the owned key
+    // only when the metric is new: the `entry` API needs a `String` up
+    // front, which the per-tick callers (the simulator's tick loop and
+    // quiet bursts, every served decision) would otherwise pay on every
+    // call.
+
     /// Adds `by` to counter `name` (creating it at zero).
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Adds `by` to counter `name` without allocating when the counter
-    /// already exists. The `entry` API needs an owned key up front, so
-    /// [`MetricSet::inc`] pays a `String` per call; hot paths that hit
-    /// the same few names millions of times (the simulator's quiet-burst
-    /// loop, docs/simulator.md) use this get-first variant instead.
-    pub fn inc_warm(&mut self, name: &str, by: u64) {
         if let Some(c) = self.counters.get_mut(name) {
             *c += by;
         } else {
-            self.inc(name, by);
+            self.counters.insert(name.to_string(), by);
         }
     }
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Sets gauge `name` without allocating when it already exists (see
-    /// [`MetricSet::inc_warm`]).
-    pub fn set_gauge_warm(&mut self, name: &str, value: f64) {
         if let Some(g) = self.gauges.get_mut(name) {
             *g = value;
         } else {
-            self.set_gauge(name, value);
+            self.gauges.insert(name.to_string(), value);
         }
     }
 
     /// Records `value` into histogram `name` (creating it empty).
     pub fn record(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        self.update_histogram(name, |h| h.record(value));
     }
 
     /// Records `value` into histogram `name` `n` times (see
-    /// [`Histogram::record_repeat`]).
+    /// [`Histogram::record_repeat`]); creates it empty even when `n`
+    /// is 0.
     pub fn record_repeat(&mut self, name: &str, value: f64, n: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record_repeat(value, n);
+        self.update_histogram(name, |h| h.record_repeat(value, n));
     }
 
-    /// Records into histogram `name` without allocating when the
-    /// histogram already exists (see [`MetricSet::inc_warm`]).
-    pub fn record_warm(&mut self, name: &str, value: f64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            self.record(name, value);
-        }
-    }
-
-    /// Records into histogram `name` `n` times without allocating when
-    /// the histogram already exists (see [`MetricSet::inc_warm`]).
-    pub fn record_repeat_warm(&mut self, name: &str, value: f64, n: u64) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record_repeat(value, n);
-        } else {
-            self.record_repeat(name, value, n);
+    fn update_histogram(&mut self, name: &str, f: impl FnOnce(&mut Histogram)) {
+        match self.histograms.get_mut(name) {
+            Some(h) => f(h),
+            None => f(self.histograms.entry(name.to_string()).or_default()),
         }
     }
 
@@ -345,7 +318,7 @@ impl MetricSet {
             self.set_gauge(k, v);
         }
         for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+            self.update_histogram(k, |mine| mine.merge(h));
         }
     }
 
@@ -591,30 +564,33 @@ mod tests {
     }
 
     #[test]
-    fn warm_variants_match_cold_ones() {
-        let mut cold = MetricSet::new();
-        let mut warm = MetricSet::new();
-        for m in [&mut cold, &mut warm] {
-            m.inc("sim.ticks", 1);
-            m.set_gauge("temp_c", 30.0);
-            m.record_repeat("power_mw", 41.5, 3);
-        }
-        // Warm calls on existing names, plus one on a fresh name each
-        // (the fall-back creation path).
-        cold.inc("sim.ticks", 7);
-        warm.inc_warm("sim.ticks", 7);
-        cold.set_gauge("temp_c", 32.5);
-        warm.set_gauge_warm("temp_c", 32.5);
-        cold.record_repeat("power_mw", 41.5, 19);
-        warm.record_repeat_warm("power_mw", 41.5, 19);
-        cold.record("power_mw", 7.25);
-        warm.record_warm("power_mw", 7.25);
-        cold.inc("sim.samples", 2);
-        warm.inc_warm("sim.samples", 2);
-        cold.set_gauge("quota", 1.0);
-        warm.set_gauge_warm("quota", 1.0);
-        cold.record_repeat("util", 9.0, 2);
-        warm.record_repeat_warm("util", 9.0, 2);
-        assert_eq!(cold, warm);
+    fn updates_create_new_names_and_fold_into_existing_ones() {
+        let mut m = MetricSet::new();
+        // First use creates each metric: counters at zero (then add),
+        // histograms empty (then record) — even for a zero-count
+        // repeat or a zero increment.
+        m.inc("sim.samples", 0);
+        m.set_gauge("quota", 1.0);
+        m.record_repeat("util", 9.0, 0);
+        m.record("power_mw", 7.25);
+        assert_eq!(m.counter("sim.samples"), Some(0));
+        assert_eq!(m.gauge("quota"), Some(1.0));
+        assert_eq!(m.histogram("util").map(Histogram::count), Some(0));
+        assert_eq!(m.histogram("power_mw").map(Histogram::count), Some(1));
+        // Later uses update in place.
+        m.inc("sim.samples", 2);
+        m.inc("sim.samples", 5);
+        m.set_gauge("quota", 0.5);
+        m.record_repeat("util", 9.0, 2);
+        m.record_repeat("power_mw", 41.5, 19);
+        assert_eq!(m.counter("sim.samples"), Some(7));
+        assert_eq!(m.gauge("quota"), Some(0.5));
+        assert_eq!(m.histogram("util").map(Histogram::count), Some(2));
+        let mut power = Histogram::new();
+        power.record(7.25);
+        power.record_repeat(41.5, 19);
+        assert_eq!(m.histogram("power_mw"), Some(&power));
+        assert_eq!(m.counters().len(), 1);
+        assert_eq!(m.gauges().len(), 1);
     }
 }

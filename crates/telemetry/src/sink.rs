@@ -113,42 +113,6 @@ impl Telemetry {
         }
     }
 
-    /// Adds `by` to counter `name` without allocating when the counter
-    /// already exists — the warm-path variant for per-burst call sites
-    /// (see [`MetricSet::inc_warm`]).
-    #[inline]
-    pub fn count_warm(&mut self, name: &str, by: u64) {
-        if self.enabled {
-            self.metrics.inc_warm(name, by);
-        }
-    }
-
-    /// Sets gauge `name` without allocating when it already exists.
-    #[inline]
-    pub fn gauge_warm(&mut self, name: &str, value: f64) {
-        if self.enabled {
-            self.metrics.set_gauge_warm(name, value);
-        }
-    }
-
-    /// Records `value` without allocating when histogram `name` already
-    /// exists.
-    #[inline]
-    pub fn record_warm(&mut self, name: &str, value: f64) {
-        if self.enabled {
-            self.metrics.record_warm(name, value);
-        }
-    }
-
-    /// Records `value` `n` times without allocating when histogram
-    /// `name` already exists.
-    #[inline]
-    pub fn record_repeat_warm(&mut self, name: &str, value: f64, n: u64) {
-        if self.enabled {
-            self.metrics.record_repeat_warm(name, value, n);
-        }
-    }
-
     /// The recorded events, in emission order.
     pub fn events(&self) -> &[Event] {
         &self.events

@@ -87,8 +87,7 @@ pub struct TournamentOutput {
     pub runs: usize,
     /// Wall-clock seconds for the whole tournament.
     pub wall_s: f64,
-    /// Runs per wall-second — the BENCH_08
-    /// `bench.tournament_runs_per_s` metric.
+    /// Runs per wall-second.
     pub runs_per_s: f64,
 }
 
