@@ -2,26 +2,30 @@
 //! FleetSim driver (docs/simulator.md, docs/performance.md).
 //!
 //! ```text
-//! mobicore-fleetsim --devices 1000 --fleet-chunk 32 --mode fleet \
+//! mobicore-fleetsim --devices 1000 --fleet-chunk 32 \
 //!     --scenario idle-day --secs 60 --manifest manifests/
 //! ```
 //!
-//! `--mode independent` runs the same fleet one simulation per device —
-//! the baseline `bench.fleetsim_device_s_per_wall_s` is compared
-//! against; both modes produce byte-identical per-device reports and
-//! manifests (modulo wall-clock stamps).
+//! Per-device reports and manifests are byte-identical (modulo
+//! wall-clock stamps) to running each device on its own;
+//! `tests/fleetsim.rs` checks this against an in-test reference.
+//!
+//! Exit codes: 0 = success, 2 = usage error (unknown flag, policy or
+//! scenario, or a malformed value).
 
-use mobicore_experiments::fleet::{run, FleetSpec, Mode};
+use mobicore_experiments::fleet::{run, FleetSpec};
 use mobicore_workloads::scenario;
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
         "usage: mobicore-fleetsim [--devices N] [--fleet-chunk N] \
-         [--mode fleet|independent] [--scenario NAME] [--policy NAME] \
-         [--secs S] [--seed S] [--manifest DIR] [--jobs N]\n\
-         scenarios: {}",
-        scenario::CATALOG.join(", ")
+         [--scenario NAME] [--policy NAME] [--secs S] [--seed S] \
+         [--manifest DIR] [--jobs N]\n\
+         scenarios: {}\n\
+         policies: {}, pinned:<cores>:<khz>",
+        scenario::CATALOG.join(", "),
+        mobicore::registry::NAMES.join(", ")
     );
     std::process::exit(2);
 }
@@ -41,7 +45,6 @@ fn parse_spec() -> FleetSpec {
         match flag {
             "--devices" => spec.devices = value.parse().unwrap_or_else(|_| usage()),
             "--fleet-chunk" => spec.chunk = value.parse().unwrap_or_else(|_| usage()),
-            "--mode" => spec.mode = Mode::from_name(value).unwrap_or_else(|| usage()),
             "--scenario" => spec.scenario.clone_from(value),
             "--policy" => spec.policy.clone_from(value),
             "--secs" => spec.secs = value.parse().unwrap_or_else(|_| usage()),
@@ -59,17 +62,22 @@ fn parse_spec() -> FleetSpec {
         eprintln!("unknown scenario {:?}", spec.scenario);
         usage();
     }
+    let profile = mobicore_model::profiles::nexus5();
+    if mobicore::registry::build(&spec.policy, &profile, 0).is_none() {
+        eprintln!("unknown policy {:?}", spec.policy);
+        usage();
+    }
     spec
 }
 
 fn main() {
     let spec = parse_spec();
     println!(
-        "# mobicore-fleetsim — {} device(s) × {} s {} — {} mode — chunk {} — {} worker(s)",
+        "# mobicore-fleetsim — {} device(s) × {} s {} — {} — chunk {} — {} worker(s)",
         spec.devices,
         spec.secs,
         spec.scenario,
-        spec.mode.name(),
+        spec.policy,
         spec.chunk.max(1),
         mobicore_sweep::Executor::from_env().jobs(),
     );

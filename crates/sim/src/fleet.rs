@@ -111,11 +111,6 @@ impl FleetSim {
         self.sims.is_empty()
     }
 
-    /// Number of devices still scheduled (not yet at their end time).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Pops the earliest-due device, advances it by one event-engine
     /// iteration, and re-schedules it unless it reached its end. Returns
     /// `(device_id, new_now_us)`, or `None` when every device finished.
@@ -147,16 +142,10 @@ impl FleetSim {
         &self.sims[id]
     }
 
-    /// All devices, in insertion order.
+    /// All devices, in insertion order — how the sweep integration
+    /// collects per-device reports and manifests in submission order.
     pub fn devices(&self) -> &[Simulation] {
         &self.sims
-    }
-
-    /// Consumes the fleet, yielding the devices in insertion order —
-    /// how the sweep integration collects per-device reports and
-    /// manifests in submission order.
-    pub fn into_devices(self) -> Vec<Simulation> {
-        self.sims
     }
 }
 
@@ -180,10 +169,9 @@ mod tests {
     fn empty_fleet_runs_to_nothing() {
         let mut fleet = FleetSim::new();
         assert!(fleet.is_empty());
-        assert_eq!(fleet.pending(), 0);
         assert_eq!(fleet.advance_next(), None);
         fleet.run();
-        assert!(fleet.into_devices().is_empty());
+        assert!(fleet.devices().is_empty());
     }
 
     #[test]
@@ -198,7 +186,7 @@ mod tests {
         }
         assert_eq!(fleet.len(), 3);
         fleet.run();
-        assert_eq!(fleet.pending(), 0);
+        assert_eq!(fleet.advance_next(), None, "every device finished");
         for (seed, &dur) in durations.iter().enumerate() {
             let mut solo = small_sim(&profile, seed as u64, dur);
             let solo_report = solo.run();
@@ -222,9 +210,8 @@ mod tests {
             assert_eq!(id, seed);
         }
         fleet.run();
-        let sims = fleet.into_devices();
-        assert_eq!(sims.len(), 4);
-        for (i, sim) in sims.iter().enumerate() {
+        assert_eq!(fleet.devices().len(), 4);
+        for (i, sim) in fleet.devices().iter().enumerate() {
             assert_eq!(sim.config().seed, i as u64, "insertion order preserved");
         }
     }

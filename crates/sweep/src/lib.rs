@@ -170,13 +170,12 @@ impl Executor {
     /// items, one chunk per sweep job, and flattens the per-chunk result
     /// vectors back into submission order.
     ///
-    /// This is the fleet integration point (`--fleet-chunk N`,
-    /// docs/simulator.md): a chunk of devices becomes one job whose
-    /// closure multiplexes them through a single `FleetSim` loop, and
-    /// because chunks are contiguous and results are flattened in chunk
-    /// order, `run_chunked(v, c, f)` is observably equivalent to mapping
-    /// the items one-by-one — whatever the chunk size or worker count —
-    /// as long as `f` maps each chunk item-wise.
+    /// A chunk becomes one job (a chunk of devices can share one
+    /// `FleetSim` loop, docs/simulator.md), and because chunks are
+    /// contiguous and results are flattened in chunk order,
+    /// `run_chunked(v, c, f)` is observably equivalent to mapping the
+    /// items one-by-one — whatever the chunk size or worker count — as
+    /// long as `f` maps each chunk item-wise.
     ///
     /// `f` receives `(first_index, chunk)` where `first_index` is the
     /// submission index of the chunk's first item, and must return one

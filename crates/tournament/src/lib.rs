@@ -8,11 +8,10 @@
 //! (policy, scenario) **cell** runs once per seed, each run is a full
 //! closed-loop simulation, and the per-run `(energy, executed cycles,
 //! QoS violations)` triples are aggregated into one
-//! [`Leaderboard`] entry per policy. The fan-out rides the sweep
-//! executor — one cell per chunk, so a cell's seeds share one job — and
-//! idle-heavy cells multiplex their seeds through a single [`FleetSim`]
-//! event loop instead of running them back-to-back (the same
-//! byte-identical multiplexing the fleet harness uses; docs/simulator.md).
+//! [`Leaderboard`] entry per policy. The fan-out rides the fleet
+//! harness's chunk runner ([`fleet::run_multiplexed`]): one cell per
+//! chunk, so a cell's seeds share one sweep job and multiplex through a
+//! single `FleetSim` event loop (docs/simulator.md).
 //!
 //! Everything downstream of the simulations is pure deterministic
 //! arithmetic over submission-ordered results, so the leaderboard —
@@ -25,15 +24,13 @@
 #![warn(clippy::float_cmp, clippy::cast_possible_truncation)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-use mobicore_experiments::policy;
-use mobicore_model::{profiles, DeviceProfile};
-use mobicore_sim::sysfs::PathTable;
-use mobicore_sim::{FleetSim, SimConfig, SimReport, Simulation};
-use mobicore_sweep::Executor;
+use mobicore_experiments::{fleet, policy};
+use mobicore_model::profiles;
+use mobicore_sim::SimReport;
 use mobicore_telemetry::{Leaderboard, LeaderboardEntry, MetricSet, PolicyStats};
 use mobicore_workloads::scenario;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What to race. Defaults mirror the ISSUE's acceptance shape: every
@@ -109,84 +106,6 @@ fn qos_violations(report: &SimReport) -> u64 {
     }
 }
 
-/// Builds one run's simulation: the cell's policy under the cell's
-/// scenario, seeded with the run's seed.
-fn build_run(
-    spec: &TournamentSpec,
-    profile: &Arc<DeviceProfile>,
-    paths: &Arc<PathTable>,
-    policy_name: &str,
-    scenario_name: &str,
-    seed: u64,
-) -> Simulation {
-    let cfg = SimConfig::new(Arc::clone(profile))
-        .with_duration_secs(spec.secs)
-        .with_seed(seed)
-        .without_mpdecision();
-    let p = policy::by_name(policy_name, profile, seed)
-        .unwrap_or_else(|| panic!("unknown policy {policy_name:?}"));
-    let mut sim =
-        Simulation::with_paths(cfg, p, Arc::clone(paths)).expect("tournament config is valid");
-    let day = scenario::by_name(scenario_name, profile, seed)
-        .unwrap_or_else(|| panic!("unknown scenario {scenario_name:?}"));
-    sim.add_workload(Box::new(day));
-    sim
-}
-
-/// Runs one (policy, scenario) cell — every seed — and parks its batched
-/// telemetry for ordered folding, one lock acquisition per cell.
-///
-/// The `idle-day` cell multiplexes its seeds through one [`FleetSim`]
-/// event loop (>99 % idle means the loop is almost all fast-forward);
-/// every other cell runs its seeds back-to-back. Both paths produce
-/// byte-identical reports, so this is purely a wall-clock choice.
-fn run_cell(
-    spec: &TournamentSpec,
-    profile: &Arc<DeviceProfile>,
-    paths: &Arc<PathTable>,
-    first: usize,
-    policy_name: &str,
-    scenario_name: &str,
-    cell_metrics: &Mutex<Vec<(usize, MetricSet)>>,
-) -> Vec<RunStat> {
-    let mut sims: Vec<Simulation> = spec
-        .seeds
-        .iter()
-        .map(|&seed| build_run(spec, profile, paths, policy_name, scenario_name, seed))
-        .collect();
-    if scenario_name == "idle-day" {
-        let mut fleet = FleetSim::with_capacity(sims.len());
-        for sim in sims {
-            fleet.add_device(sim);
-        }
-        fleet.run();
-        sims = fleet.into_devices();
-    } else {
-        for sim in &mut sims {
-            sim.run();
-        }
-    }
-    let mut metrics = MetricSet::new();
-    let mut out = Vec::with_capacity(sims.len());
-    for sim in &sims {
-        metrics.merge(sim.telemetry().metrics());
-        let report = sim.report();
-        out.push(RunStat {
-            energy_mj: report.energy_mj,
-            #[allow(clippy::cast_precision_loss)]
-            perf_gcycles: report.executed_cycles as f64 / 1e9,
-            qos_violations: qos_violations(&report),
-        });
-    }
-    metrics.inc("tournament.cells", 1);
-    metrics.inc("tournament.runs", out.len() as u64);
-    cell_metrics
-        .lock()
-        .expect("tournament metrics lock")
-        .push((first, metrics));
-    out
-}
-
 /// Mean-energy / mean-perf / total-QoS aggregate of a slice of runs.
 fn aggregate(stats: &[&RunStat]) -> PolicyStats {
     #[allow(clippy::cast_precision_loss)]
@@ -210,53 +129,35 @@ fn aggregate(stats: &[&RunStat]) -> PolicyStats {
 pub fn run(spec: &TournamentSpec) -> TournamentOutput {
     let profile = Arc::new(profiles::nexus5());
     assert!(!spec.seeds.is_empty(), "tournament needs at least one seed");
-    for s in &spec.scenarios {
-        assert!(
-            scenario::by_name(s, &profile, 0).is_some(),
-            "unknown scenario {s:?}; catalog: {}",
-            scenario::CATALOG.join(", ")
-        );
-    }
-    for p in &spec.policies {
-        assert!(
-            policy::by_name(p, &profile, 0).is_some(),
-            "unknown policy {p:?}; known: {}",
-            policy::names().join(", ")
-        );
-    }
-    let paths = Arc::new(PathTable::new(profile.n_cores()));
+    fleet::check_names(&profile, &spec.policies, &spec.scenarios);
     // Cell-major item list: every seed of a cell lands in one chunk.
-    let cells: Vec<(usize, usize)> = (0..spec.policies.len())
+    let items: Vec<(usize, usize, u64)> = (0..spec.policies.len())
         .flat_map(|p| (0..spec.scenarios.len()).map(move |s| (p, s)))
+        .flat_map(|(p, s)| spec.seeds.iter().map(move |&seed| (p, s, seed)))
         .collect();
-    let items: Vec<(usize, usize)> = cells
-        .iter()
-        .flat_map(|&cell| std::iter::repeat_n(cell, spec.seeds.len()))
-        .collect();
-    let cell_metrics = Mutex::new(Vec::with_capacity(cells.len()));
-    let exec = Executor::from_env();
     let wall = Instant::now();
-    let results: Vec<RunStat> = exec.run_chunked(items, spec.seeds.len(), |first, chunk| {
-        let (p, s) = chunk[0];
-        run_cell(
-            spec,
-            &profile,
-            &paths,
-            first,
-            &spec.policies[p],
-            &spec.scenarios[s],
-            &cell_metrics,
-        )
-    });
+    let (results, mut telemetry) = fleet::run_multiplexed(
+        &profile,
+        &items,
+        spec.seeds.len(),
+        |&(p, s, seed), paths| {
+            let (policy, scenario) = (&spec.policies[p], &spec.scenarios[s]);
+            fleet::build_sim(&profile, paths, policy, scenario, spec.secs, seed)
+        },
+        |_, sim, _| {
+            let report = sim.report();
+            RunStat {
+                energy_mj: report.energy_mj,
+                #[allow(clippy::cast_precision_loss)]
+                perf_gcycles: report.executed_cycles as f64 / 1e9,
+                qos_violations: qos_violations(&report),
+            }
+        },
+    );
     let wall_s = wall.elapsed().as_secs_f64();
-    let mut cell_sets = cell_metrics
-        .into_inner()
-        .expect("tournament metrics lock was never poisoned");
-    cell_sets.sort_by_key(|&(first, _)| first);
-    let mut telemetry = MetricSet::new();
-    for (_, set) in &cell_sets {
-        telemetry.merge(set);
-    }
+    let cells = spec.policies.len() * spec.scenarios.len();
+    telemetry.inc("tournament.cells", cells as u64);
+    telemetry.inc("tournament.runs", results.len() as u64);
     // Results come back in submission order: policy-major, then
     // scenario, then seed. Slice them back into per-policy rows.
     let runs_per_policy = spec.scenarios.len() * spec.seeds.len();
