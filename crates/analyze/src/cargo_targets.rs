@@ -3,7 +3,10 @@
 //! * `doc-cargo-targets`: every `cargo run|test|bench` command the docs,
 //!   the CI workflow and the verify recipe show must name packages and
 //!   targets that exist, so a deleted or renamed test target cannot
-//!   linger in the docs as a claim of coverage nothing runs.
+//!   linger in the docs as a claim of coverage nothing runs. A command
+//!   whose line, or the comment lines right above it, says *tier-1*
+//!   must also name only packages and targets of the root manifest's
+//!   `default-members`: those are what `cargo test` at the root runs.
 //! * `unused-dependency`: every `[dependencies]`/`[dev-dependencies]`
 //!   entry of a workspace member must be used by that package's code,
 //!   so a stand-in crate nothing calls cannot stay wired in.
@@ -52,6 +55,9 @@ struct Package {
     targets: Targets,
     /// Dependency names with their 1-based manifest line.
     deps: Vec<(usize, String)>,
+    /// Whether `cargo test` at the workspace root runs it (a
+    /// `default-members` entry).
+    tier1: bool,
 }
 
 /// The entries of `dir`; none when it does not exist.
@@ -120,27 +126,82 @@ fn load_package(dir: &Path) -> Option<(String, Package)> {
         }
     }
     let dir = dir.to_path_buf();
-    Some((name, Package { dir, targets, deps }))
+    let pkg = Package {
+        dir,
+        targets,
+        deps,
+        ..Package::default()
+    };
+    Some((name, pkg))
+}
+
+/// The root manifest's `default-members` entries (`"."`, `"crates/*"`);
+/// `["."]` when it has none, as `cargo test` then runs the root package.
+fn default_members(root: &Path) -> Vec<String> {
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
+    let Some(at) = manifest
+        .lines()
+        .position(|l| l.trim_start().starts_with("default-members"))
+    else {
+        return vec![".".to_string()];
+    };
+    // The array may span lines: read up to its closing bracket.
+    let rest = manifest.lines().skip(at).collect::<Vec<_>>().join("\n");
+    let list = &rest[..rest.find(']').unwrap_or(rest.len())];
+    list.split('"')
+        .skip(1)
+        .step_by(2)
+        .map(str::to_string)
+        .collect()
 }
 
 /// Every package of the workspace: the root package and each package
-/// under `crates/` and `vendored/` (the root manifest's `members`).
+/// under `crates/` and `vendored/` (the root manifest's `members`),
+/// each marked with whether a `default-members` entry covers it.
 fn workspace(root: &Path) -> BTreeMap<String, Package> {
+    let defaults = default_members(root);
+    let covered = |dir: &Path| {
+        defaults.iter().any(|m| match m.strip_suffix("/*") {
+            Some(parent) => dir.parent() == Some(&root.join(parent)),
+            None => dir == root.join(m),
+        })
+    };
     let members = entries(&root.join("crates")).chain(entries(&root.join("vendored")));
     std::iter::once(root.to_path_buf())
         .chain(members)
         .filter_map(|d| load_package(&d))
+        .map(|(name, pkg)| {
+            let tier1 = covered(&pkg.dir);
+            (name, Package { tier1, ..pkg })
+        })
         .collect()
 }
 
-/// The `-p`, `--manifest-path` and target arguments of every
-/// `cargo run|test|bench` command in `text`, with its 1-based line.
-/// Shell continuations are joined; a command ends at the `--` before
-/// the program's own arguments or at a backtick, pipe or comment.
-/// Placeholder values (`<crate>`, `$BIN`) are dropped.
-fn commands(text: &str) -> Vec<(usize, Vec<(&'static str, String)>)> {
+/// One `cargo run|test|bench` command of a doc.
+struct Command {
+    /// 1-based line.
+    line: usize,
+    /// The `-p`, `--manifest-path` and target arguments.
+    args: Vec<(&'static str, String)>,
+    /// Whether its line, or the comment lines right above it, say
+    /// *tier-1*.
+    tier1: bool,
+}
+
+/// Whether `text` speaks of tier-1.
+fn says_tier1(text: &str) -> bool {
+    text.to_ascii_lowercase().contains("tier-1")
+}
+
+/// Every `cargo run|test|bench` command in `text`. Shell continuations
+/// are joined; a command ends at the `--` before the program's own
+/// arguments or at a backtick, pipe or comment. Placeholder values
+/// (`<crate>`, `$BIN`) are dropped.
+fn commands(text: &str) -> Vec<Command> {
     let mut out = Vec::new();
     let mut lines = text.lines().enumerate();
+    // The `#` comment lines directly above the current line.
+    let mut comments = String::new();
     while let Some((idx, first)) = lines.next() {
         let mut logical = first.to_string();
         while let Some(body) = logical.trim_end().strip_suffix('\\') {
@@ -149,6 +210,12 @@ fn commands(text: &str) -> Vec<(usize, Vec<(&'static str, String)>)> {
                 Some((_, next)) => logical = format!("{logical} {next}"),
                 None => break,
             }
+        }
+        let tier1 = says_tier1(&logical) || says_tier1(&comments);
+        if logical.trim_start().starts_with('#') {
+            comments.push_str(&logical);
+        } else {
+            comments.clear();
         }
         for (at, _) in logical.match_indices("cargo ") {
             if logical[..at].ends_with(|c: char| c.is_alphanumeric() || c == '-' || c == '_') {
@@ -186,7 +253,11 @@ fn commands(text: &str) -> Vec<(usize, Vec<(&'static str, String)>)> {
                     args.push((flag, v.to_string()));
                 }
             }
-            out.push((idx + 1, args));
+            out.push(Command {
+                line: idx + 1,
+                args,
+                tier1,
+            });
         }
     }
     out
@@ -194,10 +265,11 @@ fn commands(text: &str) -> Vec<(usize, Vec<(&'static str, String)>)> {
 
 /// Checks the commands of one file (`rel`, workspace-relative) against
 /// the packages of `ws`. A `--manifest-path` command targets another
-/// workspace (`perfbench/`): only its manifest has to exist under `root`.
+/// workspace (`perfbench/`): only its manifest has to exist under `root`
+/// — and it is never tier-1.
 fn check_text(rel: &str, text: &str, ws: &BTreeMap<String, Package>, root: &Path) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (line, args) in commands(text) {
+    for Command { line, args, tier1 } in commands(text) {
         let mut finding = |message: String| {
             out.push(Finding {
                 file: rel.to_string(),
@@ -209,6 +281,11 @@ fn check_text(rel: &str, text: &str, ws: &BTreeMap<String, Package>, root: &Path
         if let Some((_, path)) = args.iter().find(|(f, _)| *f == "--manifest-path") {
             if !root.join(path).is_file() {
                 finding(format!("`--manifest-path {path}`: no such manifest"));
+            } else if tier1 {
+                finding(format!(
+                    "`--manifest-path {path}` is claimed as tier-1, which runs \
+                     only the root workspace's default-members"
+                ));
             }
             continue;
         }
@@ -217,26 +294,37 @@ fn check_text(rel: &str, text: &str, ws: &BTreeMap<String, Package>, root: &Path
             .filter(|(f, _)| *f == "-p")
             .map(|a| &a.1)
             .collect();
-        for name in named.iter().filter(|n| !ws.contains_key(**n)) {
-            finding(format!("`-p {name}`: no such workspace package"));
+        for name in &named {
+            match ws.get(*name) {
+                None => finding(format!("`-p {name}`: no such workspace package")),
+                Some(p) if tier1 && !p.tier1 => finding(format!(
+                    "`-p {name}` is claimed as tier-1 but is not a default-member"
+                )),
+                Some(_) => {}
+            }
         }
         let scope: Vec<_> = ws
             .iter()
             .filter(|(n, _)| named.is_empty() || named.contains(n))
             .collect();
         for (flag, target) in args.iter().filter(|(f, _)| f.starts_with("--")) {
-            if scope.is_empty()
-                || scope
-                    .iter()
-                    .any(|(_, p)| p.targets.contains(&(*flag, target.clone())))
-            {
+            let has = |p: &Package| p.targets.contains(&(*flag, target.clone()));
+            if scope.is_empty() {
                 continue;
             }
-            let place = match scope.as_slice() {
-                [(name, _)] => format!("package `{name}`"),
-                _ => "the workspace".to_string(),
-            };
-            finding(format!("`{flag} {target}`: no such target in {place}"));
+            if !scope.iter().any(|(_, p)| has(p)) {
+                let place = match scope.as_slice() {
+                    [(name, _)] => format!("package `{name}`"),
+                    _ => "the workspace".to_string(),
+                };
+                finding(format!("`{flag} {target}`: no such target in {place}"));
+            } else if tier1 && named.is_empty() && !scope.iter().any(|(_, p)| p.tier1 && has(p)) {
+                // A named package was checked above; an unscoped target
+                // must live in some default-member.
+                finding(format!(
+                    "`{flag} {target}` is claimed as tier-1 but no default-member has it"
+                ));
+            }
         }
     }
     out
@@ -356,6 +444,44 @@ mod tests {
     }
 
     #[test]
+    fn tier1_claims_must_name_default_member_targets() {
+        let package = |tier1, target: &str| Package {
+            targets: [("--test", target.to_string())].into(),
+            tier1,
+            ..Package::default()
+        };
+        let ws = BTreeMap::from([
+            ("mobicore-serve".to_string(), package(true, "fleet")),
+            ("proptest".to_string(), package(false, "shrink")),
+        ]);
+        let doc = "cargo test -p mobicore-serve --test fleet   # tier-1\n\
+                   cargo test -p proptest --test shrink   # Tier-1 covers this\n\
+                   cargo test --test shrink   # also in tier-1\n\
+                   # Also inside tier-1; release keeps it fast.\n\
+                   - run: cargo test --release -p proptest --test shrink\n\
+                   cargo test -p proptest --test shrink\n\
+                   # The tier-1 budget\n\
+                   \n\
+                   cargo test --test shrink\n\
+                   cargo test --manifest-path Cargo.toml   # tier-1\n";
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+        let found: Vec<String> = check_text("ci.yml", doc, &ws, root)
+            .into_iter()
+            .map(|f| format!("{}: {}", f.line, f.message))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                "2: `-p proptest` is claimed as tier-1 but is not a default-member",
+                "3: `--test shrink` is claimed as tier-1 but no default-member has it",
+                "5: `-p proptest` is claimed as tier-1 but is not a default-member",
+                "10: `--manifest-path Cargo.toml` is claimed as tier-1, which runs only \
+                 the root workspace's default-members",
+            ]
+        );
+    }
+
+    #[test]
     fn manifests_are_read_like_cargo_does() {
         let ws = workspace(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
         let has = |pkg: &str, flag: &'static str, name: &str| {
@@ -369,6 +495,9 @@ mod tests {
         assert!(has("mobicore-checker", "--bin", "checker"));
         assert!(!has("mobicore-checker", "--bin", "mobicore-checker"));
         assert!(has("mobicore-repro", "--example", "quickstart"));
+        // `default-members = [".", "crates/*"]`: vendored/ is outside.
+        assert!(ws["mobicore-repro"].tier1 && ws["mobicore-serve"].tier1);
+        assert!(!ws["proptest"].tier1 && !ws["rand"].tier1);
         // Dependency entries keep their manifest line, in both sections.
         let deps = |pkg: &str| {
             ws[pkg]

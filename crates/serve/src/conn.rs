@@ -13,7 +13,7 @@
 //! shutdown returns within its deadline.
 
 use crate::protocol::{codes, frame_bytes, Frame};
-use mobicore_telemetry::{EventData, RunManifest, Telemetry};
+use mobicore_telemetry::{CounterId, EventData, RunManifest, Telemetry};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -64,6 +64,8 @@ pub(crate) struct Admitted {
 pub(crate) struct Daemon {
     start: Instant,
     telemetry: Mutex<Telemetry>,
+    /// The `<tier>.conns` counter slot.
+    conns: CounterId,
     accepted: AtomicU64,
     draining: AtomicBool,
     drain_deadline: Duration,
@@ -78,10 +80,15 @@ pub(crate) struct Daemon {
 }
 
 impl Daemon {
-    pub(crate) fn new(drain_deadline: Duration) -> Self {
+    /// A daemon of `tier` (`serve`, `router`), the prefix of its
+    /// connection counter.
+    pub(crate) fn new(drain_deadline: Duration, tier: &str) -> Self {
+        let mut telemetry = Telemetry::enabled().with_max_events(MAX_EVENTS);
+        let conns = telemetry.counter_id(&format!("{tier}.conns"));
         Daemon {
             start: Instant::now(),
-            telemetry: Mutex::new(Telemetry::enabled().with_max_events(MAX_EVENTS)),
+            telemetry: Mutex::new(telemetry),
+            conns,
             accepted: AtomicU64::new(0),
             draining: AtomicBool::new(false),
             drain_deadline,
@@ -107,8 +114,9 @@ impl Daemon {
         self.telemetry().emit(t, data);
     }
 
-    pub(crate) fn count(&self, name: &str, by: u64) {
-        self.telemetry().count(name, by);
+    /// Adds `by` to the counter in slot `id` of the daemon's telemetry.
+    pub(crate) fn inc(&self, id: CounterId, by: u64) {
+        self.telemetry().inc_id(id, by);
     }
 
     /// A run manifest of the daemon's telemetry so far.
@@ -178,11 +186,11 @@ impl Daemon {
     /// `<tier>.conns`). Past `cap` live connections it is refused with
     /// a `SERVER_FULL` error frame and dropped; otherwise it is counted
     /// live and registered.
-    pub(crate) fn admit(&self, stream: TcpStream, cap: usize, tier: &str) -> Option<Admitted> {
+    pub(crate) fn admit(&self, stream: TcpStream, cap: usize) -> Option<Admitted> {
         // relaxed: id allocation only needs atomicity, not ordering.
         let conn_id = self.accepted.fetch_add(1, Ordering::Relaxed) + 1;
         self.emit(EventData::ConnAccepted { conn: conn_id });
-        self.count(&format!("{tier}.conns"), 1);
+        self.inc(self.conns, 1);
         let _ = stream.set_nodelay(true);
         if self.live_conns() >= cap {
             let refusal = frame_bytes(&Frame::Error {

@@ -37,7 +37,7 @@ use crate::conn::{accept_loop, lock_unpoisoned, timed_out, Daemon, WAKE};
 use crate::protocol::{
     codes, decode_frame, frame_bytes, peek_frame_type, Frame, MAX_FRAME_LEN, TY_BYE, TY_ROUTE,
 };
-use mobicore_telemetry::{EventData, RunManifest};
+use mobicore_telemetry::{CounterId, EventData, RunManifest, Telemetry};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -203,11 +203,33 @@ struct PooledLeg {
     since: Instant,
 }
 
+/// The `router.*` counter slots in the daemon's telemetry, resolved
+/// once at bind.
+#[derive(Clone, Copy)]
+struct RouterMetrics {
+    routed: CounterId,
+    legs_opened: CounterId,
+    legs_reused: CounterId,
+    errors: CounterId,
+}
+
+impl RouterMetrics {
+    fn resolve(t: &mut Telemetry) -> Self {
+        RouterMetrics {
+            routed: t.counter_id("router.routed"),
+            legs_opened: t.counter_id("router.legs_opened"),
+            legs_reused: t.counter_id("router.legs_reused"),
+            errors: t.counter_id("router.errors"),
+        }
+    }
+}
+
 struct Shared {
     cfg: RouterConfig,
     shards: Vec<Shard>,
     names: Vec<String>,
     daemon: Daemon,
+    metrics: RouterMetrics,
     pools: Vec<Mutex<Vec<PooledLeg>>>,
     routed: AtomicU64,
     legs_opened: AtomicU64,
@@ -234,7 +256,7 @@ impl Shared {
         // relaxed: monotonic counter; published by the Release
         // decrement of the live count when the relay retires.
         self.relay_errors.fetch_add(1, Ordering::Relaxed);
-        self.daemon.count("router.errors", 1);
+        self.daemon.inc(self.metrics.errors, 1);
     }
 
     /// A warm leg from the shard's pool, or a fresh blocking dial.
@@ -246,7 +268,7 @@ impl Shared {
                     // relaxed: monotonic counter; published by the
                     // Release decrement of the live count at relay close.
                     self.legs_reused.fetch_add(1, Ordering::Relaxed);
-                    self.daemon.count("router.legs_reused", 1);
+                    self.daemon.inc(self.metrics.legs_reused, 1);
                     return Ok(leg.stream);
                 }
                 Some(_stale) => continue, // dropped; dial or try next
@@ -259,7 +281,7 @@ impl Shared {
         // relaxed: monotonic counter; published by the Release
         // decrement of the live count at relay close.
         self.legs_opened.fetch_add(1, Ordering::Relaxed);
-        self.daemon.count("router.legs_opened", 1);
+        self.daemon.inc(self.metrics.legs_opened, 1);
         Ok(stream)
     }
 
@@ -538,7 +560,7 @@ impl Relay<'_> {
         // relaxed: monotonic counter; published by the Release
         // decrement of the live count when the relay retires.
         shared.routed.fetch_add(1, Ordering::Relaxed);
-        shared.daemon.count("router.routed", 1);
+        shared.daemon.inc(shared.metrics.routed, 1);
         shared.daemon.emit(EventData::ShardRouted {
             conn: self.conn_id,
             key,
@@ -689,9 +711,7 @@ impl Relay<'_> {
 /// Admits or refuses one accepted client connection; an admitted one
 /// gets a relay thread and a leg-reader thread.
 fn spawn_relay(shared: &Arc<Shared>, stream: TcpStream) -> Option<JoinHandle<()>> {
-    let conn = shared
-        .daemon
-        .admit(stream, shared.cfg.max_conns, "router")?;
+    let conn = shared.daemon.admit(stream, shared.cfg.max_conns)?;
     let out = Arc::new(Mutex::new(ClientOut {
         stream: Arc::clone(&conn.stream),
         frames_out: 0,
@@ -794,8 +814,11 @@ impl Router {
         let addr = listener.local_addr()?;
         let names = shards.iter().map(|s| s.name.clone()).collect();
         let pools = shards.iter().map(|_| Mutex::new(Vec::new())).collect();
+        let daemon = Daemon::new(cfg.drain_deadline, "router");
+        let metrics = RouterMetrics::resolve(&mut daemon.telemetry());
         let shared = Arc::new(Shared {
-            daemon: Daemon::new(cfg.drain_deadline),
+            daemon,
+            metrics,
             cfg,
             shards,
             names,

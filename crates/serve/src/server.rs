@@ -36,7 +36,7 @@ use crate::protocol::{
 };
 use mobicore_model::profiles;
 use mobicore_sim::{CpuControl, CpuPolicy};
-use mobicore_telemetry::{EventData, RunManifest};
+use mobicore_telemetry::{CounterId, EventData, HistogramId, RunManifest, Telemetry};
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -133,9 +133,35 @@ pub struct ServeStats {
     pub active_conns: u64,
 }
 
+/// The `serve.*` metric slots in the daemon's telemetry, resolved once
+/// at bind.
+#[derive(Clone, Copy)]
+struct ServeMetrics {
+    decisions: CounterId,
+    notes: CounterId,
+    decision_us: HistogramId,
+    sessions: CounterId,
+    backpressure: CounterId,
+    protocol_errors: CounterId,
+}
+
+impl ServeMetrics {
+    fn resolve(t: &mut Telemetry) -> Self {
+        ServeMetrics {
+            decisions: t.counter_id("serve.decisions"),
+            notes: t.counter_id("serve.notes"),
+            decision_us: t.histogram_id("serve.decision_us"),
+            sessions: t.counter_id("serve.sessions"),
+            backpressure: t.counter_id("serve.backpressure"),
+            protocol_errors: t.counter_id("serve.protocol_errors"),
+        }
+    }
+}
+
 struct Shared {
     cfg: ServeConfig,
     daemon: Daemon,
+    metrics: ServeMetrics,
     next_session: AtomicU64,
     sessions: AtomicU64,
     decisions: AtomicU64,
@@ -246,7 +272,7 @@ fn service(sess: &mut Session, shared: &Shared) {
                 // relaxed: monotonic counter; published by the Release
                 // decrement of the live count when the connection retires.
                 shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                shared.daemon.count("serve.protocol_errors", 1);
+                shared.daemon.inc(shared.metrics.protocol_errors, 1);
                 sess.fail(codes::MALFORMED, &err.to_string());
             }
         }
@@ -263,7 +289,7 @@ fn service(sess: &mut Session, shared: &Shared) {
                 // relaxed: monotonic counter; published by the Release
                 // decrement of the live count when the connection retires.
                 shared.backpressure.fetch_add(1, Ordering::Relaxed);
-                shared.daemon.count("serve.backpressure", 1);
+                shared.daemon.inc(shared.metrics.backpressure, 1);
                 shared.daemon.emit(EventData::Backpressure {
                     session: sess.session_id,
                     queued,
@@ -401,7 +427,7 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
             // relaxed: monotonic counter; published by the Release
             // decrement of the live count when the connection retires.
             shared.sessions.fetch_add(1, Ordering::Relaxed);
-            shared.daemon.count("serve.sessions", 1);
+            shared.daemon.inc(shared.metrics.sessions, 1);
             shared.daemon.emit(EventData::SessionStart {
                 session: sess.session_id,
                 policy: name.clone(),
@@ -438,10 +464,11 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
             // (model-checked: protocols::serve::check_drain_stats_exact).
             shared.decisions.fetch_add(1, Ordering::Relaxed);
             {
+                let ids = shared.metrics;
                 let mut tel = shared.daemon.telemetry();
-                tel.count("serve.decisions", 1);
-                tel.count("serve.notes", notes.len() as u64);
-                tel.record("serve.decision_us", service_us);
+                tel.inc_id(ids.decisions, 1);
+                tel.inc_id(ids.notes, notes.len() as u64);
+                tel.record_id(ids.decision_us, service_us);
             }
             sess.send(&Frame::Decision {
                 seq,
@@ -534,9 +561,7 @@ fn finalize(sess: &mut Session, shared: &Shared) {
 /// Admits or refuses one accepted connection; an admitted one gets its
 /// own thread.
 fn spawn_conn(shared: &Arc<Shared>, stream: TcpStream) -> Option<JoinHandle<()>> {
-    let conn = shared
-        .daemon
-        .admit(stream, shared.cfg.max_sessions, "serve")?;
+    let conn = shared.daemon.admit(stream, shared.cfg.max_sessions)?;
     let thread_shared = Arc::clone(shared);
     shared.daemon.spawn(
         format!("serve-conn-{}", conn.conn_id),
@@ -575,8 +600,11 @@ impl Server {
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let daemon = Daemon::new(cfg.drain_deadline, "serve");
+        let metrics = ServeMetrics::resolve(&mut daemon.telemetry());
         let shared = Arc::new(Shared {
-            daemon: Daemon::new(cfg.drain_deadline),
+            daemon,
+            metrics,
             cfg,
             next_session: AtomicU64::new(0),
             sessions: AtomicU64::new(0),

@@ -194,6 +194,21 @@ fn loopback_load_small_is_clean() {
 
     let manifest = server.manifest("smoke");
     assert_eq!(manifest.kind, "serve");
+    // The per-decision metrics keep their manifest keys; the slots
+    // resolved at bind but never updated (no protocol error in a clean
+    // run) stay out of the manifest.
+    let m = &manifest.metrics;
+    assert_eq!(m.get("serve.decisions"), Some(&80.0));
+    assert_eq!(m.get("serve.decision_us.count"), Some(&80.0));
+    assert_eq!(m.get("serve.sessions"), Some(&4.0));
+    for key in [
+        "serve.notes",
+        "serve.decision_us.p50",
+        "serve.decision_us.p99",
+    ] {
+        assert!(m.contains_key(key), "{key} missing: {m:?}");
+    }
+    assert!(!m.contains_key("serve.protocol_errors"), "{m:?}");
     let stats = server.shutdown();
     assert_eq!(stats.decisions, 4 * 20);
     assert_eq!(stats.drained_sessions, 4);

@@ -17,7 +17,7 @@ use crate::thermal::ThermalModel;
 use crate::trace::{Trace, TraceSample};
 use crate::workload::{Workload, WorkloadRt};
 use mobicore_model::{ClusterPowerCache, CoreActivity, Khz, PowerBreakdown, Quota, Utilization};
-use mobicore_telemetry::{EventData, RunManifest, Telemetry};
+use mobicore_telemetry::{CounterId, EventData, GaugeId, HistogramId, RunManifest, Telemetry};
 use std::sync::Arc;
 
 /// Buffers the tick loop reuses across iterations so the steady state
@@ -197,6 +197,8 @@ pub struct Simulation {
     /// Sysfs writes that parsed to nonsense (kernel would return EINVAL).
     pub invalid_sysfs_writes: u64,
     telemetry: Telemetry,
+    /// The tick loop's metric slots in `telemetry`, resolved once.
+    metric_ids: MetricIds,
     /// Thermal OPP cap after the previous tick, for throttle/clear edges.
     last_thermal_cap: usize,
     /// Whether the bandwidth pool denied runtime in the previous tick,
@@ -221,6 +223,33 @@ pub struct Simulation {
     /// Wake-time registry for the event-driven engine (built on the
     /// first event-driven `run_until`, `None` under the cyclic engine).
     event: Option<EventState>,
+}
+
+/// The slots of the metrics the tick loop, the sample path and the
+/// quiet burst update, resolved once when a [`Simulation`] is built.
+#[derive(Debug, Clone, Copy)]
+struct MetricIds {
+    ticks: CounterId,
+    samples: CounterId,
+    commands: CounterId,
+    power_mw: HistogramId,
+    overall_util_pct: HistogramId,
+    quota_pct: HistogramId,
+    temp_c: GaugeId,
+}
+
+impl MetricIds {
+    fn resolve(t: &mut Telemetry) -> Self {
+        MetricIds {
+            ticks: t.counter_id("sim.ticks"),
+            samples: t.counter_id("sim.samples"),
+            commands: t.counter_id("sim.commands"),
+            power_mw: t.histogram_id("power_mw"),
+            overall_util_pct: t.histogram_id("overall_util_pct"),
+            quota_pct: t.histogram_id("quota_pct"),
+            temp_c: t.gauge_id("temp_c"),
+        }
+    }
 }
 
 impl std::fmt::Debug for Simulation {
@@ -330,11 +359,12 @@ impl Simulation {
             if cfg.mpdecision_enabled { "1" } else { "0" },
         );
         let sampling = policy.sampling_period_us().max(cfg.tick_us);
-        let telemetry = if cfg.telemetry {
+        let mut telemetry = if cfg.telemetry {
             Telemetry::enabled()
         } else {
             Telemetry::disabled()
         };
+        let metric_ids = MetricIds::resolve(&mut telemetry);
         let last_thermal_cap = cfg.profile.opps().max_index();
         Ok(Simulation {
             mpdecision_enabled: cfg.mpdecision_enabled,
@@ -360,6 +390,7 @@ impl Simulation {
             core_energy: 0.0,
             invalid_sysfs_writes: 0,
             telemetry,
+            metric_ids,
             last_thermal_cap,
             bw_denied_last_tick: false,
             paths: path_table,
@@ -752,13 +783,14 @@ impl Simulation {
             self.fill_snapshot();
             self.policy.on_sample(&self.snap, &mut self.ctl);
             if self.telemetry.is_enabled() {
-                self.telemetry.count("sim.samples", 1);
-                self.telemetry.record(
-                    "overall_util_pct",
+                let ids = self.metric_ids;
+                self.telemetry.inc_id(ids.samples, 1);
+                self.telemetry.record_id(
+                    ids.overall_util_pct,
                     self.snap.overall_util.as_fraction() * 100.0,
                 );
                 self.telemetry
-                    .record("quota_pct", self.snap.quota.as_fraction() * 100.0);
+                    .record_id(ids.quota_pct, self.snap.quota.as_fraction() * 100.0);
             }
             // Notes first: the decision record should precede the
             // freq/hotplug/quota events it causes at the same timestamp.
@@ -767,7 +799,8 @@ impl Simulation {
             }
             let mut cmds = std::mem::take(&mut self.scratch.cmds);
             self.ctl.drain_commands_into(&mut cmds);
-            self.telemetry.count("sim.commands", cmds.len() as u64);
+            self.telemetry
+                .inc_id(self.metric_ids.commands, cmds.len() as u64);
             for cmd in cmds.drain(..) {
                 self.apply_command(cmd);
             }
@@ -855,9 +888,11 @@ impl Simulation {
         self.core_energy += breakdown.core_mw.iter().sum::<f64>() * tick as f64;
         self.meter.record(now, tick, power);
         if self.telemetry.is_enabled() {
-            self.telemetry.count("sim.ticks", 1);
-            self.telemetry.record("power_mw", power);
-            self.telemetry.gauge("temp_c", self.thermal.temp_c());
+            let ids = self.metric_ids;
+            self.telemetry.inc_id(ids.ticks, 1);
+            self.telemetry.record_id(ids.power_mw, power);
+            self.telemetry
+                .set_gauge_id(ids.temp_c, self.thermal.temp_c());
         }
         let cap = self.thermal.tick(now, tick, power);
         if cap != self.last_thermal_cap {
@@ -1275,9 +1310,10 @@ impl Simulation {
         }
         self.bw_denied_last_tick = false;
         if self.telemetry.is_enabled() {
-            self.telemetry.count("sim.ticks", done);
-            self.telemetry.record_repeat("power_mw", power, done);
-            self.telemetry.gauge("temp_c", last_pre_tick_temp);
+            let ids = self.metric_ids;
+            self.telemetry.inc_id(ids.ticks, done);
+            self.telemetry.record_repeat_id(ids.power_mw, power, done);
+            self.telemetry.set_gauge_id(ids.temp_c, last_pre_tick_temp);
         }
         self.sysfs_stale = true;
     }

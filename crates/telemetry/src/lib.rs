@@ -15,8 +15,9 @@
 //!
 //! Three design rules:
 //!
-//! * **zero-cost when disabled** — every [`Telemetry`] entry point is one
-//!   branch when the sink is off; the simulator can keep its hot loop.
+//! * **zero-cost when disabled** — every [`Telemetry`] event or metric
+//!   update is one branch when the sink is off; the simulator can keep
+//!   its hot loop.
 //! * **self-contained** — the [`json`] module carries its own writer and
 //!   parser; no dependencies.
 //! * **deterministic bytes** — same run, same manifest bytes (`BTreeMap`
@@ -27,7 +28,9 @@
 //!
 //! let mut t = Telemetry::enabled();
 //! t.emit(20_000, EventData::QuotaShrink { from: 1.0, to: 0.7 });
-//! t.record("power_mw", 812.0);
+//! let power = t.histogram_id("power_mw"); // resolve once ...
+//! t.record_id(power, 812.0); // ... then update by handle
+//! assert_eq!(t.metrics().histogram("power_mw").map(|h| h.count()), Some(1));
 //! assert_eq!(t.event_counts().get("quota-shrink"), Some(&1));
 //! let jsonl = t.events_jsonl();
 //! assert!(jsonl.starts_with("{\"t_us\":20000,\"kind\":\"quota-shrink\""));
@@ -56,5 +59,5 @@ pub use leaderboard::{
     TOURNAMENT_SCHEMA_VERSION,
 };
 pub use manifest::{git_describe, DiffRow, ManifestDiff, RunManifest, SCHEMA_VERSION};
-pub use metrics::{Histogram, MetricSet};
+pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricSet};
 pub use sink::{events_from_jsonl, events_to_jsonl, Telemetry, DEFAULT_MAX_EVENTS};

@@ -45,7 +45,41 @@ impl Histogram {
         }
     }
 
+    /// The bucket of `v`, read off the float's bits where that is
+    /// provably the bucket [`Histogram::bucket_of_log2`] picks: for
+    /// `1 ≤ v < 2^61` the octave is the unbiased IEEE exponent and the
+    /// sub-bucket is the top two mantissa bits (`SUB_BUCKETS` = 4).
+    /// `log2` can round up to the next octave just below a power of
+    /// two, so values whose top 20 mantissa bits are all ones — and
+    /// everything outside the range — take the `log2` path; bucket
+    /// assignment is unchanged.
+    #[inline]
     fn bucket_of(v: f64) -> usize {
+        const MANTISSA_BITS: u32 = 52;
+        const BIAS: u64 = 1023;
+        /// Biased exponents of `[1, 2^61)`, below the clamped last
+        /// octave; the sign bit, when set, pushes negatives past it.
+        const FAST: std::ops::Range<u64> = BIAS..BIAS + OCTAVES as u64 - 1;
+        /// Top mantissa bits that, all ones, send `v` to `log2`.
+        const GUARD_BITS: u32 = 20;
+        let bits = v.to_bits();
+        let biased = bits >> MANTISSA_BITS;
+        let mantissa = bits & ((1 << MANTISSA_BITS) - 1);
+        let near_next_octave = mantissa >> (MANTISSA_BITS - GUARD_BITS) == (1 << GUARD_BITS) - 1;
+        if !FAST.contains(&biased) || near_next_octave {
+            return Self::bucket_of_log2(v);
+        }
+        #[allow(clippy::cast_possible_truncation)]
+        let (e, sub) = (
+            (biased - BIAS) as usize,
+            (mantissa >> (MANTISSA_BITS - SUB_BUCKETS.trailing_zeros())) as usize,
+        );
+        1 + e * SUB_BUCKETS + sub
+    }
+
+    /// The reference bucketing: octave from `log2`, sub-bucket from
+    /// the offset inside the octave.
+    fn bucket_of_log2(v: f64) -> usize {
         // NaN lands in bucket 0 via the is_finite check.
         if v < 1.0 || !v.is_finite() {
             return 0;
@@ -215,15 +249,83 @@ impl Histogram {
     }
 }
 
+/// A counter slot of one [`MetricSet`], resolved once by
+/// [`MetricSet::counter_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// A gauge slot of one [`MetricSet`], resolved once by
+/// [`MetricSet::gauge_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(usize);
+
+/// A histogram slot of one [`MetricSet`], resolved once by
+/// [`MetricSet::histogram_id`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(usize);
+
+/// One metric kind's slots: a name→slot index and the values, `None`
+/// until the slot's first update. An untouched slot is invisible to
+/// every read, so registering a name changes no output.
+#[derive(Clone, Default)]
+struct Slots<T> {
+    index: BTreeMap<String, usize>,
+    values: Vec<Option<T>>,
+}
+
+impl<T> Slots<T> {
+    /// The slot of `name`, registered empty on first use.
+    fn id(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.index.get(name) {
+            return slot;
+        }
+        let slot = self.values.len();
+        self.index.insert(name.to_string(), slot);
+        self.values.push(None);
+        slot
+    }
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.values[*self.index.get(name)?].as_ref()
+    }
+
+    /// The touched slots, name-sorted.
+    fn iter(&self) -> impl Iterator<Item = (&String, &T)> {
+        self.index
+            .iter()
+            .filter_map(|(name, &slot)| Some((name, self.values[slot].as_ref()?)))
+    }
+}
+
+/// Equal when the same names hold the same values, whatever order the
+/// slots were registered in.
+impl<T: PartialEq> PartialEq for Slots<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Slots<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// A named registry of counters, gauges and histograms.
 ///
-/// Names are sorted (`BTreeMap`) so every serialization of the same
-/// registry is byte-identical.
+/// Values live in slots. A hot caller resolves a name to a slot id once
+/// ([`MetricSet::counter_id`], [`MetricSet::gauge_id`],
+/// [`MetricSet::histogram_id`]) and updates by id; the name forms
+/// ([`MetricSet::inc`] and friends) resolve and then update through the
+/// same path. Every read is name-keyed and name-sorted, so every
+/// serialization of the same registry is byte-identical. A slot that
+/// was registered but never updated is invisible to reads, to
+/// [`MetricSet::merge`] and to `==`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricSet {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Slots<u64>,
+    gauges: Slots<f64>,
+    histograms: Slots<Histogram>,
 }
 
 impl MetricSet {
@@ -232,47 +334,76 @@ impl MetricSet {
         Self::default()
     }
 
-    // Each update looks the name up first and allocates the owned key
-    // only when the metric is new: the `entry` API needs a `String` up
-    // front, which the per-tick callers (the simulator's tick loop and
-    // quiet bursts, every served decision) would otherwise pay on every
-    // call.
+    /// The slot of counter `name`, registered (untouched) if new. The
+    /// id is valid for this set and its clones only.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        CounterId(self.counters.id(name))
+    }
+
+    /// The slot of gauge `name`, registered (untouched) if new.
+    pub fn gauge_id(&mut self, name: &str) -> GaugeId {
+        GaugeId(self.gauges.id(name))
+    }
+
+    /// The slot of histogram `name`, registered (untouched) if new.
+    pub fn histogram_id(&mut self, name: &str) -> HistogramId {
+        HistogramId(self.histograms.id(name))
+    }
+
+    /// Adds `by` to counter `id` (creating it at zero).
+    #[inline]
+    pub fn inc_id(&mut self, id: CounterId, by: u64) {
+        *self.counters.values[id.0].get_or_insert(0) += by;
+    }
+
+    /// Sets gauge `id` to `value`.
+    #[inline]
+    pub fn set_gauge_id(&mut self, id: GaugeId, value: f64) {
+        self.gauges.values[id.0] = Some(value);
+    }
+
+    /// Records `value` into histogram `id` (creating it empty).
+    #[inline]
+    pub fn record_id(&mut self, id: HistogramId, value: f64) {
+        self.histogram_mut(id).record(value);
+    }
+
+    /// Records `value` into histogram `id` `n` times (see
+    /// [`Histogram::record_repeat`]); creates it empty even when `n`
+    /// is 0.
+    #[inline]
+    pub fn record_repeat_id(&mut self, id: HistogramId, value: f64, n: u64) {
+        self.histogram_mut(id).record_repeat(value, n);
+    }
+
+    fn histogram_mut(&mut self, id: HistogramId) -> &mut Histogram {
+        self.histograms.values[id.0].get_or_insert_with(Histogram::new)
+    }
 
     /// Adds `by` to counter `name` (creating it at zero).
     pub fn inc(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
+        let id = self.counter_id(name);
+        self.inc_id(id, by);
     }
 
     /// Sets gauge `name` to `value`.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
+        let id = self.gauge_id(name);
+        self.set_gauge_id(id, value);
     }
 
     /// Records `value` into histogram `name` (creating it empty).
     pub fn record(&mut self, name: &str, value: f64) {
-        self.update_histogram(name, |h| h.record(value));
+        let id = self.histogram_id(name);
+        self.record_id(id, value);
     }
 
     /// Records `value` into histogram `name` `n` times (see
     /// [`Histogram::record_repeat`]); creates it empty even when `n`
     /// is 0.
     pub fn record_repeat(&mut self, name: &str, value: f64, n: u64) {
-        self.update_histogram(name, |h| h.record_repeat(value, n));
-    }
-
-    fn update_histogram(&mut self, name: &str, f: impl FnOnce(&mut Histogram)) {
-        match self.histograms.get_mut(name) {
-            Some(h) => f(h),
-            None => f(self.histograms.entry(name.to_string()).or_default()),
-        }
+        let id = self.histogram_id(name);
+        self.record_repeat_id(id, value, n);
     }
 
     /// Counter value, if the counter exists.
@@ -291,13 +422,13 @@ impl MetricSet {
     }
 
     /// All counters, name-sorted.
-    pub fn counters(&self) -> &BTreeMap<String, u64> {
-        &self.counters
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect()
     }
 
     /// All gauges, name-sorted.
-    pub fn gauges(&self) -> &BTreeMap<String, f64> {
-        &self.gauges
+    pub fn gauges(&self) -> BTreeMap<String, f64> {
+        self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect()
     }
 
     /// Folds `other` into this registry: counters add, histograms merge
@@ -311,14 +442,15 @@ impl MetricSet {
     /// (the per-device manifests stay byte-identical to independent
     /// runs).
     pub fn merge(&mut self, other: &MetricSet) {
-        for (k, &v) in &other.counters {
+        for (k, &v) in other.counters.iter() {
             self.inc(k, v);
         }
-        for (k, &v) in &other.gauges {
+        for (k, &v) in other.gauges.iter() {
             self.set_gauge(k, v);
         }
-        for (k, h) in &other.histograms {
-            self.update_histogram(k, |mine| mine.merge(h));
+        for (k, h) in other.histograms.iter() {
+            let id = self.histogram_id(k);
+            self.histogram_mut(id).merge(h);
         }
     }
 
@@ -327,14 +459,14 @@ impl MetricSet {
     /// `name.p50`, `name.p99` and `name.max`.
     pub fn rollups(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
-        for (k, &v) in &self.counters {
+        for (k, &v) in self.counters.iter() {
             #[allow(clippy::cast_precision_loss)]
             out.insert(k.clone(), v as f64);
         }
-        for (k, &v) in &self.gauges {
+        for (k, &v) in self.gauges.iter() {
             out.insert(k.clone(), v);
         }
-        for (k, h) in &self.histograms {
+        for (k, h) in self.histograms.iter() {
             #[allow(clippy::cast_precision_loss)]
             out.insert(format!("{k}.count"), h.count() as f64);
             out.insert(format!("{k}.mean"), h.mean());
@@ -592,5 +724,159 @@ mod tests {
         assert_eq!(m.histogram("power_mw"), Some(&power));
         assert_eq!(m.counters().len(), 1);
         assert_eq!(m.gauges().len(), 1);
+    }
+
+    /// SplitMix64: a dependency-free stream of well-mixed bit patterns.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn assert_same_bucket(v: f64) {
+        assert_eq!(
+            Histogram::bucket_of(v),
+            Histogram::bucket_of_log2(v),
+            "{v:e} (bits {:#018x})",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn bit_bucketing_matches_log2_on_random_bit_patterns() {
+        let mut state = 0x00C0_FFEE;
+        for _ in 0..1_000_000 {
+            let bits = splitmix(&mut state);
+            // Raw patterns (mostly huge, tiny, negative or NaN), and the
+            // same mantissa under an exponent inside the fast range
+            // [1, 2^61), where the two paths actually compete.
+            assert_same_bucket(f64::from_bits(bits));
+            let exponent = 1023 + (bits >> 52) % 62;
+            assert_same_bucket(f64::from_bits((exponent << 52) | (bits & ((1 << 52) - 1))));
+        }
+    }
+
+    #[test]
+    fn bit_bucketing_matches_log2_around_every_power_of_two() {
+        for k in 0..=63 {
+            let p = 2.0f64.powi(k).to_bits();
+            for d in 0..=64 {
+                assert_same_bucket(f64::from_bits(p - d));
+                assert_same_bucket(f64::from_bits(p + d));
+            }
+        }
+        // At and past 2^61 the last octave clamps; all of it takes the
+        // log2 path.
+        for v in [
+            2f64.powi(61),
+            3.0 * 2f64.powi(61),
+            2f64.powi(62),
+            1e300,
+            f64::MAX,
+        ] {
+            assert_same_bucket(v);
+        }
+    }
+
+    #[test]
+    fn bit_bucketing_matches_log2_off_the_positive_range() {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -1.0,
+            -1.5,
+            -1e300,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            -f64::from_bits(1),
+            0.999_999_999_999_999_9,
+            1.0,
+        ];
+        for v in specials {
+            assert_same_bucket(v);
+        }
+        assert_eq!(Histogram::bucket_of(f64::NAN), 0);
+        assert_eq!(Histogram::bucket_of(f64::from_bits(1)), 0);
+    }
+
+    #[test]
+    fn untouched_slots_are_invisible() {
+        let mut m = MetricSet::new();
+        let c = m.counter_id("c");
+        let g = m.gauge_id("g");
+        let h = m.histogram_id("h");
+        assert_eq!(m, MetricSet::new());
+        assert_eq!(m.counter("c"), None);
+        assert_eq!(m.gauge("g"), None);
+        assert_eq!(m.histogram("h"), None);
+        assert!(m.counters().is_empty() && m.gauges().is_empty());
+        assert!(m.rollups().is_empty());
+        let mut merged = MetricSet::new();
+        merged.merge(&m);
+        assert!(merged.rollups().is_empty());
+        assert_eq!(merged, MetricSet::new());
+        // A zero update still touches: the metric then exists at zero.
+        m.inc_id(c, 0);
+        m.set_gauge_id(g, 0.5);
+        m.record_repeat_id(h, 1.0, 0);
+        assert_eq!(m.counter("c"), Some(0));
+        assert_eq!(m.gauge("g"), Some(0.5));
+        assert_eq!(m.histogram("h").map(Histogram::count), Some(0));
+        assert_ne!(m, MetricSet::new());
+    }
+
+    #[test]
+    fn equality_ignores_registration_order() {
+        let mut a = MetricSet::new();
+        let mut b = MetricSet::new();
+        for name in ["x", "y", "z"] {
+            a.counter_id(name);
+            a.histogram_id(name);
+        }
+        for name in ["z", "y", "x", "unused"] {
+            b.counter_id(name);
+            b.histogram_id(name);
+        }
+        for m in [&mut a, &mut b] {
+            m.inc("y", 2);
+            m.inc("x", 1);
+            m.record("z", 3.5);
+        }
+        assert_eq!(a, b);
+        assert_eq!(a.rollups(), b.rollups());
+        b.inc("unused", 1);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn id_updates_equal_name_updates() {
+        let mut by_id = MetricSet::new();
+        let mut by_name = MetricSet::new();
+        let ticks = by_id.counter_id("sim.ticks");
+        let temp = by_id.gauge_id("temp_c");
+        let power = by_id.histogram_id("power_mw");
+        for i in 0..100u32 {
+            let v = 100.0 + f64::from(i) * 7.3;
+            by_id.inc_id(ticks, 1);
+            by_id.set_gauge_id(temp, v / 10.0);
+            by_id.record_id(power, v);
+            by_name.inc("sim.ticks", 1);
+            by_name.set_gauge("temp_c", v / 10.0);
+            by_name.record("power_mw", v);
+        }
+        by_id.inc_id(ticks, 40);
+        by_id.record_repeat_id(power, 41.5, 40);
+        by_name.inc("sim.ticks", 40);
+        by_name.record_repeat("power_mw", 41.5, 40);
+        assert_eq!(by_id, by_name);
+        assert_eq!(by_id.rollups(), by_name.rollups());
     }
 }

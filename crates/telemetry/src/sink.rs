@@ -1,10 +1,10 @@
 //! The per-run telemetry sink: a typed event log plus a metric registry,
 //! with a single `enabled` gate so a disabled sink costs one branch per
-//! call and allocates nothing.
+//! event or metric update and allocates nothing for it.
 
 use crate::event::{Event, EventData, EventKind};
 use crate::json::JsonError;
-use crate::metrics::MetricSet;
+use crate::metrics::{CounterId, GaugeId, HistogramId, MetricSet};
 use std::collections::BTreeMap;
 
 /// Hard ceiling on retained events, so a pathological policy cannot OOM
@@ -80,36 +80,54 @@ impl Telemetry {
         self.events.push(Event { t_us, data });
     }
 
-    /// Adds `by` to counter `name`.
+    /// The slot of counter `name` (see [`MetricSet::counter_id`]):
+    /// resolve once, then update with [`Telemetry::inc_id`]. Registering
+    /// records nothing, enabled or not; every update below is one
+    /// branch when the sink is off.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        self.metrics.counter_id(name)
+    }
+
+    /// The slot of gauge `name` (see [`MetricSet::gauge_id`]).
+    pub fn gauge_id(&mut self, name: &str) -> GaugeId {
+        self.metrics.gauge_id(name)
+    }
+
+    /// The slot of histogram `name` (see [`MetricSet::histogram_id`]).
+    pub fn histogram_id(&mut self, name: &str) -> HistogramId {
+        self.metrics.histogram_id(name)
+    }
+
+    /// Adds `by` to counter `id`.
     #[inline]
-    pub fn count(&mut self, name: &str, by: u64) {
+    pub fn inc_id(&mut self, id: CounterId, by: u64) {
         if self.enabled {
-            self.metrics.inc(name, by);
+            self.metrics.inc_id(id, by);
         }
     }
 
-    /// Sets gauge `name`.
+    /// Sets gauge `id`.
     #[inline]
-    pub fn gauge(&mut self, name: &str, value: f64) {
+    pub fn set_gauge_id(&mut self, id: GaugeId, value: f64) {
         if self.enabled {
-            self.metrics.set_gauge(name, value);
+            self.metrics.set_gauge_id(id, value);
         }
     }
 
-    /// Records `value` into histogram `name`.
+    /// Records `value` into histogram `id`.
     #[inline]
-    pub fn record(&mut self, name: &str, value: f64) {
+    pub fn record_id(&mut self, id: HistogramId, value: f64) {
         if self.enabled {
-            self.metrics.record(name, value);
+            self.metrics.record_id(id, value);
         }
     }
 
-    /// Records `value` into histogram `name` `n` times, bit-identically
-    /// to `n` [`Telemetry::record`] calls.
+    /// Records `value` into histogram `id` `n` times, bit-identically
+    /// to `n` [`Telemetry::record_id`] calls.
     #[inline]
-    pub fn record_repeat(&mut self, name: &str, value: f64, n: u64) {
+    pub fn record_repeat_id(&mut self, id: HistogramId, value: f64, n: u64) {
         if self.enabled {
-            self.metrics.record_repeat(name, value, n);
+            self.metrics.record_repeat_id(id, value, n);
         }
     }
 
@@ -191,10 +209,13 @@ mod tests {
     fn disabled_sink_records_nothing() {
         let mut t = Telemetry::disabled();
         t.emit(0, EventData::CoreOnline { core: 1 });
-        t.count("x", 5);
-        t.gauge("g", 1.0);
-        t.record("h", 1.0);
+        let (c, g, h) = (t.counter_id("x"), t.gauge_id("g"), t.histogram_id("h"));
+        t.inc_id(c, 5);
+        t.set_gauge_id(g, 1.0);
+        t.record_id(h, 1.0);
+        t.record_repeat_id(h, 1.0, 3);
         assert!(t.events().is_empty());
+        assert_eq!(t.metrics(), &MetricSet::new());
         assert_eq!(t.metrics().counter("x"), None);
         assert!(!t.is_enabled());
     }
@@ -205,7 +226,8 @@ mod tests {
         t.emit(10, EventData::CoreOnline { core: 1 });
         t.emit(20, EventData::CoreOffline { core: 1 });
         t.emit(30, EventData::CoreOffline { core: 2 });
-        t.count("sim.ticks", 3);
+        let ticks = t.counter_id("sim.ticks");
+        t.inc_id(ticks, 3);
         assert_eq!(t.events().len(), 3);
         assert_eq!(t.event_counts().get("core-offline"), Some(&2));
         assert_eq!(t.events_of(EventKind::CoreOnline).count(), 1);
