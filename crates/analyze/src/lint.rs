@@ -5,7 +5,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `no-wall-clock-in-sim` | `crates/sim` — including the event scheduler (`engine.rs`, the `sim.rs` wake/burst paths) — is deterministic virtual time; `Instant::now`/`SystemTime` are banned outside tests (escape: `// wall-clock:` with a reason) |
+//! | `no-wall-clock-in-sim` | `crates/sim` — including the event engine's wake/burst paths in `sim.rs` and the `fleet.rs` scheduler — is deterministic virtual time; `Instant::now`/`SystemTime` are banned outside tests (escape: `// wall-clock:` with a reason) |
 //! | `serve-no-panic-paths` | `crates/serve` protocol/session code must not `unwrap`/`expect`/`panic!` — a malformed frame must never kill a worker (escape: `// infallible:` with a proof) |
 //! | `relaxed-needs-justification` | every `Ordering::Relaxed` outside tests carries a `// relaxed:` comment saying why the weak ordering is sound |
 //! | `crate-lint-headers` | every crate root pins `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn sim_wall_clock_is_flagged() {
         let bad = "fn now() -> Instant { Instant::now() }\n";
-        let findings = lint_source("crates/sim/src/engine.rs", bad);
+        let findings = lint_source("crates/sim/src/sim.rs", bad);
         assert_eq!(rules_of(&findings), ["no-wall-clock-in-sim"]);
         // The same token outside the sim crate is fine.
         assert!(lint_source("crates/sweep/src/timer.rs", bad).is_empty());
@@ -534,6 +534,6 @@ mod tests {
         let ok = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n";
         assert!(lint_source("crates/sim/src/lib.rs", ok).is_empty());
         // Non-root files are not held to it.
-        assert!(lint_source("crates/sim/src/engine.rs", "fn f() {}\n").is_empty());
+        assert!(lint_source("crates/sim/src/sim.rs", "fn f() {}\n").is_empty());
     }
 }

@@ -15,7 +15,10 @@
 use mobicore::MobiCore;
 use mobicore_model::profiles;
 use mobicore_sim::builtin::PinnedPolicy;
-use mobicore_sim::{CpuPolicy, SimConfig, SimEngine, Simulation, TraceLevel, Workload};
+use mobicore_sim::{
+    CpuPolicy, FleetSim, SimConfig, SimEngine, Simulation, TraceLevel, Wake, Workload,
+    WorkloadReport, WorkloadRt,
+};
 use mobicore_workloads::scenario::{by_name, CATALOG};
 use mobicore_workloads::{AppLaunch, BusyLoop, Scenario, VideoPlayback};
 use proptest::prelude::*;
@@ -32,13 +35,13 @@ struct RunArtifacts {
     manifest: String,
 }
 
-fn run_with(
+fn sim_with(
     engine: SimEngine,
     policy: Box<dyn CpuPolicy>,
     workload: Box<dyn Workload>,
     duration_us: u64,
     seed: u64,
-) -> RunArtifacts {
+) -> Simulation {
     let profile = profiles::nexus5();
     let cfg = SimConfig::new(profile)
         .with_duration_us(duration_us)
@@ -48,12 +51,27 @@ fn run_with(
         .with_engine(engine);
     let mut sim = Simulation::new(cfg, policy).expect("config valid");
     sim.add_workload(workload);
-    let report = sim.run();
+    sim
+}
+
+fn artifacts(sim: &Simulation) -> RunArtifacts {
     RunArtifacts {
-        report: format!("{report:?}"),
+        report: format!("{:?}", sim.report()),
         events: sim.events_jsonl(),
         manifest: sim.manifest("eq").to_json_text(),
     }
+}
+
+fn run_with(
+    engine: SimEngine,
+    policy: Box<dyn CpuPolicy>,
+    workload: Box<dyn Workload>,
+    duration_us: u64,
+    seed: u64,
+) -> RunArtifacts {
+    let mut sim = sim_with(engine, policy, workload, duration_us, seed);
+    sim.run();
+    artifacts(&sim)
 }
 
 fn assert_engines_agree(
@@ -82,6 +100,44 @@ fn assert_engines_agree(
     assert_eq!(cyclic.manifest, event.manifest, "{label}: manifest differs");
 }
 
+/// Runs two copies of the simulation through one [`FleetSim`] and
+/// asserts each matches the cyclic engine's bytes.
+fn assert_fleet_agrees(
+    mk_policy: impl Fn() -> Box<dyn CpuPolicy>,
+    mk_workload: impl Fn() -> Box<dyn Workload>,
+    duration_us: u64,
+    seed: u64,
+    label: &str,
+) {
+    let cyclic = run_with(
+        SimEngine::Cyclic,
+        mk_policy(),
+        mk_workload(),
+        duration_us,
+        seed,
+    );
+    let mut fleet = FleetSim::with_capacity(2);
+    for _ in 0..2 {
+        fleet.add_device(sim_with(
+            SimEngine::EventDriven,
+            mk_policy(),
+            mk_workload(),
+            duration_us,
+            seed,
+        ));
+    }
+    fleet.run();
+    for (id, sim) in fleet.devices().iter().enumerate() {
+        let dev = artifacts(sim);
+        assert_eq!(cyclic.report, dev.report, "{label}: device {id} report");
+        assert_eq!(cyclic.events, dev.events, "{label}: device {id} events");
+        assert_eq!(
+            cyclic.manifest, dev.manifest,
+            "{label}: device {id} manifest"
+        );
+    }
+}
+
 const SEED: u64 = 20_170_315;
 
 /// Every catalog scenario, under the full MobiCore policy. The idle-heavy
@@ -107,9 +163,64 @@ fn catalog_scenarios_byte_identical_across_engines() {
     }
 }
 
+/// A timer workload that queues a burst of work every `period_us` and,
+/// after every other burst, declares as its wake the burst it already
+/// ran: `Wake::At(t)` with `t` in the past, which the event engine must
+/// read as "due now". Were it read as a future or absent wake, the next
+/// burst would be queued late and the bytes would differ.
+struct StaleWake {
+    period_us: u64,
+    next_fire_us: u64,
+    bursts: u64,
+    thread: usize,
+}
+
+impl StaleWake {
+    fn new(period_us: u64) -> Self {
+        StaleWake {
+            period_us,
+            next_fire_us: 0,
+            bursts: 0,
+            thread: 0,
+        }
+    }
+}
+
+impl Workload for StaleWake {
+    fn name(&self) -> &str {
+        "stale-wake"
+    }
+
+    fn on_start(&mut self, rt: &mut WorkloadRt) {
+        self.thread = rt.spawn_thread();
+    }
+
+    fn on_tick(&mut self, now_us: u64, _tick_us: u64, rt: &mut WorkloadRt) {
+        if now_us >= self.next_fire_us {
+            rt.push_work(self.thread, 3_000_000, self.bursts);
+            self.bursts += 1;
+            self.next_fire_us = now_us + self.period_us;
+        }
+    }
+
+    fn next_tick_us(&self, _now_us: u64) -> Wake {
+        if self.bursts.is_multiple_of(2) {
+            Wake::At(self.next_fire_us)
+        } else {
+            Wake::At(self.next_fire_us - self.period_us)
+        }
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn report(&self, _now_us: u64, _rt: &WorkloadRt) -> WorkloadReport {
+        WorkloadReport::named("stale-wake").with_metric("bursts", self.bursts as f64)
+    }
+}
+
 /// Raw (un-scenario-wrapped) workloads, covering each `next_tick_us`
 /// implementation directly: VideoPlayback's frame timer, AppLaunch's
-/// idle-gap wake, and BusyLoop's default every-tick declaration.
+/// idle-gap wake, and BusyLoop's default every-tick declaration — plus
+/// [`StaleWake`]'s past wake, under FleetSim too.
 #[test]
 fn raw_workload_wake_hints_byte_identical_across_engines() {
     assert_engines_agree(
@@ -134,6 +245,10 @@ fn raw_workload_wake_hints_byte_identical_across_engines() {
         SEED,
         "busyloop",
     );
+    let stale = || Box::new(StaleWake::new(70_000)) as Box<dyn Workload>;
+    let mobicore = || Box::new(MobiCore::new(&profiles::nexus5())) as Box<dyn CpuPolicy>;
+    assert_engines_agree(mobicore, stale, 3_000_000, SEED, "stale-wake");
+    assert_fleet_agrees(mobicore, stale, 3_000_000, SEED, "stale-wake");
 }
 
 /// A pinned policy never samples anything into commands, making the

@@ -116,14 +116,6 @@ impl BandwidthController {
         self.integral_us += ticks * tick_us;
     }
 
-    /// When the current enforcement period rolls over, µs — the pool's
-    /// declared wake time. `begin_tick` runs every tick in both engines
-    /// (the quota integral is float-sequence-sensitive), so this wake is
-    /// [`Inline`](crate::engine::WakeClass::Inline).
-    pub fn period_end_us(&self) -> u64 {
-        self.period_end_us
-    }
-
     /// Charges actually-consumed runtime and records throttled demand.
     pub fn charge(&mut self, used_us: u64, denied_us: u64) {
         self.runtime_left_us = self.runtime_left_us.saturating_sub(used_us);

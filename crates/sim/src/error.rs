@@ -41,16 +41,6 @@ pub enum SimError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A component declared a wake time earlier than the wake queue's
-    /// current time (the event engine would have to travel backwards).
-    WakeInPast {
-        /// The registered component's name.
-        component: &'static str,
-        /// The requested wake time, µs.
-        wake_us: u64,
-        /// The queue's current time, µs.
-        now_us: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -68,14 +58,6 @@ impl fmt::Display for SimError {
             }
             SimError::BadShellCommand { line } => write!(f, "cannot parse shell command {line:?}"),
             SimError::BadConfig { reason } => write!(f, "bad simulation config: {reason}"),
-            SimError::WakeInPast {
-                component,
-                wake_us,
-                now_us,
-            } => write!(
-                f,
-                "component {component} declared wake time {wake_us} µs in the past (now {now_us} µs)"
-            ),
         }
     }
 }
@@ -102,11 +84,6 @@ mod tests {
             SimError::BadShellCommand { line: "z".into() },
             SimError::BadConfig {
                 reason: "zero tick".into(),
-            },
-            SimError::WakeInPast {
-                component: "thermal",
-                wake_us: 5,
-                now_us: 10,
             },
         ];
         for e in errs {

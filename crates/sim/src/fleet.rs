@@ -4,15 +4,12 @@
 //! A fleet-scale experiment is thousands of mostly-idle device runs. Run
 //! independently, each pays full per-run cost — construction, cache-cold
 //! state, its own loop. [`FleetSim`] instead advances N [`Simulation`]s
-//! through **one** loop: a [`FleetQueue`] min-heap keyed
-//! `(wake_time, device_id)` picks the earliest-due device, that device's
-//! own [`WakeQueue`](crate::WakeQueue) resolves the *component* dimension
-//! and advances in one event-engine iteration
-//! ([`Simulation::advance_event`] — a full step or a quiet burst), and
-//! the device is re-pushed at its new time. The composite scheduler is
-//! therefore keyed `(wake_time, device_id, component)`, with ties
-//! resolving to the lowest device id then lowest registration index —
-//! fully deterministic.
+//! through **one** loop: a min-heap keyed `(wake_time, device_id)` picks
+//! the earliest-due device, that device advances by one event-engine
+//! iteration ([`Simulation::advance_event`] — a full step or a quiet
+//! burst up to its own earliest full-step wake), and the device is
+//! re-pushed at its new time. Ties on wake time resolve to the lowest
+//! device id (tuple order), so the interleaving is fully deterministic.
 //!
 //! Layout: devices live in one slab `Vec` in insertion order (device id
 //! = slot index) and the scheduling hot state — per-device end times and
@@ -31,8 +28,9 @@
 //! (`crates/experiments/tests/fleetsim.rs`), the same way the event
 //! engine is pinned against the cyclic loop.
 
-use crate::engine::FleetQueue;
 use crate::sim::Simulation;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A multi-device simulation advanced by one event-driven loop.
 ///
@@ -65,8 +63,9 @@ pub struct FleetSim {
     sims: Vec<Simulation>,
     /// Per-device run end (`cfg.duration_us` at add time), µs.
     end_us: Vec<u64>,
-    /// The cross-device `(due_us, device_id)` scheduler.
-    queue: FleetQueue,
+    /// The cross-device scheduler: a min-heap of `(due_us, device_id)`,
+    /// lowest device id first on equal due times.
+    queue: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl FleetSim {
@@ -82,7 +81,7 @@ impl FleetSim {
         FleetSim {
             sims: Vec::with_capacity(n),
             end_us: Vec::with_capacity(n),
-            queue: FleetQueue::with_capacity(n),
+            queue: BinaryHeap::with_capacity(n),
         }
     }
 
@@ -95,7 +94,7 @@ impl FleetSim {
         let now = sim.now_us();
         self.end_us.push(end);
         if now < end {
-            self.queue.push(now, id);
+            self.queue.push(Reverse((now, id)));
         }
         self.sims.push(sim);
         id
@@ -119,11 +118,11 @@ impl FleetSim {
     /// warm it performs no heap allocation (asserted by
     /// `tests/alloc_free.rs`).
     pub fn advance_next(&mut self) -> Option<(usize, u64)> {
-        let (_, id) = self.queue.pop()?;
+        let Reverse((_, id)) = self.queue.pop()?;
         let end = self.end_us[id];
         let now = self.sims[id].advance_event(end);
         if now < end {
-            self.queue.push(now, id);
+            self.queue.push(Reverse((now, id)));
         }
         Some((id, now))
     }
@@ -199,6 +198,63 @@ mod tests {
             );
             assert_eq!(dev.events_jsonl(), solo.events_jsonl());
         }
+    }
+
+    /// The unfinished device `advance_next` must pick: the least
+    /// `(now_us, device_id)`.
+    fn earliest_due(fleet: &FleetSim) -> Option<(u64, usize)> {
+        (0..fleet.len())
+            .map(|id| (fleet.device(id).now_us(), id))
+            .filter(|&(now, id)| now < fleet.device(id).config().duration_us)
+            .min()
+    }
+
+    #[test]
+    fn advance_next_orders_by_time_then_device() {
+        let profile = Arc::new(profiles::nexus5());
+        let mut fleet = FleetSim::new();
+        // Staggered start times: device 0 is two ticks in, device 3 one,
+        // devices 1 and 2 are fresh and tie at zero.
+        for (seed, pre_steps) in [2, 0, 0, 1].into_iter().enumerate() {
+            let mut sim = small_sim(&profile, seed as u64, 60_000);
+            for _ in 0..pre_steps {
+                sim.step();
+            }
+            fleet.add_device(sim);
+        }
+        let mut order = Vec::new();
+        while let Some(expected) = earliest_due(&fleet) {
+            let (id, now) = fleet.advance_next().expect("a device is due");
+            assert_eq!(id, expected.1, "earliest due, lowest id on ties");
+            assert_eq!(now, fleet.device(id).now_us());
+            order.push(id);
+        }
+        assert_eq!(fleet.advance_next(), None);
+        // The two fresh devices tie at zero: lowest id first; both then
+        // tie with device 3 one tick in, which goes after them.
+        assert_eq!(order[..4], [1, 2, 1, 2]);
+        assert!(fleet.devices().iter().all(|d| d.now_us() == 60_000));
+    }
+
+    #[test]
+    fn advance_next_repushes_a_device_at_its_new_time() {
+        // The fleet loop's shape: pop, advance, re-push at the new time.
+        let profile = Arc::new(profiles::nexus5());
+        let mut fleet = FleetSim::new();
+        fleet.add_device(small_sim(&profile, 0, 30_000));
+        fleet.add_device(small_sim(&profile, 1, 30_000));
+        let (d0, t0) = fleet.advance_next().expect("device 0 due at 0");
+        assert_eq!(d0, 0);
+        assert!(t0 > 0);
+        // Device 0 went back into the heap at `t0`; device 1 is still at 0.
+        let (d1, t1) = fleet.advance_next().expect("device 1 due at 0");
+        assert_eq!((d1, t1), (1, t0), "same config, same first step");
+        // Both re-pushed at the same time: lowest id first again.
+        assert_eq!(fleet.advance_next().map(|(id, _)| id), Some(0));
+        assert_eq!(fleet.advance_next().map(|(id, _)| id), Some(1));
+        // A device that reaches its end is not re-pushed.
+        fleet.run();
+        assert_eq!(fleet.advance_next(), None);
     }
 
     #[test]

@@ -20,14 +20,13 @@
 //! * [`policy`] — the [`CpuPolicy`] trait governors and MobiCore implement,
 //! * [`workload`] — the [`Workload`] trait apps implement
 //!   (`mobicore-workloads` provides the paper's busy loop, GeekBench-like
-//!   suite and games),
-//! * [`engine`] — the wake-time queue behind the event-driven engine
-//!   (`SimEngine::EventDriven`), which jumps over provably-quiet ticks
-//!   while staying byte-identical to the cyclic loop (see
-//!   docs/simulator.md),
+//!   suite and games) and the [`Wake`] times they declare, which let the
+//!   event-driven engine (`SimEngine::EventDriven`) jump over
+//!   provably-quiet ticks while staying byte-identical to the cyclic
+//!   loop (see docs/simulator.md),
 //! * [`fleet`] — [`FleetSim`], one event scheduler multiplexing many
-//!   device simulations through a shared `(wake_time, device_id,
-//!   component)` queue, byte-identical to independent per-device runs.
+//!   device simulations through a shared `(wake_time, device_id)` heap,
+//!   byte-identical to independent per-device runs.
 //!
 //! # Example
 //!
@@ -59,7 +58,6 @@ pub mod bandwidth;
 pub mod builtin;
 pub mod config;
 pub mod cores;
-pub mod engine;
 pub mod error;
 pub mod fleet;
 pub mod meter;
@@ -73,10 +71,9 @@ pub mod trace;
 pub mod workload;
 
 pub use config::{SimConfig, SimEngine, TraceLevel, ENGINE_ENV, ENGINE_NAMES};
-pub use engine::{FleetQueue, Wake, WakeClass, WakeId, WakeQueue};
 pub use error::SimError;
 pub use fleet::FleetSim;
 pub use policy::{Command, CoreId, CoreSnapshot, CpuControl, CpuPolicy, PolicySnapshot};
 pub use report::SimReport;
 pub use sim::Simulation;
-pub use workload::{Completion, Metric, ThreadId, Workload, WorkloadReport, WorkloadRt};
+pub use workload::{Completion, Metric, ThreadId, Wake, Workload, WorkloadReport, WorkloadRt};

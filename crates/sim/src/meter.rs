@@ -118,13 +118,6 @@ impl PowerMeter {
     pub fn samples(&self) -> &[(u64, f64)] {
         &self.samples
     }
-
-    /// When the next decimated sample is due, µs — the meter's declared
-    /// wake time. Energy integration runs every tick in both engines, so
-    /// this wake is [`Inline`](crate::engine::WakeClass::Inline).
-    pub fn next_sample_us(&self) -> u64 {
-        self.next_sample_us
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@ use crate::bandwidth::BandwidthController;
 use crate::builtin::NoopPolicy;
 use crate::config::{SimConfig, SimEngine, TraceLevel};
 use crate::cores::CpuSet;
-use crate::engine::{Wake, WakeClass, WakeId, WakeQueue};
 use crate::error::SimError;
 use crate::meter::PowerMeter;
 use crate::policy::{Command, CoreSnapshot, CpuControl, CpuPolicy, PolicySnapshot};
@@ -15,7 +14,7 @@ use crate::sched::{schedule_tick_into, SchedScratch, TickOutcome, TickParams};
 use crate::sysfs::{paths, CorePath, PathTable, SysFs};
 use crate::thermal::ThermalModel;
 use crate::trace::{Trace, TraceSample};
-use crate::workload::{Workload, WorkloadRt};
+use crate::workload::{Wake, Workload, WorkloadRt};
 use mobicore_model::{ClusterPowerCache, CoreActivity, Khz, PowerBreakdown, Quota, Utilization};
 use mobicore_telemetry::{CounterId, EventData, GaugeId, HistogramId, RunManifest, Telemetry};
 use std::sync::Arc;
@@ -88,52 +87,6 @@ impl TickScratch {
             cmds: Vec::new(),
             quiet_acts: Vec::new(),
             quiet_power: None,
-        }
-    }
-}
-
-/// The event engine's registry: one [`WakeQueue`] entry per simulated
-/// component, ids held so each loop iteration can re-declare wakes
-/// without allocating. Registration order is fixed (and documented in
-/// [`crate::engine`]): governor, hotplug, workloads, idle ladder,
-/// thermal, meter, bandwidth — this is what makes the simultaneous-wake
-/// tie-break deterministic.
-#[derive(Debug)]
-struct EventState {
-    queue: WakeQueue,
-    governor: WakeId,
-    hotplug: WakeId,
-    workloads: Vec<WakeId>,
-    idle_ladder: WakeId,
-    thermal: WakeId,
-    meter: WakeId,
-    bandwidth: WakeId,
-}
-
-impl EventState {
-    fn new(n_workloads: usize) -> Self {
-        let mut queue = WakeQueue::new();
-        let governor = queue.register("governor", WakeClass::FullStep);
-        let hotplug = queue.register("hotplug", WakeClass::FullStep);
-        let workloads = (0..n_workloads)
-            .map(|_| queue.register("workload", WakeClass::FullStep))
-            .collect();
-        let idle_ladder = queue.register("idle-ladder", WakeClass::FullStep);
-        // Inline components run their per-tick float methods inside the
-        // quiet fast path; their wakes are introspection-only and never
-        // bound a burst (crate::engine module docs).
-        let thermal = queue.register("thermal", WakeClass::Inline);
-        let meter = queue.register("meter", WakeClass::Inline);
-        let bandwidth = queue.register("bandwidth", WakeClass::Inline);
-        EventState {
-            queue,
-            governor,
-            hotplug,
-            workloads,
-            idle_ladder,
-            thermal,
-            meter,
-            bandwidth,
         }
     }
 }
@@ -220,9 +173,6 @@ pub struct Simulation {
     /// Most-recent `ceil_index` lookup (policies request the same target
     /// frequency for long stretches).
     ceil_cache: Option<(Khz, usize)>,
-    /// Wake-time registry for the event-driven engine (built on the
-    /// first event-driven `run_until`, `None` under the cyclic engine).
-    event: Option<EventState>,
 }
 
 /// The slots of the metrics the tick loop, the sample path and the
@@ -408,7 +358,6 @@ impl Simulation {
             ctl: CpuControl::new(),
             sysfs_stale: false,
             ceil_cache: None,
-            event: None,
         })
     }
 
@@ -895,41 +844,11 @@ impl Simulation {
                 .set_gauge_id(ids.temp_c, self.thermal.temp_c());
         }
         let cap = self.thermal.tick(now, tick, power);
-        if cap != self.last_thermal_cap {
-            let temp_c = self.thermal.temp_c();
-            self.telemetry.emit(
-                now,
-                if cap < self.last_thermal_cap {
-                    EventData::ThermalThrottle {
-                        cap_opp: cap,
-                        temp_c,
-                    }
-                } else {
-                    EventData::ThermalClear {
-                        cap_opp: cap,
-                        temp_c,
-                    }
-                },
-            );
-            self.last_thermal_cap = cap;
-        }
+        self.note_thermal_cap(now, cap);
         self.cpus.thermal_cap_opp = cap;
         if now >= self.next_trace_us {
             if self.cfg.trace == TraceLevel::Full {
-                self.trace.push(TraceSample {
-                    t_us: now,
-                    power_mw: power,
-                    temp_c: self.thermal.temp_c(),
-                    quota: self.bw.quota().as_fraction(),
-                    khz: self.scratch.khz.iter().map(|k| k.0).collect(),
-                    util_pct: self
-                        .scratch
-                        .outcome
-                        .busy_us
-                        .iter()
-                        .map(|&b| (b as f32 / tick as f32) * 100.0)
-                        .collect(),
-                });
+                self.push_trace_sample(now, power);
             }
             self.next_trace_us = now + self.cfg.trace_period_us;
         }
@@ -938,6 +857,53 @@ impl Simulation {
         // period (docs/performance.md).
         self.sysfs_stale = true;
         self.now_us += tick;
+    }
+
+    /// Emits the thermal throttle/clear edge when the control loop moved
+    /// the OPP cap to `cap` on the tick starting at `t_us`, with that
+    /// tick's post-step temperature. Returns whether the cap moved.
+    fn note_thermal_cap(&mut self, t_us: u64, cap: usize) -> bool {
+        if cap == self.last_thermal_cap {
+            return false;
+        }
+        let temp_c = self.thermal.temp_c();
+        self.telemetry.emit(
+            t_us,
+            if cap < self.last_thermal_cap {
+                EventData::ThermalThrottle {
+                    cap_opp: cap,
+                    temp_c,
+                }
+            } else {
+                EventData::ThermalClear {
+                    cap_opp: cap,
+                    temp_c,
+                }
+            },
+        );
+        self.last_thermal_cap = cap;
+        true
+    }
+
+    /// Records the trace sample of the tick starting at `t_us` from that
+    /// tick's frequencies (`scratch.khz`) and busy times
+    /// (`scratch.outcome`).
+    fn push_trace_sample(&mut self, t_us: u64, power_mw: f64) {
+        let tick = self.cfg.tick_us as f32;
+        self.trace.push(TraceSample {
+            t_us,
+            power_mw,
+            temp_c: self.thermal.temp_c(),
+            quota: self.bw.quota().as_fraction(),
+            khz: self.scratch.khz.iter().map(|k| k.0).collect(),
+            util_pct: self
+                .scratch
+                .outcome
+                .busy_us
+                .iter()
+                .map(|&b| (b as f32 / tick) * 100.0)
+                .collect(),
+        });
     }
 
     /// Runs to the configured duration and reports, under the engine the
@@ -985,91 +951,25 @@ impl Simulation {
         if self.now_us >= end_us {
             return self.now_us;
         }
-        self.start_if_needed();
-        let mut ev = match self.event.take() {
-            Some(ev) => ev,
-            None => EventState::new(self.workloads.len()),
-        };
         // The first iteration is always a full step: wake declarations
         // describe a simulation that has already ticked at least once.
         let n = if self.now_us == 0 {
             0
         } else {
-            self.quiet_run_len(&mut ev, end_us)
+            self.quiet_run_len(end_us)
         };
         if n == 0 {
             self.step();
         } else {
             self.quiet_burst(n);
         }
-        self.event = Some(ev);
         self.now_us
-    }
-
-    /// Re-declares every component's wake in the queue. Stale
-    /// component-sourced times are clamped to "due now" (an immediate
-    /// full step) rather than tripping [`SimError::WakeInPast`], which is
-    /// reserved for true API misuse.
-    fn refresh_wakes(&mut self, ev: &mut EventState) {
-        let now = self.now_us;
-        let tick = self.cfg.tick_us;
-        ev.queue.advance_to(now);
-        let set = |queue: &mut WakeQueue, id: WakeId, wake: Wake| {
-            let clamped = match wake {
-                Wake::At(t) => Wake::At(t.max(now)),
-                w => w,
-            };
-            queue.set(id, clamped).expect("wakes are clamped to now");
-        };
-        set(&mut ev.queue, ev.governor, Wake::At(self.next_sample_us));
-        let hotplug = self
-            .cpus
-            .iter()
-            .filter_map(|c| c.online_at_us)
-            .min()
-            .map_or(Wake::Never, Wake::At);
-        set(&mut ev.queue, ev.hotplug, hotplug);
-        for (w, &id) in self.workloads.iter().zip(&ev.workloads) {
-            set(&mut ev.queue, id, w.next_tick_us(now));
-        }
-        // An idling online core crosses into a deeper (cheaper) idle
-        // state when its streak reaches the next target residency; the
-        // tick on which that happens must be a full step so the power
-        // model re-reads the ladder. The streak the power model sees at
-        // a tick includes that tick's own increment, hence `+ tick`.
-        let ladder = self.cfg.profile.idle_ladder();
-        let mut ladder_wake = Wake::Never;
-        for c in self.cpus.iter() {
-            if !c.online {
-                continue;
-            }
-            if let Some(t) = ladder.next_residency_above(c.idle_streak_us + tick) {
-                let k_t = (t - c.idle_streak_us).div_ceil(tick);
-                ladder_wake = ladder_wake.earliest_of(Wake::At(now + (k_t - 1) * tick));
-            }
-        }
-        set(&mut ev.queue, ev.idle_ladder, ladder_wake);
-        set(
-            &mut ev.queue,
-            ev.thermal,
-            Wake::At(self.thermal.next_poll_us()),
-        );
-        set(
-            &mut ev.queue,
-            ev.meter,
-            Wake::At(self.meter.next_sample_us()),
-        );
-        set(
-            &mut ev.queue,
-            ev.bandwidth,
-            Wake::At(self.bw.period_end_us()),
-        );
     }
 
     /// How many consecutive ticks from `now` are provably quiet — safe to
     /// fast-forward with [`Simulation::quiet_burst`] — or 0 when the next
     /// tick needs a full [`Simulation::step`].
-    fn quiet_run_len(&mut self, ev: &mut EventState, end_us: u64) -> u64 {
+    fn quiet_run_len(&self, end_us: u64) -> u64 {
         // Preconditions: any pending work makes the next tick a full
         // step. Runnable threads or undelivered completions mean the
         // scheduler and workloads have real work; pending sysfs writes
@@ -1081,24 +981,56 @@ impl Simulation {
             return 0;
         }
         let now = self.now_us;
-        let tick = self.cfg.tick_us;
         // A due governor sample forces a full step no matter what the
-        // other components declare — skip the whole wake refresh on that
-        // (most common) bound. Every second `quiet_run_len` call in an
-        // idle stretch lands here.
+        // other components declare — skip the fold on that (most
+        // common) bound. Every second `quiet_run_len` call in an idle
+        // stretch lands here.
         if self.next_sample_us <= now {
             return 0;
         }
-        self.refresh_wakes(ev);
-        let bound = match ev.queue.earliest_full_step() {
-            Some((t, _)) if t <= now => return 0,
-            Some((t, _)) => t.min(end_us),
-            None => end_us,
+        // A wake at or before `now` (including a stale one) is due now.
+        let bound = match self.full_step_wake() {
+            Wake::EveryTick => return 0,
+            Wake::At(t) if t <= now => return 0,
+            Wake::At(t) => t.min(end_us),
+            Wake::Never => end_us,
         };
         // Every tick *starting* strictly before the bound is quiet; the
         // tick whose start reaches it is the full step (matching the
         // cyclic loop's `now >= next_sample_us` trigger).
-        bound.saturating_sub(now).div_ceil(tick)
+        bound.saturating_sub(now).div_ceil(self.cfg.tick_us)
+    }
+
+    /// The earliest time anything forces a full step: the governor's
+    /// next sample, a maturing hotplug transition, a workload's declared
+    /// wake, or an idle core crossing into a deeper idle state. The
+    /// thermal, meter and bandwidth components never bound a burst: their
+    /// per-tick float updates run inside it.
+    fn full_step_wake(&self) -> Wake {
+        let now = self.now_us;
+        let tick = self.cfg.tick_us;
+        let ladder = self.cfg.profile.idle_ladder();
+        let mut wake = Wake::At(self.next_sample_us);
+        for w in &self.workloads {
+            wake = wake.earliest_of(w.next_tick_us(now));
+        }
+        for c in self.cpus.iter() {
+            if let Some(t) = c.online_at_us {
+                wake = wake.earliest_of(Wake::At(t));
+            }
+            // The streak the power model sees at a tick includes that
+            // tick's own increment, hence `+ tick`; the tick on which it
+            // reaches the next target residency must be a full step so
+            // the power model re-reads the ladder.
+            if !c.online {
+                continue;
+            }
+            if let Some(t) = ladder.next_residency_above(c.idle_streak_us + tick) {
+                let k_t = (t - c.idle_streak_us).div_ceil(tick);
+                wake = wake.earliest_of(Wake::At(now + (k_t - 1) * tick));
+            }
+        }
+        wake
     }
 
     /// Executes up to `n` quiet ticks in one burst, byte-identically to
@@ -1229,30 +1161,11 @@ impl Simulation {
             // The cyclic loop gauges temperature *before* each tick's RC
             // step; keep the last one for the batched gauge below.
             last_pre_tick_temp = pre_temp;
-            let cap = self.thermal.cap_opp();
-            if cap != self.last_thermal_cap {
-                // Emitted on the tick the poll landed, with that tick's
-                // post-step temperature — exactly the cyclic emission.
-                let temp_c = self.thermal.temp_c();
-                self.telemetry.emit(
-                    now0 + (k - 1) * tick,
-                    if cap < self.last_thermal_cap {
-                        EventData::ThermalThrottle {
-                            cap_opp: cap,
-                            temp_c,
-                        }
-                    } else {
-                        EventData::ThermalClear {
-                            cap_opp: cap,
-                            temp_c,
-                        }
-                    },
-                );
-                self.last_thermal_cap = cap;
-                // Re-enter through `quiet_run_len`: the next tick's
-                // hoisted frequencies/OPPs must see the new cap.
-                cap_changed = true;
-            }
+            // A cap change is emitted on the tick the poll landed, exactly
+            // as the cyclic loop does, and ends the burst: re-entering
+            // through `quiet_run_len` lets the next tick's hoisted
+            // frequencies/OPPs see the new cap.
+            cap_changed = self.note_thermal_cap(now0 + (k - 1) * tick, self.thermal.cap_opp());
             self.bw.quiet_run(now0, tick, k);
             self.meter.quiet_run(now0, tick, power, k);
             for _ in 0..k {
@@ -1265,22 +1178,7 @@ impl Simulation {
                 // The segment reached its trace tick (a cap change on
                 // that same tick still traces, as in the cyclic loop).
                 let t_us = now0 + (seg - 1) * tick;
-                if self.cfg.trace == TraceLevel::Full {
-                    self.trace.push(TraceSample {
-                        t_us,
-                        power_mw: power,
-                        temp_c: self.thermal.temp_c(),
-                        quota: self.bw.quota().as_fraction(),
-                        khz: self.scratch.khz.iter().map(|f| f.0).collect(),
-                        util_pct: self
-                            .scratch
-                            .outcome
-                            .busy_us
-                            .iter()
-                            .map(|&b| (b as f32 / tick as f32) * 100.0)
-                            .collect(),
-                    });
-                }
+                self.push_trace_sample(t_us, power);
                 self.next_trace_us = t_us + self.cfg.trace_period_us;
             }
             done += k;

@@ -64,14 +64,6 @@ impl ThermalModel {
         self.cap_opp < self.max_opp
     }
 
-    /// When the control loop next polls, µs — the thermal model's
-    /// declared wake time. The RC integration itself runs every tick in
-    /// both engines (it is float-sequence-sensitive), so this wake is
-    /// [`Inline`](crate::engine::WakeClass::Inline).
-    pub fn next_poll_us(&self) -> u64 {
-        self.next_poll_us
-    }
-
     /// Time-weighted average temperature over the run, °C.
     pub fn avg_temp_c(&self) -> f64 {
         if self.integral_us == 0 {

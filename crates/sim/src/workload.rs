@@ -6,8 +6,38 @@
 //! Concrete workloads (busy-loop kernel app, GeekBench-like suite, games)
 //! live in `mobicore-workloads`.
 
-use crate::engine::Wake;
 use std::collections::VecDeque;
+
+/// When a component next needs a full simulation step — the currency of
+/// [`Workload::next_tick_us`] and of the event-driven engine's quiet-run
+/// bound (docs/simulator.md).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// Needs every tick — the conservative default that degrades the
+    /// event engine to cyclic behaviour without changing results.
+    EveryTick,
+    /// Needs nothing until this absolute simulated time, µs. Declaring
+    /// `At(t)` is a promise: calling the component's per-tick hook at
+    /// any time strictly before `t` (with no completions pending) is an
+    /// observable no-op. A `t` already in the past means "due now".
+    At(u64),
+    /// Needs nothing for the rest of the run.
+    Never,
+}
+
+impl Wake {
+    /// The earlier of two wakes — how a composite component (e.g. a
+    /// multi-phase scenario workload) folds its parts' declarations into
+    /// one. `EveryTick` dominates; `Never` is the identity.
+    #[must_use]
+    pub fn earliest_of(self, other: Wake) -> Wake {
+        match (self, other) {
+            (Wake::EveryTick, _) | (_, Wake::EveryTick) => Wake::EveryTick,
+            (Wake::Never, w) | (w, Wake::Never) => w,
+            (Wake::At(a), Wake::At(b)) => Wake::At(a.min(b)),
+        }
+    }
+}
 
 /// Identifier of a simulated thread.
 pub type ThreadId = usize;
@@ -220,6 +250,16 @@ impl<W: Workload + ?Sized> Workload for Box<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn earliest_of_folds_correctly() {
+        use Wake::{At, EveryTick, Never};
+        assert_eq!(At(5).earliest_of(At(3)), At(3));
+        assert_eq!(At(5).earliest_of(Never), At(5));
+        assert_eq!(Never.earliest_of(Never), Never);
+        assert_eq!(Never.earliest_of(EveryTick), EveryTick);
+        assert_eq!(At(5).earliest_of(EveryTick), EveryTick);
+    }
 
     #[test]
     fn spawn_and_push() {
