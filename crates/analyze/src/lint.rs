@@ -9,7 +9,7 @@
 //! | `serve-no-panic-paths` | `crates/serve` protocol/session code must not `unwrap`/`expect`/`panic!` — a malformed frame must never kill a worker (escape: `// infallible:` with a proof) |
 //! | `relaxed-needs-justification` | every `Ordering::Relaxed` outside tests carries a `// relaxed:` comment saying why the weak ordering is sound |
 //! | `crate-lint-headers` | every crate root pins `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
-//! | `registry-doc-sync` | frame types, event kinds, policy, arena, profile and sim-engine registries are each fully enumerated (backticked) in their doc page |
+//! | `registry-doc-sync` | frame types, event kinds, policy, arena, profile and sim-engine registries and the sysfs attribute vocabulary are each fully enumerated (backticked) in their doc page |
 //! | `next-tick-equivalence-coverage` | every `fn next_tick_us` wake-time implementation is registered here and exercised by the engine-equivalence suite |
 //! | `doc-cargo-targets` | every `cargo run\|test\|bench` command in the docs, CI and verify recipe names a package and `--bin`/`--test`/`--bench`/`--example` target that exists ([`crate::cargo_targets`]) |
 //! | `unused-dependency` | every `[dependencies]`/`[dev-dependencies]` entry of a workspace member appears as `ident::` or `use ident` in that package's `.rs` files ([`crate::cargo_targets`]) |
@@ -313,7 +313,7 @@ struct RegistrySpec {
     what: &'static str,
 }
 
-const REGISTRIES: [RegistrySpec; 7] = [
+const REGISTRIES: [RegistrySpec; 8] = [
     RegistrySpec {
         source: "crates/sim/src/config.rs",
         extract: Extract::ArrayStrings("ENGINE_NAMES"),
@@ -358,6 +358,12 @@ const REGISTRIES: [RegistrySpec; 7] = [
         extract: Extract::ArrayStrings("ROUTER_FRAMES"),
         doc: "docs/serving.md",
         what: "router frame type",
+    },
+    RegistrySpec {
+        source: "crates/sim/src/sysfs.rs",
+        extract: Extract::ArrayStrings("NAMES"),
+        doc: "docs/paper_mapping.md",
+        what: "sysfs attribute",
     },
 ];
 

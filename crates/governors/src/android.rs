@@ -5,36 +5,32 @@ use crate::adapter::GovernorPolicy;
 use crate::dvfs::Ondemand;
 use crate::hotplug::DefaultHotplug;
 use mobicore_model::DeviceProfile;
-use mobicore_sim::{CpuControl, CpuPolicy, PolicySnapshot};
 
 /// `ondemand` + default hotplug, sampled at 20 ms like the stock stack.
+///
+/// A namespace: both constructors return a configured
+/// [`GovernorPolicy`].
 ///
 /// Remember the thesis' setup step: on a stock phone `mpdecision` blocks
 /// off-lining, so runs that should exercise DCS must start with
 /// [`SimConfig::without_mpdecision`](mobicore_sim::SimConfig::without_mpdecision)
 /// or issue `stop mpdecision` over [`Simulation::adb`](mobicore_sim::Simulation::adb).
-pub struct AndroidDefaultPolicy {
-    inner: GovernorPolicy,
-}
-
-impl std::fmt::Debug for AndroidDefaultPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AndroidDefaultPolicy")
-            .finish_non_exhaustive()
-    }
-}
+#[derive(Debug)]
+pub struct AndroidDefaultPolicy;
 
 impl AndroidDefaultPolicy {
-    /// The stock configuration for `profile`.
-    pub fn new(profile: &DeviceProfile) -> Self {
-        AndroidDefaultPolicy {
-            inner: GovernorPolicy::with_hotplug(
-                Box::new(Ondemand::new()),
-                Box::new(DefaultHotplug::new()),
-                profile.opps().clone(),
-            )
-            .named("android-default"),
-        }
+    /// The stock configuration for `profile`, named `android-default`.
+    // `new` returns the configured policy rather than `Self` so that
+    // every `Box::new(AndroidDefaultPolicy::new(&p))` call site reads as
+    // before.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(profile: &DeviceProfile) -> GovernorPolicy {
+        GovernorPolicy::with_hotplug(
+            Box::new(Ondemand::new()),
+            Box::new(DefaultHotplug::new()),
+            profile.opps().clone(),
+        )
+        .named("android-default")
     }
 
     /// DVFS-only variant (hotplug disabled), for experiments isolating the
@@ -42,20 +38,6 @@ impl AndroidDefaultPolicy {
     pub fn dvfs_only(profile: &DeviceProfile) -> GovernorPolicy {
         GovernorPolicy::dvfs_only(Box::new(Ondemand::new()), profile.opps().clone())
             .named("android-ondemand-only")
-    }
-}
-
-impl CpuPolicy for AndroidDefaultPolicy {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn sampling_period_us(&self) -> u64 {
-        self.inner.sampling_period_us()
-    }
-
-    fn on_sample(&mut self, snap: &PolicySnapshot, ctl: &mut CpuControl) {
-        self.inner.on_sample(snap, ctl);
     }
 }
 

@@ -18,7 +18,7 @@
 //! device's state is pulled into cache. Shared immutable data is hoisted
 //! behind `Arc` at construction time: the device profile (OPP tables,
 //! power model) via [`SimConfig::new`](crate::SimConfig::new) taking
-//! `Arc<DeviceProfile>`, and the interned sysfs path table via
+//! `Arc<DeviceProfile>`, and the sysfs path table via
 //! [`Simulation::with_paths`].
 //!
 //! Equivalence: devices are independent — no simulation reads another's

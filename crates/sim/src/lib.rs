@@ -15,8 +15,9 @@
 //! * [`thermal`] — RC package thermals plus the msm_thermal-like OPP
 //!   throttle,
 //! * [`meter`] — a Monsoon-like whole-device power meter,
-//! * [`sysfs`] / [`adb`] — the `/sys/devices/system/cpu/...` tree and an
-//!   `adb shell` front end (`stop mpdecision`, `echo 0 > .../online`, ...),
+//! * [`sysfs`] / [`adb`] — the `/sys/devices/system/cpu/...` paths, read
+//!   as a view of simulator state, and an `adb shell` front end
+//!   (`stop mpdecision`, `echo 0 > .../online`, ...),
 //! * [`policy`] — the [`CpuPolicy`] trait governors and MobiCore implement,
 //! * [`workload`] — the [`Workload`] trait apps implement
 //!   (`mobicore-workloads` provides the paper's busy loop, GeekBench-like

@@ -11,7 +11,7 @@ use crate::meter::PowerMeter;
 use crate::policy::{Command, CoreSnapshot, CpuControl, CpuPolicy, PolicySnapshot};
 use crate::report::SimReport;
 use crate::sched::{schedule_tick_into, SchedScratch, TickOutcome, TickParams};
-use crate::sysfs::{paths, CorePath, PathTable, SysFs};
+use crate::sysfs::{Attr, PathTable};
 use crate::thermal::ThermalModel;
 use crate::trace::{Trace, TraceSample};
 use crate::workload::{Wake, Workload, WorkloadRt};
@@ -40,8 +40,6 @@ struct TickScratch {
     sched: SchedScratch,
     /// Scheduler outcome (busy vector reused).
     outcome: TickOutcome,
-    /// Pending sysfs writes, swapped with the sysfs queue each tick.
-    writes: Vec<(String, String)>,
     /// Effective OPP index per core, hoisted at quiet-burst entry (the
     /// event engine bills `time_in_state` at the pre-burst OPP, exactly
     /// as the cyclic loop does before each tick's thermal update lands).
@@ -81,7 +79,6 @@ impl TickScratch {
                 used_runtime_us: 0,
                 denied_us: 0,
             },
-            writes: Vec::new(),
             opps: Vec::new(),
             busy_window: Vec::new(),
             cmds: Vec::new(),
@@ -131,7 +128,9 @@ pub struct Simulation {
     bw: BandwidthController,
     thermal: ThermalModel,
     meter: PowerMeter,
-    sysfs: SysFs,
+    /// Sysfs writes queued since the last tick, applied in order at the
+    /// top of the next one.
+    sysfs_writes: Vec<(Attr, String)>,
     trace: Trace,
     rt: WorkloadRt,
     workloads: Vec<Box<dyn Workload>>,
@@ -157,9 +156,8 @@ pub struct Simulation {
     /// Whether the bandwidth pool denied runtime in the previous tick,
     /// for the edge-triggered `bw-throttle` event.
     bw_denied_last_tick: bool,
-    /// Interned sysfs paths (built once; satellite of the tick fast
-    /// path). Shared: a fleet of same-topology devices holds one table
-    /// behind the `Arc` ([`Simulation::with_paths`]).
+    /// The sysfs path table. Shared: a fleet of same-topology devices
+    /// holds one table behind the `Arc` ([`Simulation::with_paths`]).
     paths: Arc<PathTable>,
     /// Reused per-tick buffers.
     scratch: TickScratch,
@@ -167,9 +165,6 @@ pub struct Simulation {
     snap: PolicySnapshot,
     /// Reused policy command/note buffer.
     ctl: CpuControl,
-    /// Whether the readable sysfs mirror lags the simulation state; reads
-    /// refresh it on demand instead of re-formatting every trace period.
-    sysfs_stale: bool,
     /// Most-recent `ceil_index` lookup (policies request the same target
     /// frequency for long stretches).
     ceil_cache: Option<(Khz, usize)>,
@@ -224,18 +219,17 @@ impl Simulation {
         Self::with_paths(cfg, policy, paths)
     }
 
-    /// Like [`Simulation::new`], but sharing a pre-interned path table.
+    /// Like [`Simulation::new`], but sharing a pre-built path table.
     ///
     /// [`crate::fleet::FleetSim`] builds thousands of same-topology
-    /// devices; interning the ~10·n_cores sysfs path strings once per
-    /// topology instead of once per device is part of what makes a
-    /// multiplexed fleet cheaper than independent runs
-    /// (docs/performance.md).
+    /// devices; formatting the 10·n_cores + 4 sysfs paths once per
+    /// topology instead of once per device keeps device construction
+    /// free of string work (docs/performance.md).
     ///
     /// # Errors
     ///
     /// [`SimError::BadConfig`] when the config fails
-    /// [`SimConfig::validate`] or `paths` was interned for a different
+    /// [`SimConfig::validate`] or `paths` was built for a different
     /// core count than `cfg.profile` has.
     pub fn with_paths(
         cfg: SimConfig,
@@ -243,11 +237,11 @@ impl Simulation {
         path_table: Arc<PathTable>,
     ) -> Result<Self, SimError> {
         cfg.validate()?;
-        if path_table.len() != cfg.profile.n_cores() {
+        if path_table.n_cores() != cfg.profile.n_cores() {
             return Err(SimError::BadConfig {
                 reason: format!(
-                    "path table interned for {} cores, profile has {}",
-                    path_table.len(),
+                    "path table built for {} cores, profile has {}",
+                    path_table.n_cores(),
                     cfg.profile.n_cores()
                 ),
             });
@@ -262,52 +256,6 @@ impl Simulation {
         );
         let mut meter = PowerMeter::new(cfg.trace_period_us);
         meter.reserve_for_duration(cfg.duration_us);
-        let mut sysfs = SysFs::new();
-        let freq_list: Vec<String> = profile.opps().iter().map(|o| o.khz.0.to_string()).collect();
-        for i in 0..profile.n_cores() {
-            let core_paths = path_table.core(i);
-            sysfs.register_rw(core_paths.online.clone(), "1");
-            sysfs.register_ro(
-                core_paths.scaling_cur_freq.clone(),
-                profile.opps().min_khz().0.to_string(),
-            );
-            sysfs.register_rw(
-                core_paths.scaling_setspeed.clone(),
-                profile.opps().min_khz().0.to_string(),
-            );
-            sysfs.register_rw(core_paths.scaling_governor.clone(), "ondemand");
-            sysfs.register_rw(
-                core_paths.scaling_min_freq.clone(),
-                profile.opps().min_khz().0.to_string(),
-            );
-            sysfs.register_rw(
-                core_paths.scaling_max_freq.clone(),
-                profile.opps().max_khz().0.to_string(),
-            );
-            sysfs.register_ro(
-                core_paths.cpuinfo_min_freq.clone(),
-                profile.opps().min_khz().0.to_string(),
-            );
-            sysfs.register_ro(
-                core_paths.cpuinfo_max_freq.clone(),
-                profile.opps().max_khz().0.to_string(),
-            );
-            sysfs.register_ro(
-                core_paths.scaling_available_frequencies.clone(),
-                freq_list.join(" "),
-            );
-            sysfs.register_ro(core_paths.time_in_state.clone(), "");
-        }
-        sysfs.register_ro(paths::THERMAL_TEMP, "25000");
-        sysfs.register_rw(
-            paths::CFS_QUOTA,
-            (cfg.bandwidth_period_us * profile.n_cores() as u64).to_string(),
-        );
-        sysfs.register_ro(paths::CFS_PERIOD, cfg.bandwidth_period_us.to_string());
-        sysfs.register_rw(
-            paths::MPDECISION,
-            if cfg.mpdecision_enabled { "1" } else { "0" },
-        );
         let sampling = policy.sampling_period_us().max(cfg.tick_us);
         let mut telemetry = if cfg.telemetry {
             Telemetry::enabled()
@@ -324,7 +272,7 @@ impl Simulation {
             bw,
             thermal,
             meter,
-            sysfs,
+            sysfs_writes: Vec::new(),
             trace: Trace::new(),
             rt: WorkloadRt::new(),
             workloads: Vec::new(),
@@ -356,7 +304,6 @@ impl Simulation {
                 temp_c: 0.0,
             },
             ctl: CpuControl::new(),
-            sysfs_stale: false,
             ceil_cache: None,
         })
     }
@@ -415,31 +362,66 @@ impl Simulation {
         self.mpdecision_enabled
     }
 
-    /// Direct sysfs read (like `adb shell cat`).
-    ///
-    /// The readable mirror is refreshed lazily: the tick loop only marks
-    /// it stale and the actual value formatting happens here, on demand,
-    /// keeping `cat`-visible state exact without per-trace-period string
-    /// work in the hot loop.
+    /// Direct sysfs read (like `adb shell cat`): the value is formatted
+    /// from simulator state at the moment of the read.
     ///
     /// # Errors
     ///
     /// [`SimError::NoSuchAttribute`] for unknown paths.
-    pub fn sysfs_read(&mut self, path: &str) -> Result<String, SimError> {
-        if self.sysfs_stale {
-            self.refresh_sysfs();
-            self.sysfs_stale = false;
-        }
-        self.sysfs.read(path).map(str::to_string)
+    pub fn sysfs_read(&self, path: &str) -> Result<String, SimError> {
+        let attr = self
+            .paths
+            .resolve(path)
+            .ok_or_else(|| SimError::NoSuchAttribute { path: path.into() })?;
+        let opps = self.cfg.profile.opps();
+        let khz = |idx: usize| opps.get_clamped(idx).khz.0.to_string();
+        let flag = |on: bool| if on { "1" } else { "0" }.to_string();
+        Ok(match attr {
+            Attr::Online(i) => flag(self.cpus.core(i).online),
+            Attr::ScalingCurFreq(i) => self.cpus.effective_khz(&self.cfg.profile, i).0.to_string(),
+            Attr::ScalingSetspeed(i) => khz(self.cpus.core(i).target_opp),
+            Attr::ScalingGovernor(_) => self.policy.name().to_string(),
+            Attr::ScalingMinFreq(i) => khz(self.cpus.core(i).limit_min_opp),
+            Attr::ScalingMaxFreq(i) => khz(self.cpus.core(i).limit_max_opp),
+            Attr::CpuinfoMinFreq(_) => opps.min_khz().0.to_string(),
+            Attr::CpuinfoMaxFreq(_) => opps.max_khz().0.to_string(),
+            Attr::ScalingAvailableFrequencies(_) => opps
+                .iter()
+                .map(|o| o.khz.0.to_string())
+                .collect::<Vec<_>>()
+                .join(" "),
+            // The kernel's format: "<khz> <10ms units>" per OPP.
+            Attr::TimeInState(i) => self
+                .cpus
+                .core(i)
+                .time_in_state_us
+                .iter()
+                .enumerate()
+                .map(|(idx, &us)| format!("{} {}\n", khz(idx), us / 10_000))
+                .collect(),
+            Attr::ThermalTemp => format!("{}", (self.thermal.temp_c() * 1_000.0).round()),
+            Attr::CfsQuotaUs => self.bw.cfs_quota_us().to_string(),
+            Attr::CfsPeriodUs => self.cfg.bandwidth_period_us.to_string(),
+            Attr::Mpdecision => flag(self.mpdecision_enabled),
+        })
     }
 
     /// Direct sysfs write (takes effect next tick).
     ///
     /// # Errors
     ///
-    /// See [`SysFs::write`].
+    /// [`SimError::NoSuchAttribute`] for unknown paths,
+    /// [`SimError::ReadOnlyAttribute`] for read-only ones.
     pub fn sysfs_write(&mut self, path: &str, value: &str) -> Result<(), SimError> {
-        self.sysfs.write(path, value)
+        let attr = self
+            .paths
+            .resolve(path)
+            .ok_or_else(|| SimError::NoSuchAttribute { path: path.into() })?;
+        if !attr.writable() {
+            return Err(SimError::ReadOnlyAttribute { path: path.into() });
+        }
+        self.sysfs_writes.push((attr, value.to_string()));
+        Ok(())
     }
 
     /// Executes an `adb shell`-style command line.
@@ -455,21 +437,15 @@ impl Simulation {
                 self.sysfs_write(&path, &value)?;
                 Ok(String::new())
             }
-            AdbCommand::Ls { prefix } => Ok(self
-                .sysfs
-                .list(&prefix)
-                .into_iter()
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")),
+            AdbCommand::Ls { prefix } => {
+                Ok(self.paths.list(&prefix).collect::<Vec<_>>().join("\n"))
+            }
             AdbCommand::StopMpdecision => {
                 self.mpdecision_enabled = false;
-                self.sysfs.refresh(paths::MPDECISION, "0");
                 Ok(String::new())
             }
             AdbCommand::StartMpdecision => {
                 self.mpdecision_enabled = true;
-                self.sysfs.refresh(paths::MPDECISION, "1");
                 Ok(String::new())
             }
         }
@@ -584,67 +560,67 @@ impl Simulation {
     }
 
     fn process_sysfs_writes(&mut self) {
-        let mut writes = std::mem::take(&mut self.scratch.writes);
-        self.sysfs.take_writes_into(&mut writes);
-        for (path, value) in writes.drain(..) {
-            // Match against the interned path table — no per-core path
-            // strings are built here (satellite of the tick fast path).
-            if let Some(kind) = self.paths.classify(&path) {
-                match kind {
-                    CorePath::Online(i) => match value.trim() {
-                        "0" => self.apply_command(Command::SetOnline {
-                            core: i,
-                            online: false,
-                        }),
-                        "1" => self.apply_command(Command::SetOnline {
-                            core: i,
-                            online: true,
-                        }),
-                        _ => self.invalid_sysfs_writes += 1,
-                    },
-                    CorePath::Setspeed(i) => match value.trim().parse::<u32>() {
-                        Ok(khz) => self.apply_command(Command::SetFreq {
-                            core: i,
-                            khz: Khz(khz),
-                        }),
-                        Err(_) => self.invalid_sysfs_writes += 1,
-                    },
-                    CorePath::MinFreq(i) => match value.trim().parse::<u32>() {
-                        Ok(khz) => {
-                            self.cpus.core_mut(i).limit_min_opp =
-                                self.cfg.profile.opps().ceil_index(Khz(khz));
-                        }
-                        Err(_) => self.invalid_sysfs_writes += 1,
-                    },
-                    CorePath::MaxFreq(i) => match value.trim().parse::<u32>() {
-                        Ok(khz) => {
-                            let idx = self.cfg.profile.opps().floor_index(Khz(khz)).unwrap_or(0);
-                            self.cpus.core_mut(i).limit_max_opp = idx;
-                        }
-                        Err(_) => self.invalid_sysfs_writes += 1,
-                    },
-                    CorePath::Governor(_) => {} // informational only
+        // Applying a write never queues another, so the drained queue
+        // goes back in place with its capacity.
+        let mut writes = std::mem::take(&mut self.sysfs_writes);
+        for (attr, value) in writes.drain(..) {
+            let value = value.trim();
+            match attr {
+                Attr::Online(i) => match value {
+                    "0" => self.apply_command(Command::SetOnline {
+                        core: i,
+                        online: false,
+                    }),
+                    "1" => self.apply_command(Command::SetOnline {
+                        core: i,
+                        online: true,
+                    }),
+                    _ => self.invalid_sysfs_writes += 1,
+                },
+                Attr::ScalingSetspeed(i) => match value.parse::<u32>() {
+                    Ok(khz) => self.apply_command(Command::SetFreq {
+                        core: i,
+                        khz: Khz(khz),
+                    }),
+                    Err(_) => self.invalid_sysfs_writes += 1,
+                },
+                Attr::ScalingMinFreq(i) => match value.parse::<u32>() {
+                    Ok(khz) => {
+                        self.cpus.core_mut(i).limit_min_opp =
+                            self.cfg.profile.opps().ceil_index(Khz(khz));
+                    }
+                    Err(_) => self.invalid_sysfs_writes += 1,
+                },
+                Attr::ScalingMaxFreq(i) => match value.parse::<u32>() {
+                    Ok(khz) => {
+                        let idx = self.cfg.profile.opps().floor_index(Khz(khz)).unwrap_or(0);
+                        self.cpus.core_mut(i).limit_max_opp = idx;
+                    }
+                    Err(_) => self.invalid_sysfs_writes += 1,
+                },
+                // `-1` is the cgroup's "no limit" (and its default).
+                Attr::CfsQuotaUs if value == "-1" => {
+                    self.apply_command(Command::SetQuota(Quota::FULL));
                 }
-                continue;
-            }
-            if path == paths::CFS_QUOTA {
-                match value.trim().parse::<u64>() {
+                Attr::CfsQuotaUs => match value.parse::<u64>() {
                     Ok(us) => {
                         let frac = us as f64
                             / (self.cfg.bandwidth_period_us as f64 * self.cpus.len() as f64);
                         self.apply_command(Command::SetQuota(Quota::new(frac)));
                     }
                     Err(_) => self.invalid_sysfs_writes += 1,
-                }
-            } else if path == paths::MPDECISION {
-                match value.trim() {
+                },
+                Attr::Mpdecision => match value {
                     "0" => self.mpdecision_enabled = false,
                     "1" => self.mpdecision_enabled = true,
                     _ => self.invalid_sysfs_writes += 1,
-                }
+                },
+                // The governor name is informational only; the rest are
+                // read-only and never queued.
+                _ => {}
             }
         }
-        self.scratch.writes = writes;
+        self.sysfs_writes = writes;
     }
 
     /// Rebuilds `self.snap` in place for the current sampling boundary
@@ -674,47 +650,6 @@ impl Simulation {
         self.snap.mpdecision_enabled = self.mpdecision_enabled;
         self.snap.max_runnable_threads = std::mem::take(&mut self.window_max_runnable);
         self.snap.temp_c = self.thermal.temp_c();
-    }
-
-    fn refresh_sysfs(&mut self) {
-        let n = self.cpus.len();
-        for i in 0..n {
-            let khz = self.cpus.effective_khz(&self.cfg.profile, i);
-            self.sysfs
-                .refresh(&self.paths.core(i).scaling_cur_freq, khz.0.to_string());
-            self.sysfs.refresh(
-                &self.paths.core(i).online,
-                if self.cpus.core(i).online { "1" } else { "0" },
-            );
-        }
-        self.sysfs.refresh(
-            paths::THERMAL_TEMP,
-            format!("{}", (self.thermal.temp_c() * 1_000.0).round()),
-        );
-        self.sysfs
-            .refresh(paths::CFS_QUOTA, self.bw.cfs_quota_us().to_string());
-        self.sysfs.refresh(
-            paths::MPDECISION,
-            if self.mpdecision_enabled { "1" } else { "0" },
-        );
-        // time_in_state in the kernel's format: "<khz> <10ms units>".
-        for i in 0..n {
-            let body: String = self
-                .cpus
-                .core(i)
-                .time_in_state_us
-                .iter()
-                .enumerate()
-                .map(|(idx, &us)| {
-                    format!(
-                        "{} {}\n",
-                        self.cfg.profile.opps().get_clamped(idx).khz.0,
-                        us / 10_000
-                    )
-                })
-                .collect();
-            self.sysfs.refresh(&self.paths.core(i).time_in_state, body);
-        }
     }
 
     /// Advances the simulation by one tick.
@@ -852,10 +787,6 @@ impl Simulation {
             }
             self.next_trace_us = now + self.cfg.trace_period_us;
         }
-        // The readable sysfs mirror is refreshed lazily at the next
-        // [`Simulation::sysfs_read`] instead of re-formatted per trace
-        // period (docs/performance.md).
-        self.sysfs_stale = true;
         self.now_us += tick;
     }
 
@@ -974,7 +905,7 @@ impl Simulation {
         // step. Runnable threads or undelivered completions mean the
         // scheduler and workloads have real work; pending sysfs writes
         // land at the top of the next tick.
-        if self.sysfs.has_pending_writes()
+        if !self.sysfs_writes.is_empty()
             || self.rt.runnable_count() != 0
             || !self.rt.completions().is_empty()
         {
@@ -1213,7 +1144,6 @@ impl Simulation {
             self.telemetry.record_repeat_id(ids.power_mw, power, done);
             self.telemetry.set_gauge_id(ids.temp_c, last_pre_tick_temp);
         }
-        self.sysfs_stale = true;
     }
 
     /// Builds the report for whatever has run so far.

@@ -1,411 +1,312 @@
-//! A sysfs-like attribute tree.
+//! The sysfs vocabulary: which paths exist and what each one names.
 //!
 //! Everything the thesis tweaks on the real phone goes through sysfs
-//! paths under `/sys/devices/system/cpu/...`; we mirror that tree so the
-//! tooling (and the adb-style shell of [`crate::adb`]) reads naturally.
-//! Reads return the value as of the last refresh; writes are queued and
-//! applied by the simulator at the next tick boundary, like real sysfs
-//! stores taking effect asynchronously from the writer's point of view.
+//! paths under `/sys/devices/system/cpu/...`; the simulator answers the
+//! same paths so the tooling (and the adb-style shell of [`crate::adb`])
+//! reads naturally. The tree stores no values: a [`PathTable`] maps each
+//! path to its [`Attr`], and [`Simulation::sysfs_read`] formats the value
+//! from simulator state at the moment of the read. Writes are queued and
+//! applied at the next tick boundary, like real sysfs stores taking
+//! effect asynchronously from the writer's point of view.
+//!
+//! [`Simulation::sysfs_read`]: crate::Simulation::sysfs_read
 
-use crate::error::SimError;
-use std::collections::BTreeMap;
+/// Every attribute file name, in [`Attr`] declaration order: the ten
+/// per-core files under `cpu<i>/`, then the four global ones.
+pub const NAMES: [&str; 14] = [
+    "online",
+    "scaling_cur_freq",
+    "scaling_setspeed",
+    "scaling_governor",
+    "scaling_min_freq",
+    "scaling_max_freq",
+    "cpuinfo_min_freq",
+    "cpuinfo_max_freq",
+    "scaling_available_frequencies",
+    "stats/time_in_state",
+    "temp",
+    "cpu.cfs_quota_us",
+    "cpu.cfs_period_us",
+    "enabled",
+];
 
-/// One attribute.
-#[derive(Debug, Clone)]
-struct Attr {
-    value: String,
-    writable: bool,
-}
-
-/// The attribute tree.
-#[derive(Debug, Clone, Default)]
-pub struct SysFs {
-    attrs: BTreeMap<String, Attr>,
-    pending_writes: Vec<(String, String)>,
-}
-
-impl SysFs {
-    /// An empty tree.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a read-only attribute.
-    pub fn register_ro(&mut self, path: impl Into<String>, value: impl Into<String>) {
-        self.attrs.insert(
-            path.into(),
-            Attr {
-                value: value.into(),
-                writable: false,
-            },
-        );
-    }
-
-    /// Registers a writable attribute.
-    pub fn register_rw(&mut self, path: impl Into<String>, value: impl Into<String>) {
-        self.attrs.insert(
-            path.into(),
-            Attr {
-                value: value.into(),
-                writable: true,
-            },
-        );
-    }
-
-    /// Reads an attribute.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoSuchAttribute`] if the path is not registered.
-    pub fn read(&self, path: &str) -> Result<&str, SimError> {
-        self.attrs
-            .get(path)
-            .map(|a| a.value.as_str())
-            .ok_or_else(|| SimError::NoSuchAttribute { path: path.into() })
-    }
-
-    /// Queues a write. The new value is observable only after the
-    /// simulator processes pending writes.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoSuchAttribute`] for unknown paths,
-    /// [`SimError::ReadOnlyAttribute`] for read-only ones.
-    pub fn write(&mut self, path: &str, value: impl Into<String>) -> Result<(), SimError> {
-        let attr = self
-            .attrs
-            .get(path)
-            .ok_or_else(|| SimError::NoSuchAttribute { path: path.into() })?;
-        if !attr.writable {
-            return Err(SimError::ReadOnlyAttribute { path: path.into() });
-        }
-        self.pending_writes.push((path.to_string(), value.into()));
-        Ok(())
-    }
-
-    /// Updates a value from the simulator side (refresh), without going
-    /// through the pending queue. Creates the attribute read-only if it
-    /// does not exist.
-    pub fn refresh(&mut self, path: &str, value: impl Into<String>) {
-        match self.attrs.get_mut(path) {
-            Some(a) => a.value = value.into(),
-            None => self.register_ro(path, value),
-        }
-    }
-
-    /// Whether any writes are queued but not yet applied (the event
-    /// engine refuses to fast-forward past a pending write).
-    pub fn has_pending_writes(&self) -> bool {
-        !self.pending_writes.is_empty()
-    }
-
-    /// Drains queued writes in order, committing each value.
-    pub fn take_writes(&mut self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        self.take_writes_into(&mut out);
-        out
-    }
-
-    /// Drains queued writes in order into `out`, committing each value
-    /// (buffer-reusing variant of [`SysFs::take_writes`]; the simulator
-    /// swaps one scratch vector in every tick).
-    pub fn take_writes_into(&mut self, out: &mut Vec<(String, String)>) {
-        out.clear();
-        std::mem::swap(&mut self.pending_writes, out);
-        for (path, value) in out.iter() {
-            if let Some(a) = self.attrs.get_mut(path) {
-                a.value.clear();
-                a.value.push_str(value);
-            }
-        }
-    }
-
-    /// Lists registered paths under a prefix (an `ls -R`-flavoured view).
-    pub fn list(&self, prefix: &str) -> Vec<&str> {
-        self.attrs
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .map(String::as_str)
-            .collect()
-    }
-}
-
-/// Canonical path helpers for the CPU tree.
-pub mod paths {
-    /// `/sys/devices/system/cpu/cpu<i>/online`
-    pub fn online(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/online")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/scaling_cur_freq`
-    pub fn scaling_cur_freq(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/scaling_cur_freq")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/scaling_setspeed`
-    pub fn scaling_setspeed(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/scaling_setspeed")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/scaling_governor`
-    pub fn scaling_governor(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/scaling_governor")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/cpuinfo_min_freq`
-    pub fn cpuinfo_min_freq(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/cpuinfo_min_freq")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/cpuinfo_max_freq`
-    pub fn cpuinfo_max_freq(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/cpuinfo_max_freq")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/scaling_available_frequencies`
-    pub fn scaling_available_frequencies(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/scaling_available_frequencies")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/scaling_min_freq`
-    pub fn scaling_min_freq(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/scaling_min_freq")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/scaling_max_freq`
-    pub fn scaling_max_freq(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/scaling_max_freq")
-    }
-    /// `/sys/devices/system/cpu/cpu<i>/cpufreq/stats/time_in_state`
-    pub fn time_in_state(core: usize) -> String {
-        format!("/sys/devices/system/cpu/cpu{core}/cpufreq/stats/time_in_state")
-    }
-    /// `/sys/class/thermal/thermal_zone0/temp` (millidegrees, like Linux)
-    pub const THERMAL_TEMP: &str = "/sys/class/thermal/thermal_zone0/temp";
-    /// `/sys/fs/cgroup/cpu/cpu.cfs_quota_us`
-    pub const CFS_QUOTA: &str = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us";
-    /// `/sys/fs/cgroup/cpu/cpu.cfs_period_us`
-    pub const CFS_PERIOD: &str = "/sys/fs/cgroup/cpu/cpu.cfs_period_us";
-    /// `/sys/module/mpdecision/parameters/enabled`
-    pub const MPDECISION: &str = "/sys/module/mpdecision/parameters/enabled";
-}
-
-/// The interned sysfs paths of one core (see [`PathTable`]).
-#[derive(Debug, Clone)]
-pub struct CorePaths {
-    /// `cpu<i>/online`
-    pub online: String,
-    /// `cpu<i>/cpufreq/scaling_cur_freq`
-    pub scaling_cur_freq: String,
-    /// `cpu<i>/cpufreq/scaling_setspeed`
-    pub scaling_setspeed: String,
-    /// `cpu<i>/cpufreq/scaling_governor`
-    pub scaling_governor: String,
-    /// `cpu<i>/cpufreq/scaling_min_freq`
-    pub scaling_min_freq: String,
-    /// `cpu<i>/cpufreq/scaling_max_freq`
-    pub scaling_max_freq: String,
-    /// `cpu<i>/cpufreq/cpuinfo_min_freq`
-    pub cpuinfo_min_freq: String,
-    /// `cpu<i>/cpufreq/cpuinfo_max_freq`
-    pub cpuinfo_max_freq: String,
-    /// `cpu<i>/cpufreq/scaling_available_frequencies`
-    pub scaling_available_frequencies: String,
-    /// `cpu<i>/cpufreq/stats/time_in_state`
-    pub time_in_state: String,
-}
-
-/// A classified writable per-core path (what a pending sysfs write is
-/// aimed at), as returned by [`PathTable::classify`].
+/// One attribute of the tree; per-core attributes carry the core index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorePath {
+pub enum Attr {
     /// `cpu<i>/online`
     Online(usize),
+    /// `cpu<i>/cpufreq/scaling_cur_freq`
+    ScalingCurFreq(usize),
     /// `cpu<i>/cpufreq/scaling_setspeed`
-    Setspeed(usize),
-    /// `cpu<i>/cpufreq/scaling_min_freq`
-    MinFreq(usize),
-    /// `cpu<i>/cpufreq/scaling_max_freq`
-    MaxFreq(usize),
+    ScalingSetspeed(usize),
     /// `cpu<i>/cpufreq/scaling_governor`
-    Governor(usize),
+    ScalingGovernor(usize),
+    /// `cpu<i>/cpufreq/scaling_min_freq`
+    ScalingMinFreq(usize),
+    /// `cpu<i>/cpufreq/scaling_max_freq`
+    ScalingMaxFreq(usize),
+    /// `cpu<i>/cpufreq/cpuinfo_min_freq`
+    CpuinfoMinFreq(usize),
+    /// `cpu<i>/cpufreq/cpuinfo_max_freq`
+    CpuinfoMaxFreq(usize),
+    /// `cpu<i>/cpufreq/scaling_available_frequencies`
+    ScalingAvailableFrequencies(usize),
+    /// `cpu<i>/cpufreq/stats/time_in_state`
+    TimeInState(usize),
+    /// `/sys/class/thermal/thermal_zone0/temp` (millidegrees, like Linux)
+    ThermalTemp,
+    /// `/sys/fs/cgroup/cpu/cpu.cfs_quota_us`
+    CfsQuotaUs,
+    /// `/sys/fs/cgroup/cpu/cpu.cfs_period_us`
+    CfsPeriodUs,
+    /// `/sys/module/mpdecision/parameters/enabled`
+    Mpdecision,
 }
 
-/// Per-core sysfs paths interned once at simulation construction.
+/// The per-core constructors, in [`NAMES`] order.
+const PER_CORE: [fn(usize) -> Attr; 10] = [
+    Attr::Online,
+    Attr::ScalingCurFreq,
+    Attr::ScalingSetspeed,
+    Attr::ScalingGovernor,
+    Attr::ScalingMinFreq,
+    Attr::ScalingMaxFreq,
+    Attr::CpuinfoMinFreq,
+    Attr::CpuinfoMaxFreq,
+    Attr::ScalingAvailableFrequencies,
+    Attr::TimeInState,
+];
+
+/// The global attributes and their directories, in [`NAMES`] order.
+const GLOBAL: [(&str, Attr); 4] = [
+    ("/sys/class/thermal/thermal_zone0", Attr::ThermalTemp),
+    ("/sys/fs/cgroup/cpu", Attr::CfsQuotaUs),
+    ("/sys/fs/cgroup/cpu", Attr::CfsPeriodUs),
+    ("/sys/module/mpdecision/parameters", Attr::Mpdecision),
+];
+
+impl Attr {
+    /// Whether `echo` may write the attribute (the rest are read-only).
+    pub fn writable(self) -> bool {
+        matches!(
+            self,
+            Attr::Online(_)
+                | Attr::ScalingSetspeed(_)
+                | Attr::ScalingGovernor(_)
+                | Attr::ScalingMinFreq(_)
+                | Attr::ScalingMaxFreq(_)
+                | Attr::CfsQuotaUs
+                | Attr::Mpdecision
+        )
+    }
+}
+
+/// Every path of an `n_cores` device, formatted once.
 ///
-/// [`crate::Simulation`] builds one of these in `new` so the per-tick
-/// write-processing and refresh paths compare and look up against
-/// pre-built strings instead of `format!`-ing a fresh path per core per
-/// write (docs/performance.md).
+/// [`crate::Simulation`] resolves each read and write against one of
+/// these; a fleet of same-topology devices shares one table behind an
+/// `Arc` ([`crate::Simulation::with_paths`]).
 #[derive(Debug, Clone)]
 pub struct PathTable {
-    per_core: Vec<CorePaths>,
+    n_cores: usize,
+    /// `(path, attribute)`, sorted by path.
+    entries: Vec<(String, Attr)>,
 }
 
 impl PathTable {
-    /// Interns the full path set for `n_cores` cores.
+    /// Formats the full path set for `n_cores` cores.
     pub fn new(n_cores: usize) -> Self {
-        PathTable {
-            per_core: (0..n_cores)
-                .map(|i| CorePaths {
-                    online: paths::online(i),
-                    scaling_cur_freq: paths::scaling_cur_freq(i),
-                    scaling_setspeed: paths::scaling_setspeed(i),
-                    scaling_governor: paths::scaling_governor(i),
-                    scaling_min_freq: paths::scaling_min_freq(i),
-                    scaling_max_freq: paths::scaling_max_freq(i),
-                    cpuinfo_min_freq: paths::cpuinfo_min_freq(i),
-                    cpuinfo_max_freq: paths::cpuinfo_max_freq(i),
-                    scaling_available_frequencies: paths::scaling_available_frequencies(i),
-                    time_in_state: paths::time_in_state(i),
-                })
-                .collect(),
+        let mut entries = Vec::with_capacity(PER_CORE.len() * n_cores + GLOBAL.len());
+        for core in 0..n_cores {
+            for (name, attr) in NAMES.iter().zip(PER_CORE) {
+                let dir = if *name == "online" { "" } else { "cpufreq/" };
+                entries.push((
+                    format!("/sys/devices/system/cpu/cpu{core}/{dir}{name}"),
+                    attr(core),
+                ));
+            }
         }
-    }
-
-    /// The interned paths of core `i`.
-    pub fn core(&self, i: usize) -> &CorePaths {
-        &self.per_core[i]
+        for (name, (dir, attr)) in NAMES[PER_CORE.len()..].iter().zip(GLOBAL) {
+            entries.push((format!("{dir}/{name}"), attr));
+        }
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        PathTable { n_cores, entries }
     }
 
     /// Number of cores the table was built for.
-    pub fn len(&self) -> usize {
-        self.per_core.len()
+    pub fn n_cores(&self) -> usize {
+        self.n_cores
     }
 
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.per_core.is_empty()
+    /// The attribute at `path`, if there is one.
+    pub fn resolve(&self, path: &str) -> Option<Attr> {
+        self.entries
+            .binary_search_by(|(p, _)| p.as_str().cmp(path))
+            .ok()
+            .map(|i| self.entries[i].1)
     }
 
-    /// Matches `path` against the writable per-core attributes without
-    /// allocating.
-    pub fn classify(&self, path: &str) -> Option<CorePath> {
-        for (i, c) in self.per_core.iter().enumerate() {
-            if path == c.online {
-                return Some(CorePath::Online(i));
-            }
-            if path == c.scaling_setspeed {
-                return Some(CorePath::Setspeed(i));
-            }
-            if path == c.scaling_min_freq {
-                return Some(CorePath::MinFreq(i));
-            }
-            if path == c.scaling_max_freq {
-                return Some(CorePath::MaxFreq(i));
-            }
-            if path == c.scaling_governor {
-                return Some(CorePath::Governor(i));
-            }
-        }
-        None
+    /// Paths under `prefix`, sorted (an `ls -R`-flavoured view).
+    pub fn list<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        self.entries
+            .iter()
+            .map(|(p, _)| p.as_str())
+            .filter(move |p| p.starts_with(prefix))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SimConfig, SimError, Simulation};
+    use mobicore_model::profiles;
+
+    const SETSPEED0: &str = "/sys/devices/system/cpu/cpu0/cpufreq/scaling_setspeed";
 
     #[test]
     fn read_write_round_trip() {
-        let mut fs = SysFs::new();
-        fs.register_rw("/a/b", "1");
-        assert_eq!(fs.read("/a/b").unwrap(), "1");
-        fs.write("/a/b", "0").unwrap();
-        // not visible until committed
-        assert_eq!(fs.read("/a/b").unwrap(), "1");
-        let writes = fs.take_writes();
-        assert_eq!(writes, vec![("/a/b".to_string(), "0".to_string())]);
-        assert_eq!(fs.read("/a/b").unwrap(), "0");
+        let mut sim = Simulation::without_policy(SimConfig::new(profiles::nexus5())).unwrap();
+        assert_eq!(sim.sysfs_read(SETSPEED0).unwrap(), "300000");
+        sim.sysfs_write(SETSPEED0, "960000").unwrap();
+        // not visible until the next tick applies it
+        assert_eq!(sim.sysfs_read(SETSPEED0).unwrap(), "300000");
+        sim.step();
+        assert_eq!(sim.sysfs_read(SETSPEED0).unwrap(), "960000");
     }
 
     #[test]
     fn read_only_rejected() {
-        let mut fs = SysFs::new();
-        fs.register_ro("/r", "x");
+        let table = PathTable::new(1);
+        let read_only: Vec<_> = table
+            .entries
+            .iter()
+            .filter(|(_, a)| !a.writable())
+            .map(|(p, _)| p.rsplit('/').next().unwrap())
+            .collect();
+        assert_eq!(
+            read_only,
+            [
+                "temp",
+                "cpuinfo_max_freq",
+                "cpuinfo_min_freq",
+                "scaling_available_frequencies",
+                "scaling_cur_freq",
+                "time_in_state",
+                "cpu.cfs_period_us"
+            ]
+        );
+        let mut sim = Simulation::without_policy(SimConfig::new(profiles::nexus5())).unwrap();
         assert!(matches!(
-            fs.write("/r", "y"),
+            sim.sysfs_write("/sys/fs/cgroup/cpu/cpu.cfs_period_us", "1"),
             Err(SimError::ReadOnlyAttribute { .. })
         ));
     }
 
     #[test]
     fn unknown_path_rejected() {
-        let mut fs = SysFs::new();
+        let mut sim = Simulation::without_policy(SimConfig::new(profiles::nexus5())).unwrap();
         assert!(matches!(
-            fs.read("/nope"),
+            sim.sysfs_read("/nope"),
             Err(SimError::NoSuchAttribute { .. })
         ));
         assert!(matches!(
-            fs.write("/nope", "1"),
+            sim.sysfs_write("/nope", "1"),
             Err(SimError::NoSuchAttribute { .. })
         ));
     }
 
     #[test]
     fn refresh_bypasses_queue() {
-        let mut fs = SysFs::new();
-        fs.register_ro("/temp", "25000");
-        fs.refresh("/temp", "31000");
-        assert_eq!(fs.read("/temp").unwrap(), "31000");
-        // refresh also creates
-        fs.refresh("/new", "7");
-        assert_eq!(fs.read("/new").unwrap(), "7");
+        // State changes that do not go through a write are visible at
+        // once: `stop mpdecision` needs no tick.
+        let mut sim = Simulation::without_policy(SimConfig::new(profiles::nexus5())).unwrap();
+        let path = "/sys/module/mpdecision/parameters/enabled";
+        assert_eq!(sim.sysfs_read(path).unwrap(), "1");
+        sim.adb("stop mpdecision").unwrap();
+        assert_eq!(sim.sysfs_read(path).unwrap(), "0");
     }
 
     #[test]
     fn list_by_prefix_sorted() {
-        let mut fs = SysFs::new();
-        fs.register_ro("/sys/b", "");
-        fs.register_ro("/sys/a", "");
-        fs.register_ro("/other", "");
-        assert_eq!(fs.list("/sys/"), vec!["/sys/a", "/sys/b"]);
-        assert_eq!(fs.list("/"), vec!["/other", "/sys/a", "/sys/b"]);
+        let table = PathTable::new(2);
+        assert_eq!(
+            table.list("/sys/fs/").collect::<Vec<_>>(),
+            [
+                "/sys/fs/cgroup/cpu/cpu.cfs_period_us",
+                "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+            ]
+        );
+        let all: Vec<_> = table.list("/").collect();
+        assert_eq!(all.len(), 10 * 2 + 4);
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn path_helpers() {
-        assert_eq!(paths::online(2), "/sys/devices/system/cpu/cpu2/online");
-        assert!(paths::scaling_cur_freq(0).ends_with("cpu0/cpufreq/scaling_cur_freq"));
+        let table = PathTable::new(4);
+        assert_eq!(
+            table.resolve("/sys/devices/system/cpu/cpu2/online"),
+            Some(Attr::Online(2))
+        );
+        assert_eq!(
+            table.resolve("/sys/devices/system/cpu/cpu0/cpufreq/stats/time_in_state"),
+            Some(Attr::TimeInState(0))
+        );
+        assert_eq!(
+            table.resolve("/sys/class/thermal/thermal_zone0/temp"),
+            Some(Attr::ThermalTemp)
+        );
     }
 
     #[test]
     fn path_table_matches_helpers() {
+        // Every name is the file name of exactly n_cores (per-core) or one
+        // (global) path.
         let table = PathTable::new(4);
-        assert_eq!(table.len(), 4);
-        for i in 0..4 {
-            assert_eq!(table.core(i).online, paths::online(i));
-            assert_eq!(table.core(i).scaling_setspeed, paths::scaling_setspeed(i));
-            assert_eq!(table.core(i).time_in_state, paths::time_in_state(i));
+        assert_eq!(table.n_cores(), 4);
+        for (k, name) in NAMES.iter().enumerate() {
+            let n = table
+                .list("/")
+                .filter(|p| p.ends_with(&format!("/{name}")))
+                .count();
+            assert_eq!(n, if k < PER_CORE.len() { 4 } else { 1 }, "{name}");
         }
     }
 
     #[test]
     fn path_table_classifies_writable_paths() {
         let table = PathTable::new(4);
-        assert_eq!(table.classify(&paths::online(3)), Some(CorePath::Online(3)));
+        let cpu = "/sys/devices/system/cpu";
+        for (path, attr) in [
+            (format!("{cpu}/cpu3/online"), Attr::Online(3)),
+            (
+                format!("{cpu}/cpu0/cpufreq/scaling_setspeed"),
+                Attr::ScalingSetspeed(0),
+            ),
+            (
+                format!("{cpu}/cpu1/cpufreq/scaling_min_freq"),
+                Attr::ScalingMinFreq(1),
+            ),
+            (
+                format!("{cpu}/cpu2/cpufreq/scaling_max_freq"),
+                Attr::ScalingMaxFreq(2),
+            ),
+            (
+                format!("{cpu}/cpu1/cpufreq/scaling_governor"),
+                Attr::ScalingGovernor(1),
+            ),
+        ] {
+            assert_eq!(table.resolve(&path), Some(attr), "{path}");
+            assert!(attr.writable());
+        }
         assert_eq!(
-            table.classify(&paths::scaling_setspeed(0)),
-            Some(CorePath::Setspeed(0))
+            table.resolve("/sys/module/mpdecision/parameters/enabled"),
+            Some(Attr::Mpdecision)
         );
         assert_eq!(
-            table.classify(&paths::scaling_min_freq(1)),
-            Some(CorePath::MinFreq(1))
+            table.resolve(&format!("{cpu}/cpu7/online")),
+            None,
+            "past table end"
         );
-        assert_eq!(
-            table.classify(&paths::scaling_max_freq(2)),
-            Some(CorePath::MaxFreq(2))
-        );
-        assert_eq!(
-            table.classify(&paths::scaling_governor(1)),
-            Some(CorePath::Governor(1))
-        );
-        assert_eq!(table.classify(paths::MPDECISION), None);
-        assert_eq!(table.classify(&paths::online(7)), None, "past table end");
-    }
-
-    #[test]
-    fn take_writes_into_reuses_buffer() {
-        let mut fs = SysFs::new();
-        fs.register_rw("/a", "1");
-        fs.write("/a", "2").unwrap();
-        let mut buf = vec![("old".to_string(), "junk".to_string())];
-        fs.take_writes_into(&mut buf);
-        assert_eq!(buf, vec![("/a".to_string(), "2".to_string())]);
-        assert_eq!(fs.read("/a").unwrap(), "2");
-        fs.take_writes_into(&mut buf);
-        assert!(buf.is_empty());
     }
 }

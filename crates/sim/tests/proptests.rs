@@ -2,9 +2,8 @@
 
 use mobicore_model::{profiles, Khz};
 use mobicore_sim::sched::{schedule_tick, TickParams};
-use mobicore_sim::sysfs::SysFs;
 use mobicore_sim::trace::{Trace, TraceSample};
-use mobicore_sim::{adb, WorkloadRt};
+use mobicore_sim::{adb, SimConfig, Simulation, WorkloadRt};
 use proptest::prelude::*;
 
 proptest! {
@@ -72,21 +71,44 @@ proptest! {
         let _ = Trace::from_bytes(&bytes[..cut]); // must not panic
     }
 
-    /// Sysfs sequences of register/write/read/refresh keep the store
-    /// coherent: a committed write is readable; an uncommitted one is not.
+    /// Sysfs writes land at the tick boundary: over random sequences of
+    /// OPP-valued `scaling_setspeed` / `scaling_max_freq` writes mixed
+    /// with ticks, a read before the next tick shows the old value and a
+    /// read after it shows the new one.
     #[test]
     fn sysfs_commit_semantics(
-        values in proptest::collection::vec("[a-z0-9]{1,8}", 1..10)
+        ops in proptest::collection::vec((0u8..3, 0usize..4, 0usize..14), 1..24)
     ) {
-        let mut fs = SysFs::new();
-        fs.register_rw("/k", "init");
-        let mut committed = "init".to_string();
-        for v in values {
-            fs.write("/k", v.clone()).expect("writable");
-            prop_assert_eq!(fs.read("/k").expect("exists"), committed.as_str());
-            fs.take_writes();
-            committed = v;
-            prop_assert_eq!(fs.read("/k").expect("exists"), committed.as_str());
+        let profile = profiles::nexus5();
+        let opps = profile.opps().clone();
+        let mut sim = Simulation::without_policy(SimConfig::new(profile)).expect("valid config");
+        let path = |name: &str, core: usize| {
+            format!("/sys/devices/system/cpu/cpu{core}/cpufreq/{name}")
+        };
+        let names = ["scaling_setspeed", "scaling_max_freq"];
+        // committed[kind][core], as kHz strings.
+        let mut committed = [
+            vec![opps.min_khz().0.to_string(); 4],
+            vec![opps.max_khz().0.to_string(); 4],
+        ];
+        let mut pending: Vec<(usize, usize, String)> = Vec::new();
+        for (op, core, opp) in ops {
+            if let Some(name) = names.get(usize::from(op)) {
+                let khz = opps.get_clamped(opp).khz.0.to_string();
+                sim.sysfs_write(&path(name, core), &khz).expect("writable");
+                pending.push((usize::from(op), core, khz));
+            } else {
+                sim.step();
+                for (kind, core, khz) in pending.drain(..) {
+                    committed[kind][core] = khz;
+                }
+            }
+            for (name, want) in names.iter().zip(&committed) {
+                for (core, want) in want.iter().enumerate() {
+                    let read = sim.sysfs_read(&path(name, core)).expect("exists");
+                    prop_assert_eq!(&read, want, "{} cpu{}", name, core);
+                }
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! The sysfs tree and the adb-style shell, exercised through the whole
 //! stack the way the thesis drives its phone.
 
-use mobicore_model::profiles;
+use mobicore_model::{profiles, Quota};
 use mobicore_sim::builtin::PinnedPolicy;
-use mobicore_sim::{SimConfig, SimError, Simulation};
+use mobicore_sim::{CpuPolicy, SimConfig, SimError, Simulation};
 use mobicore_workloads::BusyLoop;
 
 fn sim() -> Simulation {
@@ -130,6 +130,12 @@ fn cfs_quota_write_throttles() {
         s.adb("cat /sys/fs/cgroup/cpu/cpu.cfs_quota_us").unwrap(),
         "200000"
     );
+    // `-1` is the cgroup's "no limit", as on Linux.
+    s.adb("echo -1 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    s.step();
+    assert_eq!(s.quota(), Quota::FULL);
+    assert_eq!(s.invalid_sysfs_writes, 0);
 }
 
 #[test]
@@ -141,6 +147,36 @@ fn ls_lists_the_tree() {
     };
     assert!(listing.contains("cpu0/online"));
     assert!(listing.contains("cpu3/cpufreq/scaling_cur_freq"));
+    // The whole tree: 10 files per core plus 4 global ones, sorted.
+    let mut want: Vec<String> = (0..4)
+        .flat_map(|i| {
+            [
+                "online",
+                "cpufreq/scaling_cur_freq",
+                "cpufreq/scaling_setspeed",
+                "cpufreq/scaling_governor",
+                "cpufreq/scaling_min_freq",
+                "cpufreq/scaling_max_freq",
+                "cpufreq/cpuinfo_min_freq",
+                "cpufreq/cpuinfo_max_freq",
+                "cpufreq/scaling_available_frequencies",
+                "cpufreq/stats/time_in_state",
+            ]
+            .map(|f| format!("/sys/devices/system/cpu/cpu{i}/{f}"))
+        })
+        .collect();
+    want.extend(
+        [
+            "/sys/class/thermal/thermal_zone0/temp",
+            "/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+            "/sys/fs/cgroup/cpu/cpu.cfs_period_us",
+            "/sys/module/mpdecision/parameters/enabled",
+        ]
+        .map(String::from),
+    );
+    want.sort();
+    assert_eq!(want.len(), 10 * 4 + 4);
+    assert_eq!(sim().adb("ls /").unwrap(), want.join("\n"));
 }
 
 #[test]
@@ -239,4 +275,55 @@ fn userspace_governor_via_setspeed() {
             .unwrap(),
         "960000"
     );
+}
+
+#[test]
+fn non_opp_writes_read_back_snapped_to_an_opp() {
+    let profile = profiles::nexus5();
+    let cfg = SimConfig::new(profile).with_duration_secs(1);
+    let mut s = Simulation::without_policy(cfg).unwrap();
+    let base = "/sys/devices/system/cpu/cpu0/cpufreq";
+    s.adb(&format!("echo 1000000 > {base}/scaling_setspeed"))
+        .unwrap();
+    s.adb(&format!("echo 1000000 > {base}/scaling_min_freq"))
+        .unwrap();
+    s.adb(&format!("echo 1000000 > {base}/scaling_max_freq"))
+        .unwrap();
+    s.step();
+    // setspeed and min round up to the next OPP, max rounds down.
+    for (file, khz) in [
+        ("scaling_setspeed", "1036800"),
+        ("scaling_min_freq", "1036800"),
+        ("scaling_max_freq", "960000"),
+    ] {
+        assert_eq!(s.adb(&format!("cat {base}/{file}")).unwrap(), khz, "{file}");
+    }
+    assert_eq!(s.invalid_sysfs_writes, 0);
+}
+
+#[test]
+fn unparsable_write_keeps_the_previous_value() {
+    let profile = profiles::nexus5();
+    let cfg = SimConfig::new(profile).with_duration_secs(1);
+    let mut s = Simulation::without_policy(cfg).unwrap();
+    let setspeed = "/sys/devices/system/cpu/cpu2/cpufreq/scaling_setspeed";
+    s.adb(&format!("echo 960000 > {setspeed}")).unwrap();
+    s.step();
+    s.adb(&format!("echo banana > {setspeed}")).unwrap();
+    s.step();
+    assert_eq!(s.adb(&format!("cat {setspeed}")).unwrap(), "960000");
+    assert_eq!(s.invalid_sysfs_writes, 1);
+}
+
+#[test]
+fn scaling_governor_names_the_driving_policy() {
+    let mut s = sim();
+    let pinned = PinnedPolicy::new(4, profiles::nexus5().opps().max_khz());
+    let governor = "/sys/devices/system/cpu/cpu1/cpufreq/scaling_governor";
+    assert_eq!(s.adb(&format!("cat {governor}")).unwrap(), pinned.name());
+    // Accepted and ignored: the policy keeps driving the core.
+    s.adb(&format!("echo userspace > {governor}")).unwrap();
+    s.step();
+    assert_eq!(s.adb(&format!("cat {governor}")).unwrap(), pinned.name());
+    assert_eq!(s.invalid_sysfs_writes, 0);
 }
