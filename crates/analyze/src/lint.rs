@@ -9,7 +9,7 @@
 //! | `serve-no-panic-paths` | `crates/serve` protocol/session code must not `unwrap`/`expect`/`panic!` — a malformed frame must never kill a worker (escape: `// infallible:` with a proof) |
 //! | `relaxed-needs-justification` | every `Ordering::Relaxed` outside tests carries a `// relaxed:` comment saying why the weak ordering is sound |
 //! | `crate-lint-headers` | every crate root pins `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
-//! | `registry-doc-sync` | frame types, event kinds, policy, arena, profile and sim-engine registries and the sysfs attribute vocabulary are each fully enumerated (backticked) in their doc page |
+//! | `registry-doc-sync` | frame types, event kinds (in the event taxonomy and again in the Decision note-tag table), policy, arena, profile and sim-engine registries and the sysfs attribute vocabulary are each fully enumerated (backticked) in their doc page |
 //! | `next-tick-equivalence-coverage` | every `fn next_tick_us` wake-time implementation is registered here and exercised by the engine-equivalence suite |
 //! | `doc-cargo-targets` | every `cargo run\|test\|bench` command in the docs, CI and verify recipe names a package and `--bin`/`--test`/`--bench`/`--example` target that exists ([`crate::cargo_targets`]) |
 //! | `unused-dependency` | every `[dependencies]`/`[dev-dependencies]` entry of a workspace member appears as `ident::` or `use ident` in that package's `.rs` files ([`crate::cargo_targets`]) |
@@ -74,7 +74,7 @@ pub const RULES: [(&str, &str); 8] = [
     ),
     (
         "registry-doc-sync",
-        "frame/event/policy/arena/profile/engine registries must be fully enumerated in their docs",
+        "frame/event/note-tag/policy/arena/profile/engine registries must be fully enumerated in their docs",
     ),
     (
         "next-tick-equivalence-coverage",
@@ -313,7 +313,7 @@ struct RegistrySpec {
     what: &'static str,
 }
 
-const REGISTRIES: [RegistrySpec; 8] = [
+const REGISTRIES: [RegistrySpec; 9] = [
     RegistrySpec {
         source: "crates/sim/src/config.rs",
         extract: Extract::ArrayStrings("ENGINE_NAMES"),
@@ -331,6 +331,14 @@ const REGISTRIES: [RegistrySpec; 8] = [
         extract: Extract::EnumKebab("EventKind"),
         doc: "docs/observability.md",
         what: "event kind",
+    },
+    RegistrySpec {
+        // Every kind has a Decision note tag on the wire, so the
+        // note-tag table must list every kind too.
+        source: "crates/telemetry/src/event.rs",
+        extract: Extract::EnumKebab("EventKind"),
+        doc: "docs/serving.md",
+        what: "note tag",
     },
     RegistrySpec {
         source: "crates/core/src/registry.rs",

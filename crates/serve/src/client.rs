@@ -114,7 +114,6 @@ pub struct ClientSession {
     policy_name: String,
     sampling_us: u64,
     backpressure_seen: u64,
-    going_away: bool,
 }
 
 impl ClientSession {
@@ -161,7 +160,6 @@ impl ClientSession {
             policy_name: String::new(),
             sampling_us: 0,
             backpressure_seen: 0,
-            going_away: false,
         })
     }
 
@@ -231,7 +229,7 @@ impl ClientSession {
 
     /// Receives the next frame, absorbing advisory
     /// [`Frame::Backpressure`] notices (counted, not surfaced) and
-    /// remembering [`Frame::GoingAway`]. Flushes queued output first —
+    /// [`Frame::GoingAway`] notices. Flushes queued output first —
     /// blocking on a read with requests still corked would deadlock.
     fn recv(&mut self) -> Result<Frame, ClientError> {
         self.flush()?;
@@ -247,10 +245,7 @@ impl ClientSession {
                         self.backpressure_seen += 1;
                         continue;
                     }
-                    Frame::GoingAway { .. } => {
-                        self.going_away = true;
-                        continue;
-                    }
+                    Frame::GoingAway { .. } => continue,
                     other => return Ok(other),
                 }
             }
@@ -262,11 +257,6 @@ impl ClientSession {
                 Err(e) => return Err(ClientError::Io(e)),
             }
         }
-    }
-
-    /// Whether the server has announced it is draining.
-    pub fn going_away(&self) -> bool {
-        self.going_away
     }
 
     /// Starts a session: Hello, wait for HelloAck. Legal on a fresh

@@ -8,7 +8,10 @@
 //! length followed by UTF-8; `f64`s travel as their IEEE-754 bit
 //! pattern, so a value decodes to *exactly* the bits the peer encoded —
 //! the property that makes remote decisions byte-identical to
-//! in-process ones (see docs/serving.md).
+//! in-process ones (see docs/serving.md). Decision notes use the same
+//! scheme: a tag byte (the kind's index in [`EventKind::ALL`]) and the
+//! variant's fields in declaration order, so no note ever passes
+//! through text on the wire.
 //!
 //! Decoding never panics: truncated input reports "need more bytes"
 //! (`Ok(None)`), and every malformed input yields a typed
@@ -17,12 +20,13 @@
 
 use mobicore_model::{Khz, Quota, Utilization};
 use mobicore_sim::{Command, CoreSnapshot, PolicySnapshot};
-use mobicore_telemetry::{Event, EventData};
+use mobicore_telemetry::{EventData, EventKind};
 
 /// Protocol version carried in Hello/HelloAck; bumped on any wire
 /// change. Version 2 added the HelloAck pipelining window and the
-/// router frames ([`Frame::Route`] / [`Frame::Routed`]).
-pub const PROTOCOL_VERSION: u16 = 2;
+/// router frames ([`Frame::Route`] / [`Frame::Routed`]); version 3
+/// replaced the JSON-line Decision notes with typed binary notes.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard cap on `len` (type byte + payload). Large enough for a
 /// 1024-core snapshot, small enough that a hostile length prefix
@@ -94,10 +98,11 @@ pub enum WireError {
         /// The declared count.
         got: u64,
     },
-    /// A Decision note did not parse as an event JSON line.
-    BadNote,
     /// A Decision command carried an unknown tag byte.
     UnknownCommandTag(u8),
+    /// A Decision note carried a tag byte that indexes no
+    /// [`EventKind`].
+    UnknownNoteTag(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -113,8 +118,8 @@ impl std::fmt::Display for WireError {
             WireError::BadUtf8(what) => write!(f, "{what} is not valid UTF-8"),
             WireError::BadBool(what) => write!(f, "{what} is not a 0/1 bool"),
             WireError::TooMany { what, got } => write!(f, "{what} count {got} exceeds wire cap"),
-            WireError::BadNote => write!(f, "decision note is not a valid event line"),
             WireError::UnknownCommandTag(t) => write!(f, "unknown command tag {t:#04x}"),
+            WireError::UnknownNoteTag(t) => write!(f, "unknown note tag {t:#04x}"),
         }
     }
 }
@@ -218,28 +223,52 @@ pub enum Frame {
     },
 }
 
-// The Route tag is pub(crate): the router peeks it to find session
-// boundaries in a relayed byte stream without decoding payloads.
+// The Bye, ByeAck and Route tags are pub(crate): the router reads them
+// to find session boundaries in a relayed byte stream without decoding
+// payloads.
 const TY_HELLO: u8 = 0x01;
 const TY_HELLO_ACK: u8 = 0x02;
 const TY_SNAPSHOT: u8 = 0x03;
 const TY_DECISION: u8 = 0x04;
 const TY_BACKPRESSURE: u8 = 0x05;
 pub(crate) const TY_BYE: u8 = 0x06;
-const TY_BYE_ACK: u8 = 0x07;
+pub(crate) const TY_BYE_ACK: u8 = 0x07;
 const TY_GOING_AWAY: u8 = 0x08;
 const TY_ERROR: u8 = 0x09;
 pub(crate) const TY_ROUTE: u8 = 0x0A;
 const TY_ROUTED: u8 = 0x0B;
 
-/// The type byte of the complete frame at the front of `buf`, when
-/// one is there (framing check only; the payload is not validated).
-pub(crate) fn peek_frame_type(buf: &[u8]) -> Option<u8> {
-    if has_complete_frame(buf) {
-        Some(buf[4])
-    } else {
-        None
+/// Whether `ty` names a frame type (the type bytes are contiguous from
+/// [`TY_HELLO`] to [`TY_ROUTED`]).
+pub(crate) fn is_frame_type(ty: u8) -> bool {
+    (TY_HELLO..=TY_ROUTED).contains(&ty)
+}
+
+/// The type byte and wire size (`4 + len`) of the complete frame at the
+/// front of `buf` — a framing check only: the type byte is not
+/// matched and the payload is not read. `Ok(None)` while the frame is
+/// still incomplete.
+///
+/// # Errors
+///
+/// [`WireError::EmptyFrame`] or [`WireError::FrameTooLong`] for a
+/// length prefix out of bounds, as soon as its four bytes are there.
+pub(crate) fn frame_header(buf: &[u8]) -> Result<Option<(u8, usize)>, WireError> {
+    if buf.len() < 4 {
+        return Ok(None);
     }
+    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    if len == 0 {
+        return Err(WireError::EmptyFrame);
+    }
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::FrameTooLong { len });
+    }
+    let total = 4 + len as usize;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    Ok(Some((buf[4], total)))
 }
 
 // ---------------------------------------------------------------- encode
@@ -379,16 +408,7 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             #[allow(clippy::cast_possible_truncation)]
             put_u16(out, n as u16);
             for note in notes.iter().take(n) {
-                // Reuse the JSONL event codec so note payloads follow
-                // the telemetry crate wherever it goes; t_us 0 is a
-                // placeholder the receiver discards.
-                let line = Event {
-                    t_us: 0,
-                    data: note.clone(),
-                }
-                .to_json()
-                .to_compact();
-                put_str(out, &line);
+                put_note(out, note);
             }
         }
         Frame::Backpressure { queued, limit } => {
@@ -482,6 +502,11 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
+    /// A `usize` field, which travels as a `u64`.
+    fn usize(&mut self, what: &'static str) -> Result<usize, WireError> {
+        Ok(usize::try_from(self.u64(what)?).unwrap_or(usize::MAX))
+    }
+
     fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
@@ -567,6 +592,95 @@ fn read_command(r: &mut Reader<'_>) -> Result<Command, WireError> {
     }
 }
 
+// ------------------------------------------------------------- notes
+
+/// The wire form of one note field.
+trait NoteField: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError>;
+}
+
+macro_rules! note_fields {
+    ($($ty:ty: |$out:ident, $v:ident| $put:expr, $read:ident;)*) => {$(
+        impl NoteField for $ty {
+            fn put(&self, $out: &mut Vec<u8>) {
+                let $v = self;
+                $put
+            }
+            fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError> {
+                r.$read(what)
+            }
+        }
+    )*};
+}
+
+// `usize` travels as `u64`; `f64` as its bit pattern, so NaN, ±∞ and
+// −0.0 come back exactly.
+note_fields! {
+    u64: |out, v| put_u64(out, *v), u64;
+    usize: |out, v| put_u64(out, *v as u64), usize;
+    u32: |out, v| put_u32(out, *v), u32;
+    f64: |out, v| put_f64(out, *v), f64;
+    bool: |out, v| put_bool(out, *v), bool;
+    String: |out, v| put_str(out, v), str;
+}
+
+// Note tags are `EventKind::index` values and travel as one byte.
+const _: () = assert!(EventKind::ALL.len() <= u8::MAX as usize);
+
+/// Defines `put_note` and `read_note` from one field list per kind. A
+/// note is its kind's tag, then these fields in this order, each in its
+/// [`NoteField`] form. The compiler holds every list complete: the
+/// encoder's pattern and the decoder's struct literal must both name
+/// every field of the variant.
+macro_rules! note_codec {
+    ($($kind:ident { $($field:ident),* })*) => {
+        fn put_note(out: &mut Vec<u8>, note: &EventData) {
+            #[allow(clippy::cast_possible_truncation)]
+            out.push(note.kind().index() as u8);
+            match note {
+                $(EventData::$kind { $($field),* } => { $($field.put(out);)* })*
+            }
+        }
+
+        fn read_note(r: &mut Reader<'_>) -> Result<EventData, WireError> {
+            let tag = r.u8("note.tag")?;
+            let kind = EventKind::ALL
+                .get(usize::from(tag))
+                .ok_or(WireError::UnknownNoteTag(tag))?;
+            Ok(match kind {
+                $(EventKind::$kind => EventData::$kind {
+                    $($field: NoteField::read(r, concat!("note.", stringify!($field)))?),*
+                },)*
+            })
+        }
+    };
+}
+
+// Fields in declaration order (docs/serving.md, the note-tag table).
+note_codec! {
+    FreqChange { core, from_khz, to_khz, requested_khz }
+    CoreOnline { core }
+    CoreOffline { core }
+    HotplugVetoed { core, mpdecision }
+    HotplugDecision { policy, online_now, want }
+    QuotaShrink { from, to }
+    QuotaRestore { from, to }
+    ThermalThrottle { cap_opp, temp_c }
+    ThermalClear { cap_opp, temp_c }
+    BwThrottle { denied_us }
+    PolicyDecision { policy, mode, util_pct, quota, target_online, f_khz }
+    DvfsDecision { governor, util_pct, from_khz, to_khz }
+    ConnAccepted { conn }
+    ConnClosed { conn, frames_in, frames_out }
+    SessionStart { session, policy }
+    SessionEnd { session, decisions, drained }
+    Backpressure { session, queued, limit }
+    ServeShutdown { active_sessions }
+    ShardRouted { conn, key, shard }
+    FleetShardSummary { shard, sessions, decisions }
+}
+
 /// Attempts to decode one frame from the front of `buf`.
 ///
 /// * `Ok(None)` — `buf` holds a prefix of a valid frame; read more.
@@ -578,22 +692,10 @@ fn read_command(r: &mut Reader<'_>) -> Result<Command, WireError> {
 /// A typed [`WireError`] for any malformed input. The decoder never
 /// panics, whatever the bytes.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.len() < 4 {
+    let Some((ty, total)) = frame_header(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len == 0 {
-        return Err(WireError::EmptyFrame);
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(WireError::FrameTooLong { len });
-    }
-    let total = 4 + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let mut r = Reader::new(&buf[4..total]);
-    let ty = r.u8("frame.type")?;
+    };
+    let mut r = Reader::new(&buf[5..total]);
     let frame = match ty {
         TY_HELLO => Frame::Hello {
             version: r.u16("hello.version")?,
@@ -634,9 +736,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
             }
             let mut notes = Vec::with_capacity(n_notes);
             for _ in 0..n_notes {
-                let line = r.str("decision.note")?;
-                let event = Event::from_json_line(&line).map_err(|_| WireError::BadNote)?;
-                notes.push(event.data);
+                notes.push(read_note(&mut r)?);
             }
             Frame::Decision {
                 seq,
@@ -678,11 +778,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
 /// validating the payload). Used by the server to detect pipelined
 /// input past the per-session budget.
 pub fn has_complete_frame(buf: &[u8]) -> bool {
-    if buf.len() < 4 {
-        return false;
-    }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    len > 0 && len <= MAX_FRAME_LEN && buf.len() >= 4 + len as usize
+    matches!(frame_header(buf), Ok(Some(_)))
 }
 
 #[cfg(test)]
@@ -877,5 +973,109 @@ mod tests {
             panic!("wrong frame kind")
         };
         assert_eq!(reason.len(), MAX_WIRE_STR);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn mobicore_decision_bytes_are_pinned() {
+        // One Eq.-9 period on a 4-core device: quota, core 3 off, the
+        // survivors' frequency, and the period's `policy-decision` note.
+        let frame = Frame::Decision {
+            seq: 7,
+            commands: vec![
+                Command::SetQuota(Quota::new(0.9)),
+                Command::SetOnline {
+                    core: 3,
+                    online: false,
+                },
+                Command::SetFreq {
+                    core: 0,
+                    khz: Khz(960_000),
+                },
+                Command::SetFreq {
+                    core: 1,
+                    khz: Khz(960_000),
+                },
+                Command::SetFreq {
+                    core: 2,
+                    khz: Khz(960_000),
+                },
+            ],
+            notes: vec![EventData::PolicyDecision {
+                policy: "mobicore".into(),
+                mode: "slow".into(),
+                util_pct: 23.5,
+                quota: 0.9,
+                target_online: 3,
+                f_khz: 960_000,
+            }],
+        };
+        let want = concat!(
+            "64000000",             // len 100
+            "04",                   // Decision
+            "0700000000000000",     // seq 7
+            "0500",                 // 5 commands
+            "03cdccccccccccec3f",   // SetQuota 0.9
+            "020300000000",         // SetOnline core 3, false
+            "000000000000a60e00",   // SetFreq core 0, 960000 kHz
+            "000100000000a60e00",   // SetFreq core 1
+            "000200000000a60e00",   // SetFreq core 2
+            "0100",                 // 1 note
+            "0a",                   // tag 10: policy-decision
+            "08006d6f6269636f7265", // policy "mobicore"
+            "0400736c6f77",         // mode "slow"
+            "0000000000803740",     // util_pct 23.5
+            "cdccccccccccec3f",     // quota 0.9
+            "0300000000000000",     // target_online 3
+            "00a60e00",             // f_khz 960000
+        );
+        assert_eq!(hex(&frame_bytes(&frame)), want);
+        round_trip(frame);
+    }
+
+    /// A one-note Decision frame whose note is `note` verbatim.
+    fn decision_with_raw_note(note: &[u8]) -> Vec<u8> {
+        let mut payload = vec![TY_DECISION];
+        put_u64(&mut payload, 0); // seq
+        put_u16(&mut payload, 0); // no commands
+        put_u16(&mut payload, 1); // one note
+        payload.extend_from_slice(note);
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, u32::try_from(payload.len()).expect("small"));
+        bytes.extend(payload);
+        bytes
+    }
+
+    #[test]
+    fn note_tags_are_event_kind_indices() {
+        // Tag i with all-zero fields decodes to a note of kind
+        // `EventKind::ALL[i]`, which encodes back to the same bytes.
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            let tag = u8::try_from(i).expect("one byte");
+            let (frame, bytes) = (0..64)
+                .find_map(|zeros| {
+                    let mut note = vec![tag];
+                    note.resize(1 + zeros, 0);
+                    let bytes = decision_with_raw_note(&note);
+                    let (frame, _) = decode_frame(&bytes).ok()??;
+                    Some((frame, bytes))
+                })
+                .unwrap_or_else(|| panic!("tag {i} decodes to no note"));
+            let Frame::Decision { notes, .. } = &frame else {
+                panic!("wrong frame kind")
+            };
+            assert_eq!(notes[0].kind(), kind);
+            assert_eq!(frame_bytes(&frame), bytes, "{kind}");
+        }
+        let past_last = u8::try_from(EventKind::ALL.len()).expect("one byte");
+        for tag in past_last..=u8::MAX {
+            assert_eq!(
+                decode_frame(&decision_with_raw_note(&[tag])),
+                Err(WireError::UnknownNoteTag(tag))
+            );
+        }
     }
 }

@@ -7,13 +7,17 @@
 //! by highest-random-weight (rendezvous) hashing over the *stable
 //! shard names* — not their addresses, so ephemeral ports do not
 //! perturb placement — answers [`Frame::Routed`], and from then on
-//! relays whole frames both ways, verbatim. Client frames are split by
-//! length and type alone, watching for the next `Route` (a session
-//! boundary — held back, never forwarded); shard frames are decoded
-//! only to spot `ByeAck` (the session is over — the shard connection
-//! detaches into a per-shard pool and is reused hot for the next
-//! session, which the serve tier supports by returning to
-//! `AwaitHello` after `ByeAck`).
+//! relays whole frames both ways, verbatim. Both directions are split
+//! by length prefix and type byte alone, and no payload is decoded.
+//! Client frames are watched for the next `Route` (a session boundary
+//! — held back, never forwarded); shard frames for `ByeAck` (the
+//! session is over — the shard connection detaches into a per-shard
+//! pool and is reused hot for the next session, which the serve tier
+//! supports by returning to `AwaitHello` after `ByeAck`). A shard frame
+//! with a length out of bounds or a type byte that names no frame
+//! loses the leg; a well-framed shard payload passes through
+//! unchecked, so a malformed one reaches the client, whose
+//! `decode_frame` rejects it with a typed [`WireError`](crate::WireError).
 //!
 //! Backpressure propagates by construction: every relay hop is a
 //! blocking write, so a stalled shard stops the router reading its
@@ -35,7 +39,8 @@
 
 use crate::conn::{accept_loop, lock_unpoisoned, timed_out, Daemon, WAKE};
 use crate::protocol::{
-    codes, decode_frame, frame_bytes, peek_frame_type, Frame, MAX_FRAME_LEN, TY_BYE, TY_ROUTE,
+    codes, decode_frame, frame_bytes, frame_header, is_frame_type, Frame, TY_BYE, TY_BYE_ACK,
+    TY_ROUTE,
 };
 use mobicore_telemetry::{CounterId, EventData, RunManifest, Telemetry};
 use std::io::{ErrorKind, Read, Write};
@@ -344,7 +349,8 @@ fn leg_reader(
 }
 
 /// Relays whole shard frames from `leg` to the client — one write per
-/// read — through the session's `ByeAck`.
+/// read — through the session's `ByeAck`. Frames are split by their
+/// headers; payloads are never decoded.
 fn relay_leg(leg: &TcpStream, out: &Mutex<ClientOut>, buf: &mut Vec<u8>, cap: usize) -> LegEvent {
     let mut scratch = [0u8; 16 * 1024];
     loop {
@@ -362,19 +368,19 @@ fn relay_leg(leg: &TcpStream, out: &Mutex<ClientOut>, buf: &mut Vec<u8>, cap: us
         buf.extend_from_slice(&scratch[..n]);
         let (mut end, mut frames, mut outcome) = (0, 0, None);
         loop {
-            match decode_frame(&buf[end..]) {
+            match frame_header(&buf[end..]) {
                 Ok(None) => break,
-                Ok(Some((frame, used))) => {
-                    end += used;
+                Ok(Some((ty, total))) if is_frame_type(ty) => {
+                    end += total;
                     frames += 1;
-                    if matches!(frame, Frame::ByeAck { .. }) {
+                    if ty == TY_BYE_ACK {
                         outcome = Some(LegEvent::ByeAck {
                             quiet: end == buf.len(),
                         });
                         break;
                     }
                 }
-                Err(_) => {
+                _ => {
                     // The shard broke framing — treat the leg as lost.
                     outcome = Some(LegEvent::Lost);
                     break;
@@ -595,20 +601,14 @@ impl Relay<'_> {
         };
         loop {
             let pending = &self.cbuf[self.cpos..];
-            if pending.len() >= 4 {
-                let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]);
-                if len == 0 || len > MAX_FRAME_LEN {
-                    return Stop::Malformed;
-                }
-            }
-            let ty = match peek_frame_type(pending) {
-                None => return Stop::Incomplete,
-                Some(TY_ROUTE) => return Stop::Route,
-                Some(ty) => ty,
+            let (ty, total) = match frame_header(pending) {
+                Err(_) => return Stop::Malformed,
+                Ok(None) => return Stop::Incomplete,
+                Ok(Some((TY_ROUTE, _))) => return Stop::Route,
+                Ok(Some(header)) => header,
             };
-            let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-            self.fwd.extend_from_slice(&pending[..4 + len]);
-            self.cpos += 4 + len;
+            self.fwd.extend_from_slice(&pending[..total]);
+            self.cpos += total;
             self.frames_in += 1;
             bound.dirty |= bound.bye_sent;
             bound.bye_sent |= ty == TY_BYE;

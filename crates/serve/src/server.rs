@@ -32,7 +32,7 @@
 
 use crate::conn::{accept_loop, timed_out, Daemon, WAKE};
 use crate::protocol::{
-    codes, decode_frame, encode_frame, has_complete_frame, Frame, PROTOCOL_VERSION,
+    codes, decode_frame, encode_frame, frame_header, has_complete_frame, Frame, PROTOCOL_VERSION,
 };
 use mobicore_model::profiles;
 use mobicore_sim::{CpuControl, CpuPolicy};
@@ -379,9 +379,8 @@ fn serve_conn(shared: &Shared, stream: &TcpStream, sess: &mut Session) {
 
 fn count_complete_frames(mut buf: &[u8]) -> u64 {
     let mut n = 0;
-    while has_complete_frame(buf) {
-        let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-        buf = &buf[4 + len..];
+    while let Ok(Some((_, total))) = frame_header(buf) {
+        buf = &buf[total..];
         n += 1;
     }
     n

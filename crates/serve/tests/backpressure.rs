@@ -6,14 +6,24 @@
 //! reading propagates backpressure all the way to the client socket at
 //! `relay_buf_cap` — halting client reads rather than buffering without
 //! bound, and without dropping or reordering a single relayed byte.
+//!
+//! The router relays shard frames by their headers alone; two fake
+//! shards pin what that means for a misbehaving shard: a type byte
+//! that names no frame loses the leg, and a well-framed but malformed
+//! payload passes through to the client, whose decoder rejects it with
+//! a typed error.
 
 use mobicore_model::{Khz, Utilization};
-use mobicore_serve::protocol::{decode_frame, frame_bytes, Frame};
-use mobicore_serve::{ClientSession, Router, RouterConfig, ServeConfig, Server, Shard};
+use mobicore_serve::protocol::{codes, decode_frame, frame_bytes, Frame, PROTOCOL_VERSION};
+use mobicore_serve::{
+    ClientError, ClientSession, Router, RouterConfig, ServeConfig, Server, Shard, WireError,
+};
 use mobicore_sim::PolicySnapshot;
+use mobicore_telemetry::EventData;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn router_config() -> RouterConfig {
@@ -233,4 +243,91 @@ fn stalled_shard_halts_client_writes_without_dropping_or_reordering() {
         stats.relay_errors, 0,
         "a stalled-then-drained session must close cleanly: {stats:?}"
     );
+}
+
+/// A fake shard for one router leg: answers the i-th frame the router
+/// relays with `replies[i]`. After the last reply it closes the leg,
+/// or with `hold` keeps reading until the router closes it.
+fn fake_shard(replies: Vec<Vec<u8>>, hold: bool) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let thread = std::thread::spawn(move || {
+        let (mut leg, _) = listener.accept().expect("router dials the leg");
+        leg.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let (mut buf, mut replies) = (Vec::new(), replies.into_iter());
+        loop {
+            while let Some((_, used)) = decode_frame(&buf).expect("router relays whole frames") {
+                buf.drain(..used);
+                match replies.next() {
+                    Some(reply) => leg.write_all(&reply).expect("reply"),
+                    None => return,
+                }
+                if replies.len() == 0 && !hold {
+                    return;
+                }
+            }
+            let mut scratch = [0u8; 4096];
+            match leg.read(&mut scratch) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => buf.extend_from_slice(&scratch[..n]),
+            }
+        }
+    });
+    (addr, thread)
+}
+
+fn one_shard_router(addr: String) -> Router {
+    let shards = vec![Shard {
+        name: "s0".to_string(),
+        addr,
+    }];
+    Router::bind("127.0.0.1:0", shards, router_config()).expect("bind router")
+}
+
+#[test]
+fn shard_frame_with_unknown_type_byte_loses_the_leg() {
+    // The leg stays open: only the header check can end the session.
+    let (addr, shard) = fake_shard(vec![vec![1, 0, 0, 0, 0xEE]], true);
+    let router = one_shard_router(addr);
+    let mut sess = ClientSession::connect_raw(router.local_addr()).expect("connect via router");
+    match sess.route_hello(7, "noop", "nexus5", 0) {
+        Err(ClientError::Remote { code, .. }) => assert_eq!(code, codes::SHARD_UNAVAILABLE),
+        other => panic!("expected SHARD_UNAVAILABLE, got {other:?}"),
+    }
+    drop(sess);
+    let stats = router.shutdown();
+    shard.join().expect("fake shard");
+    assert!(stats.relay_errors >= 1, "{stats:?}");
+}
+
+#[test]
+fn malformed_shard_decision_reaches_the_client_as_a_typed_error() {
+    let hello_ack = frame_bytes(&Frame::HelloAck {
+        version: PROTOCOL_VERSION,
+        session: 1,
+        policy: "noop".to_string(),
+        sampling_us: 20_000,
+        window: 1,
+    });
+    let mut bad_decision = frame_bytes(&Frame::Decision {
+        seq: 0,
+        commands: Vec::new(),
+        notes: vec![EventData::CoreOnline { core: 1 }],
+    });
+    // len 4 + type 1 + seq 8 + n_commands 2 + n_notes 2: the note tag.
+    bad_decision[17] = 0xEE;
+    let (addr, shard) = fake_shard(vec![hello_ack, bad_decision], false);
+    let router = one_shard_router(addr);
+    let mut sess = ClientSession::connect_raw(router.local_addr()).expect("connect via router");
+    sess.route_hello(7, "noop", "nexus5", 0)
+        .expect("route+hello");
+    let snap = PolicySnapshot::synthetic(4, 4, Khz(960_000), Utilization::new(0.4), 20_000);
+    match sess.request(&snap) {
+        Err(ClientError::Wire(err)) => assert_eq!(err, WireError::UnknownNoteTag(0xEE)),
+        other => panic!("expected a typed wire error, got {other:?}"),
+    }
+    drop(sess);
+    router.shutdown();
+    shard.join().expect("fake shard");
 }

@@ -1,15 +1,16 @@
 //! Property-based tests for the wire codec — totality (no input ever
-//! panics the decoder), typed rejection, round-trip identity — and
-//! for the router's rendezvous hashing (stable, balanced, minimal
+//! panics the decoder), typed rejection, round-trip identity of frames
+//! and of every Decision note kind — and for the router's rendezvous
+//! hashing (stable, balanced, minimal
 //! partition of the key space).
 
 use mobicore_model::{Khz, Quota, Utilization};
 use mobicore_serve::protocol::{
-    decode_frame, frame_bytes, has_complete_frame, Frame, MAX_FRAME_LEN,
+    decode_frame, frame_bytes, has_complete_frame, Frame, MAX_FRAME_LEN, MAX_WIRE_STR,
 };
 use mobicore_serve::rendezvous_shard;
 use mobicore_sim::{Command, CoreSnapshot, PolicySnapshot};
-use mobicore_telemetry::EventData;
+use mobicore_telemetry::{EventData, EventKind};
 use proptest::prelude::*;
 
 fn snapshot(
@@ -53,18 +54,33 @@ proptest! {
     }
 
     /// Garbage with a plausible length prefix never panics either (this
-    /// exercises the payload parsers, not just the framing).
+    /// exercises the payload parsers, not just the framing). The second
+    /// half frames a Decision whose one note has a random tag and random
+    /// fields, so the note decoder sees every tag, known or not.
     #[test]
     fn decoder_total_on_framed_garbage(
         ty in 0u8..=12,
         payload in proptest::collection::vec(0u8..=255, 0..128),
+        seq in 0u64..=u64::MAX,
+        note_tag in 0u8..=255,
     ) {
-        let mut bytes = Vec::with_capacity(5 + payload.len());
-        let len = u32::try_from(1 + payload.len()).unwrap();
-        bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.push(ty);
-        bytes.extend_from_slice(&payload);
-        let _ = decode_frame(&bytes); // must not panic
+        let _ = decode_frame(&framed(ty, &payload)); // must not panic
+
+        let mut decision = seq.to_le_bytes().to_vec();
+        decision.extend_from_slice(&0u16.to_le_bytes()); // no commands
+        decision.extend_from_slice(&1u16.to_le_bytes()); // one note
+        decision.push(note_tag);
+        decision.extend_from_slice(&payload);
+        match decode_frame(&framed(0x04, &decision)) {
+            Err(mobicore_serve::WireError::UnknownNoteTag(t)) => {
+                prop_assert_eq!(t, note_tag);
+                prop_assert!(usize::from(t) >= EventKind::ALL.len());
+            }
+            Ok(Some((Frame::Decision { notes, .. }, _))) => {
+                prop_assert_eq!(notes[0].kind().index(), usize::from(note_tag));
+            }
+            _ => {}
+        }
     }
 
     /// Every truncation of a valid frame is either "incomplete" (when
@@ -222,6 +238,187 @@ proptest! {
         }
         prop_assert_eq!(pos, stream.len());
         prop_assert!(decode_frame(&stream[pos..]).expect("empty tail is fine").is_none());
+    }
+}
+
+/// `payload` framed as one frame of type `ty`.
+fn framed(ty: u8, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(5 + payload.len());
+    let len = u32::try_from(1 + payload.len()).unwrap();
+    bytes.extend_from_slice(&len.to_le_bytes());
+    bytes.push(ty);
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// An `f64` that is often one a text codec would mangle: NaN (quiet and
+/// with a payload), ±∞, −0.0, ± subnormals; otherwise any bit pattern.
+fn edge_f64((pick, any): (u8, f64)) -> f64 {
+    let subnormal = f64::from_bits(any.to_bits() & 0x000f_ffff_ffff_ffff | 1);
+    match pick {
+        0 => f64::NAN,
+        1 => f64::from_bits(0x7ff0_0000_0000_0001),
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 => -0.0,
+        5 => subnormal,
+        6 => -subnormal,
+        _ => any,
+    }
+}
+
+/// A UTF-8 string of one- to four-byte characters, cut at a character
+/// boundary to at most [`MAX_WIRE_STR`] bytes (the most the encoder
+/// sends).
+fn wire_str(s: String) -> String {
+    let mut end = s.len().min(MAX_WIRE_STR);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    s[..end].to_string()
+}
+
+/// The note of kind `EventKind::ALL[kind]`, its fields taken in order
+/// from the value pools.
+fn note_of(kind: usize, n: &[u64], k: &[u32], f: &[f64], s: &[String], flag: bool) -> EventData {
+    let us = |i: usize| usize::try_from(n[i]).unwrap_or(usize::MAX);
+    match EventKind::ALL[kind] {
+        EventKind::FreqChange => EventData::FreqChange {
+            core: us(0),
+            from_khz: k[0],
+            to_khz: k[1],
+            requested_khz: k[2],
+        },
+        EventKind::CoreOnline => EventData::CoreOnline { core: us(0) },
+        EventKind::CoreOffline => EventData::CoreOffline { core: us(0) },
+        EventKind::HotplugVetoed => EventData::HotplugVetoed {
+            core: us(0),
+            mpdecision: flag,
+        },
+        EventKind::HotplugDecision => EventData::HotplugDecision {
+            policy: s[0].clone(),
+            online_now: us(0),
+            want: us(1),
+        },
+        EventKind::QuotaShrink => EventData::QuotaShrink {
+            from: f[0],
+            to: f[1],
+        },
+        EventKind::QuotaRestore => EventData::QuotaRestore {
+            from: f[0],
+            to: f[1],
+        },
+        EventKind::ThermalThrottle => EventData::ThermalThrottle {
+            cap_opp: us(0),
+            temp_c: f[0],
+        },
+        EventKind::ThermalClear => EventData::ThermalClear {
+            cap_opp: us(0),
+            temp_c: f[0],
+        },
+        EventKind::BwThrottle => EventData::BwThrottle { denied_us: n[0] },
+        EventKind::PolicyDecision => EventData::PolicyDecision {
+            policy: s[0].clone(),
+            mode: s[1].clone(),
+            util_pct: f[0],
+            quota: f[1],
+            target_online: us(0),
+            f_khz: k[0],
+        },
+        EventKind::DvfsDecision => EventData::DvfsDecision {
+            governor: s[0].clone(),
+            util_pct: f[0],
+            from_khz: k[0],
+            to_khz: k[1],
+        },
+        EventKind::ConnAccepted => EventData::ConnAccepted { conn: n[0] },
+        EventKind::ConnClosed => EventData::ConnClosed {
+            conn: n[0],
+            frames_in: n[1],
+            frames_out: n[2],
+        },
+        EventKind::SessionStart => EventData::SessionStart {
+            session: n[0],
+            policy: s[0].clone(),
+        },
+        EventKind::SessionEnd => EventData::SessionEnd {
+            session: n[0],
+            decisions: n[1],
+            drained: flag,
+        },
+        EventKind::Backpressure => EventData::Backpressure {
+            session: n[0],
+            queued: n[1],
+            limit: n[2],
+        },
+        EventKind::ServeShutdown => EventData::ServeShutdown {
+            active_sessions: n[0],
+        },
+        EventKind::ShardRouted => EventData::ShardRouted {
+            conn: n[0],
+            key: n[1],
+            shard: s[0].clone(),
+        },
+        EventKind::FleetShardSummary => EventData::FleetShardSummary {
+            shard: s[0].clone(),
+            sessions: n[0],
+            decisions: n[1],
+        },
+    }
+}
+
+/// The `f64` fields of a note, as bit patterns.
+fn f64_bits(note: &EventData) -> Vec<u64> {
+    match note {
+        EventData::QuotaShrink { from, to } | EventData::QuotaRestore { from, to } => {
+            vec![from.to_bits(), to.to_bits()]
+        }
+        EventData::ThermalThrottle { temp_c, .. } | EventData::ThermalClear { temp_c, .. } => {
+            vec![temp_c.to_bits()]
+        }
+        EventData::PolicyDecision {
+            util_pct, quota, ..
+        } => vec![util_pct.to_bits(), quota.to_bits()],
+        EventData::DvfsDecision { util_pct, .. } => vec![util_pct.to_bits()],
+        _ => Vec::new(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(640))]
+
+    /// Every note kind round-trips bit for bit through a Decision frame,
+    /// whatever its field values: NaN payloads, ±∞, −0.0 and
+    /// subnormals keep their bits, and strings of multi-byte UTF-8 up to
+    /// the wire cap come back whole.
+    #[test]
+    fn every_note_kind_round_trips_bit_exact(
+        kind in 0usize..EventKind::ALL.len(),
+        ints in proptest::collection::vec(0u64..=u64::MAX, 3),
+        khz in proptest::collection::vec(0u32..=u32::MAX, 3),
+        floats in proptest::collection::vec((0u8..10, proptest::num::f64::ANY), 2),
+        strs in proptest::collection::vec("[a-zA-Z0-9 _é°€ж😀]{0,4200}", 2),
+        flag in any::<bool>(),
+    ) {
+        let floats: Vec<f64> = floats.into_iter().map(edge_f64).collect();
+        let strs: Vec<String> = strs.into_iter().map(wire_str).collect();
+        let note = note_of(kind, &ints, &khz, &floats, &strs, flag);
+        let frame = Frame::Decision { seq: ints[2], commands: Vec::new(), notes: vec![note.clone()] };
+        let bytes = frame_bytes(&frame);
+        let (back, used) = decode_frame(&bytes).expect("valid").expect("complete");
+        prop_assert_eq!(used, bytes.len());
+        let Frame::Decision { notes, .. } = &back else {
+            panic!("wrong frame type");
+        };
+        prop_assert_eq!(notes.len(), 1);
+        prop_assert_eq!(notes[0].kind(), EventKind::ALL[kind]);
+        prop_assert_eq!(f64_bits(&notes[0]), f64_bits(&note));
+        // Field by field, with NaN made comparable by its bits above;
+        // the re-encoded frame must then match byte for byte.
+        if f64_bits(&note).iter().all(|&b| !f64::from_bits(b).is_nan()) {
+            prop_assert_eq!(&notes[0], &note);
+        }
+        prop_assert_eq!(frame_bytes(&back), bytes);
     }
 }
 

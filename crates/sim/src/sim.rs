@@ -19,6 +19,9 @@ use mobicore_model::{ClusterPowerCache, CoreActivity, Khz, PowerBreakdown, Quota
 use mobicore_telemetry::{CounterId, EventData, GaugeId, HistogramId, RunManifest, Telemetry};
 use std::sync::Arc;
 
+/// The smallest `cpu.cfs_quota_us` Linux accepts, µs.
+const MIN_CFS_QUOTA_US: u64 = 1_000;
+
 /// Buffers the tick loop reuses across iterations so the steady state
 /// performs no heap allocation (docs/performance.md; asserted by
 /// `tests/alloc_free.rs`).
@@ -148,6 +151,9 @@ pub struct Simulation {
     core_energy: f64,
     /// Sysfs writes that parsed to nonsense (kernel would return EINVAL).
     pub invalid_sysfs_writes: u64,
+    /// The quota was lifted with `echo -1 > cpu.cfs_quota_us` and not
+    /// changed since, so the file reads `-1`.
+    quota_unlimited: bool,
     telemetry: Telemetry,
     /// The tick loop's metric slots in `telemetry`, resolved once.
     metric_ids: MetricIds,
@@ -287,6 +293,7 @@ impl Simulation {
             cluster_energy: 0.0,
             core_energy: 0.0,
             invalid_sysfs_writes: 0,
+            quota_unlimited: false,
             telemetry,
             metric_ids,
             last_thermal_cap,
@@ -400,6 +407,7 @@ impl Simulation {
                 .map(|(idx, &us)| format!("{} {}\n", khz(idx), us / 10_000))
                 .collect(),
             Attr::ThermalTemp => format!("{}", (self.thermal.temp_c() * 1_000.0).round()),
+            Attr::CfsQuotaUs if self.quota_unlimited => "-1".to_string(),
             Attr::CfsQuotaUs => self.bw.cfs_quota_us().to_string(),
             Attr::CfsPeriodUs => self.cfg.bandwidth_period_us.to_string(),
             Attr::Mpdecision => flag(self.mpdecision_enabled),
@@ -545,6 +553,7 @@ impl Simulation {
                 );
             }
             Command::SetQuota(q) => {
+                self.quota_unlimited = false;
                 let old = self.bw.quota().as_fraction();
                 self.bw.set_quota(q, self.now_us);
                 let new = self.bw.quota().as_fraction();
@@ -601,15 +610,23 @@ impl Simulation {
                 // `-1` is the cgroup's "no limit" (and its default).
                 Attr::CfsQuotaUs if value == "-1" => {
                     self.apply_command(Command::SetQuota(Quota::FULL));
+                    self.quota_unlimited = true;
                 }
-                Attr::CfsQuotaUs => match value.parse::<u64>() {
-                    Ok(us) => {
-                        let frac = us as f64
-                            / (self.cfg.bandwidth_period_us as f64 * self.cpus.len() as f64);
-                        self.apply_command(Command::SetQuota(Quota::new(frac)));
+                Attr::CfsQuotaUs => {
+                    let full_us = self.cfg.bandwidth_period_us as f64 * self.cpus.len() as f64;
+                    match value.parse::<u64>() {
+                        // Linux rejects a quota under 1 ms with EINVAL,
+                        // and one under the model's floor cannot be
+                        // represented: both leave the quota as it was.
+                        Ok(us)
+                            if us >= MIN_CFS_QUOTA_US
+                                && us as f64 / full_us >= Quota::MIN_FRACTION =>
+                        {
+                            self.apply_command(Command::SetQuota(Quota::new(us as f64 / full_us)));
+                        }
+                        _ => self.invalid_sysfs_writes += 1,
                     }
-                    Err(_) => self.invalid_sysfs_writes += 1,
-                },
+                }
                 Attr::Mpdecision => match value {
                     "0" => self.mpdecision_enabled = false,
                     "1" => self.mpdecision_enabled = true,

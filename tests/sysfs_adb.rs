@@ -136,6 +136,57 @@ fn cfs_quota_write_throttles() {
     s.step();
     assert_eq!(s.quota(), Quota::FULL);
     assert_eq!(s.invalid_sysfs_writes, 0);
+    // ... and reads back as `-1`, not as an explicit full quota.
+    let quota_file = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us";
+    assert_eq!(s.sysfs_read(quota_file).unwrap(), "-1");
+    // Any later quota change ends the "no limit" state: a write ...
+    s.adb("echo 300000 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    s.step();
+    assert_eq!(s.sysfs_read(quota_file).unwrap(), "300000");
+    // ... or a policy's `SetQuota`, even one that installs full: the
+    // pinned policy re-installs full quota at every sample.
+    let policy = PinnedPolicy::new(4, f);
+    let sampling_us = policy.sampling_period_us();
+    let mut pinned = Simulation::new(
+        SimConfig::new(profiles::nexus5()).with_duration_secs(1),
+        Box::new(policy),
+    )
+    .unwrap();
+    pinned
+        .adb("echo -1 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    pinned.step();
+    assert_eq!(pinned.sysfs_read(quota_file).unwrap(), "-1");
+    let sampled = pinned.now_us() + sampling_us;
+    while pinned.now_us() <= sampled {
+        pinned.step();
+    }
+    assert_eq!(pinned.sysfs_read(quota_file).unwrap(), "400000");
+    // Linux rejects a quota under 1000 µs with EINVAL: counted, and the
+    // previous quota stays.
+    s.adb("echo 300000 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    s.adb("echo 0 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    s.step();
+    assert_eq!(s.invalid_sysfs_writes, 1);
+    assert_eq!(s.sysfs_read(quota_file).unwrap(), "300000");
+    // A quota Linux takes but under the model's 20 % floor (80 000 µs
+    // here) cannot be represented: counted, not clamped, not applied.
+    s.adb("echo 1000 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    s.adb("echo 79999 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    s.step();
+    assert_eq!(s.invalid_sysfs_writes, 3);
+    assert_eq!(s.sysfs_read(quota_file).unwrap(), "300000");
+    // The floor itself is representable.
+    s.adb("echo 80000 > /sys/fs/cgroup/cpu/cpu.cfs_quota_us")
+        .unwrap();
+    s.step();
+    assert_eq!(s.invalid_sysfs_writes, 3);
+    assert_eq!(s.sysfs_read(quota_file).unwrap(), "80000");
 }
 
 #[test]
