@@ -792,6 +792,59 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_bytes_are_pinned() {
+        // Key order and number formatting of every kind, frozen: a round
+        // trip alone would not notice either of them changing.
+        let got: String = samples()
+            .iter()
+            .map(|e| e.to_json().to_compact() + "\n")
+            .collect();
+        let want = concat!(
+            r#"{"t_us":20000,"kind":"freq-change","core":2,"from_khz":300000,"to_khz":960000,"requested_khz":912345}"#,
+            "\n",
+            r#"{"t_us":40000,"kind":"core-offline","core":3}"#,
+            "\n",
+            r#"{"t_us":40000,"kind":"hotplug-vetoed","core":1,"mpdecision":true}"#,
+            "\n",
+            r#"{"t_us":60000,"kind":"quota-shrink","from":1,"to":0.62}"#,
+            "\n",
+            r#"{"t_us":80000,"kind":"thermal-throttle","cap_opp":11,"temp_c":42.3}"#,
+            "\n",
+            r#"{"t_us":90000,"kind":"bw-throttle","denied_us":750}"#,
+            "\n",
+            r#"{"t_us":100000,"kind":"policy-decision","policy":"mobicore","mode":"slow","util_pct":23.5,"quota":0.62,"target_online":2,"f_khz":960000}"#,
+            "\n",
+            r#"{"t_us":120000,"kind":"dvfs-decision","governor":"ondemand","util_pct":81,"from_khz":960000,"to_khz":2265600}"#,
+            "\n",
+            r#"{"t_us":140000,"kind":"hotplug-decision","policy":"default-hotplug","online_now":4,"want":2}"#,
+            "\n",
+            r#"{"t_us":160000,"kind":"core-online","core":3}"#,
+            "\n",
+            r#"{"t_us":180000,"kind":"quota-restore","from":0.62,"to":1}"#,
+            "\n",
+            r#"{"t_us":200000,"kind":"thermal-clear","cap_opp":13,"temp_c":39.9}"#,
+            "\n",
+            r#"{"t_us":210000,"kind":"conn-accepted","conn":17}"#,
+            "\n",
+            r#"{"t_us":220000,"kind":"session-start","session":17,"policy":"mobicore"}"#,
+            "\n",
+            r#"{"t_us":230000,"kind":"backpressure","session":17,"queued":80,"limit":64}"#,
+            "\n",
+            r#"{"t_us":240000,"kind":"session-end","session":17,"decisions":512,"drained":true}"#,
+            "\n",
+            r#"{"t_us":250000,"kind":"conn-closed","conn":17,"frames_in":514,"frames_out":515}"#,
+            "\n",
+            r#"{"t_us":260000,"kind":"serve-shutdown","active_sessions":3}"#,
+            "\n",
+            r#"{"t_us":270000,"kind":"shard-routed","conn":17,"key":9001,"shard":"s1"}"#,
+            "\n",
+            r#"{"t_us":280000,"kind":"fleet-shard-summary","shard":"s1","sessions":50000,"decisions":100000}"#,
+            "\n",
+        );
+        assert_eq!(got, want);
+    }
+
+    #[test]
     fn names_are_unique_and_invertible() {
         let mut seen = std::collections::BTreeSet::new();
         for k in EventKind::ALL {
