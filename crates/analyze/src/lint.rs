@@ -327,8 +327,10 @@ const REGISTRIES: [RegistrySpec; 9] = [
         what: "frame type",
     },
     RegistrySpec {
+        // The one taxonomy declaration: the `enum EventData` inside the
+        // `taxonomy!` invocation, whose variants are the kinds.
         source: "crates/telemetry/src/event.rs",
-        extract: Extract::EnumKebab("EventKind"),
+        extract: Extract::EnumKebab("EventData"),
         doc: "docs/observability.md",
         what: "event kind",
     },
@@ -336,7 +338,7 @@ const REGISTRIES: [RegistrySpec; 9] = [
         // Every kind has a Decision note tag on the wire, so the
         // note-tag table must list every kind too.
         source: "crates/telemetry/src/event.rs",
-        extract: Extract::EnumKebab("EventKind"),
+        extract: Extract::EnumKebab("EventData"),
         doc: "docs/serving.md",
         what: "note tag",
     },

@@ -93,11 +93,6 @@ impl IdleLadder {
         ])
     }
 
-    /// The states, shallow to deep.
-    pub fn states(&self) -> &[IdleState] {
-        &self.states
-    }
-
     /// Number of states.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -106,16 +101,6 @@ impl IdleLadder {
     /// Always `false` (construction rejects empty ladders).
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The deepest state whose target residency fits within a predicted
-    /// idle duration — the decision a menu-style cpuidle governor makes.
-    pub fn select(&self, predicted_idle_us: u64) -> &IdleState {
-        self.states
-            .iter()
-            .rev()
-            .find(|s| s.target_residency_us <= predicted_idle_us)
-            .unwrap_or(&self.states[0])
     }
 
     /// Idle power fraction after a core has been continuously idle for
@@ -172,16 +157,16 @@ mod tests {
     }
 
     #[test]
-    fn select_picks_deepest_fitting() {
-        let l = IdleLadder::with_power_collapse(0.3);
-        assert_eq!(l.select(100).name, "wfi");
-        assert_eq!(l.select(50_000).name, "spc");
-    }
-
-    #[test]
-    fn select_falls_back_to_shallowest() {
-        let l = IdleLadder::wfi_only();
-        assert_eq!(l.select(0).name, "wfi");
+    fn power_frac_falls_back_to_shallowest() {
+        // No state's residency is met yet: the core bills the shallowest.
+        let l = IdleLadder::new(vec![IdleState {
+            name: "c1".into(),
+            power_frac: 0.8,
+            target_residency_us: 100,
+            exit_latency_us: 1,
+        }]);
+        assert_eq!(l.power_frac_after(0), 0.8);
+        assert_eq!(l.power_frac_after(99), 0.8);
     }
 
     #[test]

@@ -152,22 +152,6 @@ impl<'a> OperatingPointOptimizer<'a> {
             demanded: global_load,
         })
     }
-
-    /// The optimal operating point for each load in `loads` — the "scar
-    /// curve" of §4.2.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first infeasible load.
-    pub fn scar_curve(
-        &self,
-        loads: impl IntoIterator<Item = f64>,
-    ) -> Result<Vec<(f64, OperatingPoint)>, ModelError> {
-        loads
-            .into_iter()
-            .map(|l| Ok((l, self.best_for_global_load(l)?)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -236,13 +220,13 @@ mod tests {
 
     #[test]
     fn scar_curve_is_monotone_in_capacity() {
-        // As load rises the optimal capacity never decreases.
+        // As load rises the optimal capacity never decreases (the §4.2
+        // "scar curve": the optimum, load by load).
         let p = profiles::nexus5();
         let opt = OperatingPointOptimizer::new(&p);
-        let loads: Vec<f64> = (1..=20).map(|i| i as f64 * 0.05).collect();
-        let curve = opt.scar_curve(loads).unwrap();
         let mut prev_cap = 0.0;
-        for (load, pt) in &curve {
+        for load in (1..=20).map(|i| f64::from(i) * 0.05) {
+            let pt = opt.best_for_global_load(load).unwrap();
             let cap = p.capacity_hz(pt.cores, pt.opp_idx);
             assert!(
                 cap + 1e-6 >= prev_cap,

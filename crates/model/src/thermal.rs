@@ -50,14 +50,6 @@ impl ThermalParams {
     pub fn sustainable_power_mw(&self) -> f64 {
         (self.trip_c - self.ambient_c) / self.r_th_c_per_w * 1_000.0
     }
-
-    /// A parameter set that never throttles (trip far above anything the
-    /// model can reach); useful for isolating non-thermal effects in tests.
-    pub fn no_throttle(mut self) -> Self {
-        self.trip_c = 1_000.0;
-        self.clear_c = 999.0;
-        self
-    }
 }
 
 impl Default for ThermalParams {
@@ -91,13 +83,6 @@ mod tests {
         let p = ThermalParams::default();
         let budget = p.sustainable_power_mw();
         assert!((p.steady_state_c(budget) - p.trip_c).abs() < 1e-9);
-    }
-
-    #[test]
-    fn no_throttle_raises_trip() {
-        let p = ThermalParams::default().no_throttle();
-        assert!(p.trip_c > 500.0);
-        assert!(p.clear_c < p.trip_c);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use mobicore_model::{Khz, Quota, Utilization};
 use mobicore_sim::{Command, CoreSnapshot, PolicySnapshot};
-use mobicore_telemetry::{EventData, EventKind};
+use mobicore_telemetry::{EventData, EventKind, FieldReader, FieldWriter};
 
 /// Protocol version carried in Hello/HelloAck; bumped on any wire
 /// change. Version 2 added the HelloAck pipelining window and the
@@ -173,7 +173,8 @@ pub enum Frame {
         /// The commands the policy queued, in issue order.
         commands: Vec<Command>,
         /// The telemetry notes the policy attached, in issue order
-        /// (forwarded so remote manifests match in-process ones).
+        /// (forwarded so remote manifests match in-process ones). The
+        /// encoder sends the leading notes that fit the frame cap.
         notes: Vec<EventData>,
     },
     /// Server → client: the session crossed its pipelined-frame budget
@@ -355,7 +356,11 @@ fn put_command(out: &mut Vec<u8>, cmd: &Command) {
     }
 }
 
-/// Appends `frame`'s wire bytes to `out`.
+/// Appends `frame`'s wire bytes to `out`. The encoding stays within
+/// the wire caps, so every frame it produces decodes: strings past
+/// [`MAX_WIRE_STR`] are cut, and a Decision keeps at most
+/// [`MAX_WIRE_COMMANDS`] commands and the leading notes, at most
+/// [`MAX_WIRE_NOTES`], that fit under [`MAX_FRAME_LEN`].
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     let len_at = out.len();
     put_u32(out, 0); // length backpatched below
@@ -404,12 +409,22 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
             for cmd in commands.iter().take(n) {
                 put_command(out, cmd);
             }
-            let n = notes.len().min(MAX_WIRE_NOTES);
-            #[allow(clippy::cast_possible_truncation)]
-            put_u16(out, n as u16);
-            for note in notes.iter().take(n) {
+            // Notes are the one part of a frame with no fixed bound
+            // under the frame cap (64 notes of up to 4 KiB strings): the
+            // first note that would cross it is dropped with the rest.
+            let n_at = out.len();
+            put_u16(out, 0); // note count backpatched below
+            let mut n: u16 = 0;
+            for note in notes.iter().take(MAX_WIRE_NOTES) {
+                let note_at = out.len();
                 put_note(out, note);
+                if out.len() - len_at - 4 > MAX_FRAME_LEN as usize {
+                    out.truncate(note_at);
+                    break;
+                }
+                n += 1;
             }
+            out[n_at..n_at + 2].copy_from_slice(&n.to_le_bytes());
         }
         Frame::Backpressure { queued, limit } => {
             out.push(TY_BACKPRESSURE);
@@ -489,6 +504,12 @@ impl<'a> Reader<'a> {
         let b = self.bytes(2, what)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
+}
+
+/// The binary field reader, for notes and frames alike: fields are
+/// read in order and `what` names the one that failed.
+impl FieldReader for Reader<'_> {
+    type Error = WireError;
 
     fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
         let b = self.bytes(4, what)?;
@@ -500,11 +521,6 @@ impl<'a> Reader<'a> {
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
         Ok(u64::from_le_bytes(a))
-    }
-
-    /// A `usize` field, which travels as a `u64`.
-    fn usize(&mut self, what: &'static str) -> Result<usize, WireError> {
-        Ok(usize::try_from(self.u64(what)?).unwrap_or(usize::MAX))
     }
 
     fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
@@ -594,91 +610,46 @@ fn read_command(r: &mut Reader<'_>) -> Result<Command, WireError> {
 
 // ------------------------------------------------------------- notes
 
-/// The wire form of one note field.
-trait NoteField: Sized {
-    fn put(&self, out: &mut Vec<u8>);
-    fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError>;
-}
-
-macro_rules! note_fields {
-    ($($ty:ty: |$out:ident, $v:ident| $put:expr, $read:ident;)*) => {$(
-        impl NoteField for $ty {
-            fn put(&self, $out: &mut Vec<u8>) {
-                let $v = self;
-                $put
-            }
-            fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, WireError> {
-                r.$read(what)
-            }
-        }
-    )*};
-}
-
-// `usize` travels as `u64`; `f64` as its bit pattern, so NaN, ±∞ and
-// −0.0 come back exactly.
-note_fields! {
-    u64: |out, v| put_u64(out, *v), u64;
-    usize: |out, v| put_u64(out, *v as u64), usize;
-    u32: |out, v| put_u32(out, *v), u32;
-    f64: |out, v| put_f64(out, *v), f64;
-    bool: |out, v| put_bool(out, *v), bool;
-    String: |out, v| put_str(out, v), str;
-}
-
 // Note tags are `EventKind::index` values and travel as one byte.
 const _: () = assert!(EventKind::ALL.len() <= u8::MAX as usize);
 
-/// Defines `put_note` and `read_note` from one field list per kind. A
-/// note is its kind's tag, then these fields in this order, each in its
-/// [`NoteField`] form. The compiler holds every list complete: the
-/// encoder's pattern and the decoder's struct literal must both name
-/// every field of the variant.
-macro_rules! note_codec {
-    ($($kind:ident { $($field:ident),* })*) => {
-        fn put_note(out: &mut Vec<u8>, note: &EventData) {
-            #[allow(clippy::cast_possible_truncation)]
-            out.push(note.kind().index() as u8);
-            match note {
-                $(EventData::$kind { $($field),* } => { $($field.put(out);)* })*
-            }
-        }
+/// The binary note writer. `usize` fields travel as `u64` (the
+/// [`FieldWriter`] default); `f64` fields as their bit pattern, so NaN,
+/// ±∞ and −0.0 come back exactly.
+struct NoteWriter<'a>(&'a mut Vec<u8>);
 
-        fn read_note(r: &mut Reader<'_>) -> Result<EventData, WireError> {
-            let tag = r.u8("note.tag")?;
-            let kind = EventKind::ALL
-                .get(usize::from(tag))
-                .ok_or(WireError::UnknownNoteTag(tag))?;
-            Ok(match kind {
-                $(EventKind::$kind => EventData::$kind {
-                    $($field: NoteField::read(r, concat!("note.", stringify!($field)))?),*
-                },)*
-            })
-        }
-    };
+impl FieldWriter for NoteWriter<'_> {
+    fn u64(&mut self, _: &'static str, v: u64) {
+        put_u64(self.0, v);
+    }
+    fn u32(&mut self, _: &'static str, v: u32) {
+        put_u32(self.0, v);
+    }
+    fn f64(&mut self, _: &'static str, v: f64) {
+        put_f64(self.0, v);
+    }
+    fn bool(&mut self, _: &'static str, v: bool) {
+        put_bool(self.0, v);
+    }
+    fn str(&mut self, _: &'static str, v: &str) {
+        put_str(self.0, v);
+    }
 }
 
-// Fields in declaration order (docs/serving.md, the note-tag table).
-note_codec! {
-    FreqChange { core, from_khz, to_khz, requested_khz }
-    CoreOnline { core }
-    CoreOffline { core }
-    HotplugVetoed { core, mpdecision }
-    HotplugDecision { policy, online_now, want }
-    QuotaShrink { from, to }
-    QuotaRestore { from, to }
-    ThermalThrottle { cap_opp, temp_c }
-    ThermalClear { cap_opp, temp_c }
-    BwThrottle { denied_us }
-    PolicyDecision { policy, mode, util_pct, quota, target_online, f_khz }
-    DvfsDecision { governor, util_pct, from_khz, to_khz }
-    ConnAccepted { conn }
-    ConnClosed { conn, frames_in, frames_out }
-    SessionStart { session, policy }
-    SessionEnd { session, decisions, drained }
-    Backpressure { session, queued, limit }
-    ServeShutdown { active_sessions }
-    ShardRouted { conn, key, shard }
-    FleetShardSummary { shard, sessions, decisions }
+/// A note is its kind's tag, then the variant's fields in declaration
+/// order ([`EventData::write_fields`]).
+fn put_note(out: &mut Vec<u8>, note: &EventData) {
+    #[allow(clippy::cast_possible_truncation)]
+    out.push(note.kind().index() as u8);
+    note.write_fields(&mut NoteWriter(out));
+}
+
+fn read_note(r: &mut Reader<'_>) -> Result<EventData, WireError> {
+    let tag = r.u8("note.tag")?;
+    let kind = EventKind::ALL
+        .get(usize::from(tag))
+        .ok_or(WireError::UnknownNoteTag(tag))?;
+    EventData::read_fields(*kind, r)
 }
 
 /// Attempts to decode one frame from the front of `buf`.
@@ -1034,6 +1005,30 @@ mod tests {
         );
         assert_eq!(hex(&frame_bytes(&frame)), want);
         round_trip(frame);
+    }
+
+    #[test]
+    fn notes_past_the_frame_cap_are_dropped() {
+        let note = |i: usize| EventData::HotplugDecision {
+            policy: "p".repeat(MAX_WIRE_STR),
+            online_now: i,
+            want: 1,
+        };
+        for count in [16, 64] {
+            let notes: Vec<EventData> = (0..count).map(note).collect();
+            let bytes = frame_bytes(&Frame::Decision {
+                seq: 1,
+                commands: Vec::new(),
+                notes: notes.clone(),
+            });
+            assert!(bytes.len() <= 4 + MAX_FRAME_LEN as usize, "{count} notes");
+            let (back, _) = decode_frame(&bytes).expect("decodes").expect("complete");
+            let Frame::Decision { notes: kept, .. } = back else {
+                panic!("wrong frame kind")
+            };
+            // Each note takes 4115 bytes, so 15 fit with the header.
+            assert_eq!(kept, notes[..15], "{count} notes");
+        }
     }
 
     /// A one-note Decision frame whose note is `note` verbatim.

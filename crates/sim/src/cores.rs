@@ -108,15 +108,7 @@ impl CpuSet {
         self.cores.iter().filter(|c| c.online).count()
     }
 
-    /// Indices of online cores.
-    pub fn online_ids(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.online_ids_into(&mut out);
-        out
-    }
-
-    /// Fills `out` with the indices of online cores (buffer-reusing
-    /// variant of [`CpuSet::online_ids`]).
+    /// Fills `out` with the indices of online cores.
     pub fn online_ids_into(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(
@@ -155,15 +147,6 @@ impl CpuSet {
                 core.stalled_until_us = core.stalled_until_us.max(now_us + dvfs_latency_us);
             }
         }
-    }
-
-    /// The execution frequency for scheduling purposes: zero while the
-    /// core is offline or mid-transition.
-    pub fn sched_khz(&self, profile: &DeviceProfile, i: usize, now_us: u64) -> Khz {
-        if self.cores[i].stalled_until_us > now_us {
-            return Khz::ZERO;
-        }
-        self.effective_khz(profile, i)
     }
 
     /// Requests a hotplug transition. Coming online takes
@@ -239,15 +222,8 @@ impl CpuSet {
         total
     }
 
-    /// Drains the per-window busy counters (called at each policy sample).
-    pub fn drain_window(&mut self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.drain_window_into(&mut out);
-        out
-    }
-
-    /// Drains the per-window busy counters into `out` (buffer-reusing
-    /// variant of [`CpuSet::drain_window`]).
+    /// Drains the per-window busy counters into `out` (called at each
+    /// policy sample).
     pub fn drain_window_into(&mut self, out: &mut Vec<u64>) {
         out.clear();
         out.extend(
@@ -257,22 +233,9 @@ impl CpuSet {
         );
     }
 
-    /// Builds the power-model input for the current tick given each
-    /// core's busy time within it. Idle fractions are billed at the
+    /// Fills `out` with the power-model input for the current tick given
+    /// each core's busy time within it. Idle fractions are billed at the
     /// cpuidle-ladder state the core's idle streak has earned.
-    pub fn activities(
-        &self,
-        busy_us: &[u64],
-        tick_us: u64,
-        ladder: &IdleLadder,
-    ) -> Vec<CoreActivity> {
-        let mut out = Vec::new();
-        self.activities_into(busy_us, tick_us, ladder, &mut out);
-        out
-    }
-
-    /// Fills `out` with the power-model input for the current tick
-    /// (buffer-reusing variant of [`CpuSet::activities`]).
     pub fn activities_into(
         &self,
         busy_us: &[u64],
@@ -361,8 +324,9 @@ mod tests {
         cpus.account_tick(0, 300, 1_000, Khz(960_000));
         assert_eq!(cpus.core(0).window_busy_us, 1_000);
         assert_eq!(cpus.core(0).total_online_us, 2_000);
-        let drained = cpus.drain_window();
-        assert_eq!(drained[0], 1_000);
+        let mut drained = Vec::new();
+        cpus.drain_window_into(&mut drained);
+        assert_eq!(drained, [1_000, 0, 0, 0]);
         assert_eq!(cpus.core(0).window_busy_us, 0);
         assert_eq!(cpus.core(0).total_busy_us, 1_000);
     }
@@ -373,7 +337,13 @@ mod tests {
         let mut cpus = CpuSet::new(&p);
         cpus.request_online(1, false, 0, 5_000);
         cpus.core_mut(0).target_opp = 13;
-        let acts = cpus.activities(&[500, 0, 0, 1_000], 1_000, &IdleLadder::default());
+        let mut acts = Vec::new();
+        cpus.activities_into(
+            &[500, 0, 0, 1_000],
+            1_000,
+            &IdleLadder::default(),
+            &mut acts,
+        );
         assert!(acts[0].online);
         assert_eq!(acts[0].opp_idx, 13);
         assert!((acts[0].utilization - 0.5).abs() < 1e-12);
@@ -388,8 +358,6 @@ mod tests {
         cpus.request_opp(0, 13, 1_000, 200);
         assert_eq!(cpus.core(0).target_opp, 13);
         assert_eq!(cpus.core(0).stalled_until_us, 1_200);
-        assert_eq!(cpus.sched_khz(&p, 0, 1_100), Khz::ZERO, "mid-transition");
-        assert_eq!(cpus.sched_khz(&p, 0, 1_200), Khz(2_265_600));
         // re-requesting the SAME opp does not stall again
         cpus.request_opp(0, 13, 5_000, 200);
         assert_eq!(cpus.core(0).stalled_until_us, 1_200);
@@ -428,6 +396,8 @@ mod tests {
         let p = profiles::nexus5();
         let mut cpus = CpuSet::new(&p);
         cpus.request_online(2, false, 0, 0);
-        assert_eq!(cpus.online_ids(), vec![0, 1, 3]);
+        let mut ids = vec![7];
+        cpus.online_ids_into(&mut ids);
+        assert_eq!(ids, [0, 1, 3]);
     }
 }

@@ -15,7 +15,6 @@ pub struct PowerMeter {
     next_sample_us: u64,
     samples: Vec<(u64, f64)>,
     max_mw: f64,
-    min_mw: f64,
 }
 
 impl PowerMeter {
@@ -29,7 +28,6 @@ impl PowerMeter {
             next_sample_us: 0,
             samples: Vec::new(),
             max_mw: f64::NEG_INFINITY,
-            min_mw: f64::INFINITY,
         }
     }
 
@@ -46,7 +44,6 @@ impl PowerMeter {
         self.energy_uj += power_mw * tick_us as f64;
         self.elapsed_us += tick_us;
         self.max_mw = self.max_mw.max(power_mw);
-        self.min_mw = self.min_mw.min(power_mw);
         if now_us >= self.next_sample_us {
             self.samples.push((now_us, power_mw));
             self.next_sample_us = now_us + self.sample_period_us;
@@ -60,8 +57,8 @@ impl PowerMeter {
     /// The energy accumulation stays per-tick in sequence (float sums
     /// are order-sensitive) with the constant `power·tick` product
     /// hoisted; elapsed time is batched (integer, exact) and the
-    /// max/min fold is applied once, which equals applying it `ticks`
-    /// times because `max`/`min` with the same value is idempotent.
+    /// max fold is applied once, which equals applying it `ticks` times
+    /// because `max` with the same value is idempotent.
     pub fn quiet_run(&mut self, start_us: u64, tick_us: u64, power_mw: f64, ticks: u64) {
         if ticks == 0 {
             return;
@@ -78,7 +75,6 @@ impl PowerMeter {
         }
         self.elapsed_us += ticks * tick_us;
         self.max_mw = self.max_mw.max(power_mw);
-        self.min_mw = self.min_mw.min(power_mw);
     }
 
     /// Average power over everything recorded, mW.
@@ -102,15 +98,6 @@ impl PowerMeter {
             0.0
         } else {
             self.max_mw
-        }
-    }
-
-    /// Minimum instantaneous power, mW (0 if nothing recorded).
-    pub fn min_power_mw(&self) -> f64 {
-        if self.elapsed_us == 0 {
-            0.0
-        } else {
-            self.min_mw
         }
     }
 
@@ -140,7 +127,6 @@ mod tests {
         assert_eq!(m.avg_power_mw(), 0.0);
         assert_eq!(m.energy_mj(), 0.0);
         assert_eq!(m.max_power_mw(), 0.0);
-        assert_eq!(m.min_power_mw(), 0.0);
     }
 
     #[test]
@@ -150,7 +136,6 @@ mod tests {
         m.record(1_000, 1_000, 500.0);
         m.record(2_000, 1_000, 200.0);
         assert_eq!(m.max_power_mw(), 500.0);
-        assert_eq!(m.min_power_mw(), 50.0);
     }
 
     #[test]
@@ -182,10 +167,9 @@ mod tests {
         assert_eq!(a.energy_uj.to_bits(), b.energy_uj.to_bits());
         assert_eq!(a.elapsed_us, b.elapsed_us);
         assert_eq!(a.max_mw.to_bits(), b.max_mw.to_bits());
-        assert_eq!(a.min_mw.to_bits(), b.min_mw.to_bits());
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.next_sample_us, b.next_sample_us);
-        // A zero-length run is a no-op (and must not poison max/min).
+        // A zero-length run is a no-op (and must not poison the max).
         b.quiet_run(5_000_000, 1_000, 9e9, 0);
         assert_eq!(a.max_mw.to_bits(), b.max_mw.to_bits());
     }

@@ -249,11 +249,6 @@ impl CpuControl {
         self.notes.push(data);
     }
 
-    /// The attached notes, in issue order.
-    pub fn notes(&self) -> &[EventData] {
-        &self.notes
-    }
-
     /// Drains the attached notes.
     pub fn take_notes(&mut self) -> Vec<EventData> {
         std::mem::take(&mut self.notes)

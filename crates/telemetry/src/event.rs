@@ -3,356 +3,372 @@
 //!
 //! Each event carries the *inputs* of the decision, not just the outcome,
 //! so a trace answers "why did the governor do that" the way the thesis'
-//! §3.1 recording file answers it for the real phone. The kinds are
-//! enumerated by [`EventKind::ALL`]; `docs/observability.md` documents
-//! every kind and a test asserts the two stay in sync.
+//! §3.1 recording file answers it for the real phone.
+//!
+//! The taxonomy is declared once, in the `taxonomy!` invocation below:
+//! each kind's variant, typed fields, wire name and description. Every
+//! list keyed by kind is generated from it — [`EventKind`] and
+//! [`EventKind::ALL`], [`EventKind::name`], [`EventKind::description`],
+//! [`EventData::kind`] — and so are the two field walkers,
+//! [`EventData::write_fields`] and [`EventData::read_fields`]. The JSONL
+//! codec here ([`Event::to_json`], [`Event::from_json_line`]) and the
+//! binary Decision-note codec of `mobicore-serve` are a [`FieldWriter`]
+//! and a [`FieldReader`] over those walkers, so neither knows a field
+//! list. `docs/observability.md` documents every kind and a test asserts
+//! the two stay in sync.
 
 use crate::json::{Json, JsonError};
 
-/// The kind of an [`Event`] — a fieldless mirror of [`EventData`] used
-/// for filtering, counting, and the wire format's `kind` member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum EventKind {
-    /// A core's DVFS target actually changed.
-    FreqChange,
-    /// A core came online (hotplug-in accepted).
-    CoreOnline,
-    /// A core went offline (hotplug-out accepted).
-    CoreOffline,
-    /// An offline request was vetoed (core 0 or `mpdecision` running).
-    HotplugVetoed,
-    /// A hotplug policy decided to change the online-core count.
-    HotplugDecision,
-    /// The bandwidth quota shrank.
-    QuotaShrink,
-    /// The bandwidth quota grew back.
-    QuotaRestore,
-    /// The thermal engine stepped the OPP cap down.
-    ThermalThrottle,
-    /// The thermal engine stepped the OPP cap back up.
-    ThermalClear,
-    /// The CFS bandwidth pool started denying runtime.
-    BwThrottle,
-    /// One MobiCore Figure-8 sampling decision (quota + cores + freq).
-    PolicyDecision,
-    /// One stock-governor DVFS decision.
-    DvfsDecision,
-    /// The serve daemon accepted a client connection.
-    ConnAccepted,
-    /// A client connection closed (gracefully or not).
-    ConnClosed,
-    /// A serve session completed its handshake.
-    SessionStart,
-    /// A serve session ended (ByeAck sent, or forced close).
-    SessionEnd,
-    /// A session crossed its queue budget (rising edge only).
-    Backpressure,
-    /// The serve daemon began graceful shutdown (drain started).
-    ServeShutdown,
-    /// The router bound a session key to a shard.
-    ShardRouted,
-    /// Per-shard rollup of one routed load run.
-    FleetShardSummary,
+/// Receives an event's fields from [`EventData::write_fields`], one call
+/// per field in declaration order, each with the field's name.
+pub trait FieldWriter {
+    /// A `u64` field.
+    fn u64(&mut self, name: &'static str, v: u64);
+    /// A `u32` field.
+    fn u32(&mut self, name: &'static str, v: u32);
+    /// An `f64` field.
+    fn f64(&mut self, name: &'static str, v: f64);
+    /// A `bool` field.
+    fn bool(&mut self, name: &'static str, v: bool);
+    /// A string field.
+    fn str(&mut self, name: &'static str, v: &str);
+    /// A `usize` field, written as a `u64`.
+    fn usize(&mut self, name: &'static str, v: usize) {
+        self.u64(name, v as u64);
+    }
+}
+
+/// Supplies an event's fields to [`EventData::read_fields`], one call per
+/// field in declaration order, each with the field's name. Every method
+/// fails with the codec's error for a missing or malformed field.
+pub trait FieldReader {
+    /// Why a field could not be read.
+    type Error;
+    /// A `u64` field.
+    fn u64(&mut self, name: &'static str) -> Result<u64, Self::Error>;
+    /// A `u32` field.
+    fn u32(&mut self, name: &'static str) -> Result<u32, Self::Error>;
+    /// An `f64` field.
+    fn f64(&mut self, name: &'static str) -> Result<f64, Self::Error>;
+    /// A `bool` field.
+    fn bool(&mut self, name: &'static str) -> Result<bool, Self::Error>;
+    /// A string field.
+    fn str(&mut self, name: &'static str) -> Result<String, Self::Error>;
+    /// A `usize` field, read as a `u64` and saturated.
+    fn usize(&mut self, name: &'static str) -> Result<usize, Self::Error> {
+        self.u64(name)
+            .map(|v| usize::try_from(v).unwrap_or(usize::MAX))
+    }
+}
+
+/// Declares the payload enum as written, each variant led by
+/// `#[kind("wire-name", "Description.")]`, and generates [`EventKind`]
+/// and everything else keyed by kind from it. Declaration order is the
+/// order of [`EventKind::ALL`], of the JSONL members and of the binary
+/// note fields. A field's type picks its walker method: `String` goes
+/// through `str`, every other type (`u64`, `usize`, `u32`, `f64`,
+/// `bool`) through the method of its own name. The enum's name is taken
+/// from the invocation, so `enum EventData` appears in code only there,
+/// where `registry-doc-sync` reads the kinds.
+macro_rules! taxonomy {
+    (@write String, $w:ident, $field:ident) => {
+        $w.str(stringify!($field), $field)
+    };
+    (@write $ty:ident, $w:ident, $field:ident) => {
+        $w.$ty(stringify!($field), *$field)
+    };
+    (@read String, $r:ident, $field:ident) => {
+        $r.str(stringify!($field))?
+    };
+    (@read $ty:ident, $r:ident, $field:ident) => {
+        $r.$ty(stringify!($field))?
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $data:ident {$(
+            $(#[doc = $doc:literal])*
+            #[kind($name:literal, $description:literal)]
+            $kind:ident {$(
+                $(#[doc = $field_doc:literal])*
+                $field:ident: $ty:ident,
+            )*},
+        )*}
+    ) => {
+        $(#[$meta])*
+        pub enum $data {$(
+            $(#[doc = $doc])*
+            $kind {$(
+                $(#[doc = $field_doc])*
+                $field: $ty,
+            )*},
+        )*}
+
+        /// The kind of an [`Event`] — a fieldless mirror of [`EventData`]
+        /// used for filtering, counting, and the wire format's `kind`
+        /// member.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum EventKind {$(
+            #[doc = $description]
+            $kind,
+        )*}
+
+        impl EventKind {
+            /// Every kind, in declaration order.
+            pub const ALL: [EventKind; [$(EventKind::$kind),*].len()] = [$(EventKind::$kind),*];
+
+            /// The stable wire name (`kind` member of a JSONL line, the
+            /// argument of `mobicore-inspect events --kind`).
+            pub fn name(self) -> &'static str {
+                match self {$(EventKind::$kind => $name,)*}
+            }
+
+            /// One-line human description of the kind — the text the
+            /// docs/observability.md taxonomy tables carry (a test asserts
+            /// the doc and this method stay in sync, descriptions
+            /// included).
+            pub fn description(self) -> &'static str {
+                match self {$(EventKind::$kind => $description,)*}
+            }
+        }
+
+        impl $data {
+            /// The fieldless kind of this payload.
+            pub fn kind(&self) -> EventKind {
+                match self {$($data::$kind { .. } => EventKind::$kind,)*}
+            }
+
+            /// Hands every field to `w`, in declaration order.
+            pub fn write_fields<W: FieldWriter>(&self, w: &mut W) {
+                match self {$(
+                    $data::$kind { $($field),* } => {
+                        $(taxonomy!(@write $ty, w, $field);)*
+                    }
+                )*}
+            }
+
+            /// Builds a payload of `kind` from `r`, reading its fields in
+            /// declaration order.
+            ///
+            /// # Errors
+            ///
+            /// The first error `r` reports.
+            pub fn read_fields<R: FieldReader>(kind: EventKind, r: &mut R) -> Result<Self, R::Error> {
+                Ok(match kind {$(
+                    EventKind::$kind => $data::$kind {
+                        $($field: taxonomy!(@read $ty, r, $field),)*
+                    },
+                )*})
+            }
+        }
+    };
+}
+
+taxonomy! {
+    /// The payload of one event: the decision plus the inputs it keyed off.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventData {
+        /// A core's DVFS target changed.
+        #[kind("freq-change", "A core's DVFS target actually changed.")]
+        FreqChange {
+            /// The core.
+            core: usize,
+            /// Previous target, kHz.
+            from_khz: u32,
+            /// New (OPP-snapped) target, kHz.
+            to_khz: u32,
+            /// What the policy asked for before snapping, kHz.
+            requested_khz: u32,
+        },
+        /// A core came online.
+        #[kind("core-online", "A core came online (hotplug-in accepted).")]
+        CoreOnline {
+            /// The core.
+            core: usize,
+        },
+        /// A core went offline.
+        #[kind("core-offline", "A core went offline (hotplug-out accepted).")]
+        CoreOffline {
+            /// The core.
+            core: usize,
+        },
+        /// An offline request was vetoed.
+        #[kind("hotplug-vetoed", "An offline request was vetoed (core 0 or `mpdecision` running).")]
+        HotplugVetoed {
+            /// The core the policy tried to off-line.
+            core: usize,
+            /// Whether the veto came from `mpdecision` (else: core 0).
+            mpdecision: bool,
+        },
+        /// A hotplug policy decided to change the online-core count.
+        #[kind("hotplug-decision", "A hotplug policy decided to change the online-core count.")]
+        HotplugDecision {
+            /// Name of the deciding policy.
+            policy: String,
+            /// Online cores when the decision was made.
+            online_now: usize,
+            /// Online cores the policy wants.
+            want: usize,
+        },
+        /// The bandwidth quota shrank.
+        #[kind("quota-shrink", "The bandwidth quota shrank.")]
+        QuotaShrink {
+            /// Quota before, fraction of full bandwidth.
+            from: f64,
+            /// Quota after.
+            to: f64,
+        },
+        /// The bandwidth quota grew back.
+        #[kind("quota-restore", "The bandwidth quota grew back.")]
+        QuotaRestore {
+            /// Quota before, fraction of full bandwidth.
+            from: f64,
+            /// Quota after.
+            to: f64,
+        },
+        /// The thermal engine stepped the OPP cap down.
+        #[kind("thermal-throttle", "The thermal engine stepped the OPP cap down.")]
+        ThermalThrottle {
+            /// The new OPP-index cap.
+            cap_opp: usize,
+            /// Package temperature at the decision, °C.
+            temp_c: f64,
+        },
+        /// The thermal engine stepped the OPP cap back up.
+        #[kind("thermal-clear", "The thermal engine stepped the OPP cap back up.")]
+        ThermalClear {
+            /// The new OPP-index cap.
+            cap_opp: usize,
+            /// Package temperature at the decision, °C.
+            temp_c: f64,
+        },
+        /// The CFS bandwidth pool started denying runtime (edge-triggered:
+        /// emitted when a throttled tick follows an unthrottled one).
+        #[kind("bw-throttle", "The CFS bandwidth pool started denying runtime.")]
+        BwThrottle {
+            /// Runtime denied in the triggering tick, µs.
+            denied_us: u64,
+        },
+        /// One MobiCore sampling decision.
+        #[kind("policy-decision", "One MobiCore Figure-8 sampling decision (quota + cores + freq).")]
+        PolicyDecision {
+            /// Policy name (`mobicore`, `mobicore-optpoint`, ...).
+            policy: String,
+            /// The Table-2 workload-mode classification.
+            mode: String,
+            /// Overall utilization `K` the decision keyed off, percent.
+            util_pct: f64,
+            /// The installed quota, fraction of full bandwidth.
+            quota: f64,
+            /// Online cores after the DCS pass.
+            target_online: usize,
+            /// The per-core frequency issued, kHz.
+            f_khz: u32,
+        },
+        /// One stock-governor DVFS decision.
+        #[kind("dvfs-decision", "One stock-governor DVFS decision.")]
+        DvfsDecision {
+            /// Governor name (`ondemand`, `interactive`, ...).
+            governor: String,
+            /// Overall utilization the governor keyed off, percent.
+            util_pct: f64,
+            /// Cluster frequency before, kHz.
+            from_khz: u32,
+            /// Cluster target after, kHz.
+            to_khz: u32,
+        },
+        /// The serve daemon accepted a client connection.
+        #[kind("conn-accepted", "The serve daemon accepted a client connection.")]
+        ConnAccepted {
+            /// Server-assigned connection id (monotonic per daemon run).
+            conn: u64,
+        },
+        /// A client connection closed (gracefully or not).
+        #[kind("conn-closed", "A client connection closed (gracefully or not).")]
+        ConnClosed {
+            /// The connection id.
+            conn: u64,
+            /// Frames received over the connection's lifetime.
+            frames_in: u64,
+            /// Frames sent over the connection's lifetime.
+            frames_out: u64,
+        },
+        /// A serve session completed its handshake.
+        #[kind("session-start", "A serve session completed its handshake.")]
+        SessionStart {
+            /// Server-assigned session id.
+            session: u64,
+            /// The resolved policy serving the session.
+            policy: String,
+        },
+        /// A serve session ended.
+        #[kind("session-end", "A serve session ended (ByeAck sent, or forced close).")]
+        SessionEnd {
+            /// The session id.
+            session: u64,
+            /// Decisions served over the session's lifetime.
+            decisions: u64,
+            /// Whether the session ended cleanly (Bye/ByeAck handshake, as
+            /// opposed to an abort, timeout, or drain-deadline close).
+            drained: bool,
+        },
+        /// A session's pipelined input crossed its queue budget (emitted on
+        /// the rising edge only; the matching Backpressure frame tells the
+        /// client to slow down).
+        #[kind("backpressure", "A session crossed its queue budget (rising edge only).")]
+        Backpressure {
+            /// The session id.
+            session: u64,
+            /// Complete frames queued beyond the serviced budget.
+            queued: u64,
+            /// The configured per-session queue budget.
+            limit: u64,
+        },
+        /// The serve daemon began graceful shutdown (drain started).
+        #[kind("serve-shutdown", "The serve daemon began graceful shutdown (drain started).")]
+        ServeShutdown {
+            /// Sessions still in flight when the drain began.
+            active_sessions: u64,
+        },
+        /// The router bound a session key to a shard (one event per
+        /// routed session, i.e. per accepted Route frame).
+        #[kind("shard-routed", "The router bound a session key to a shard.")]
+        ShardRouted {
+            /// The router-side connection id carrying the session.
+            conn: u64,
+            /// The session key the client asked to place.
+            key: u64,
+            /// The winning shard's stable name.
+            shard: String,
+        },
+        /// Per-shard rollup of one routed load run.
+        #[kind("fleet-shard-summary", "Per-shard rollup of one routed load run.")]
+        FleetShardSummary {
+            /// The shard's stable name.
+            shard: String,
+            /// Device sessions the fleet run placed on this shard.
+            sessions: u64,
+            /// Decisions those sessions received.
+            decisions: u64,
+        },
+    }
 }
 
 impl EventKind {
-    /// Every kind, in a stable order.
-    pub const ALL: [EventKind; 20] = [
-        EventKind::FreqChange,
-        EventKind::CoreOnline,
-        EventKind::CoreOffline,
-        EventKind::HotplugVetoed,
-        EventKind::HotplugDecision,
-        EventKind::QuotaShrink,
-        EventKind::QuotaRestore,
-        EventKind::ThermalThrottle,
-        EventKind::ThermalClear,
-        EventKind::BwThrottle,
-        EventKind::PolicyDecision,
-        EventKind::DvfsDecision,
-        EventKind::ConnAccepted,
-        EventKind::ConnClosed,
-        EventKind::SessionStart,
-        EventKind::SessionEnd,
-        EventKind::Backpressure,
-        EventKind::ServeShutdown,
-        EventKind::ShardRouted,
-        EventKind::FleetShardSummary,
-    ];
-
-    /// The stable wire name (`kind` member of a JSONL line, the argument
-    /// of `mobicore-inspect events --kind`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::FreqChange => "freq-change",
-            EventKind::CoreOnline => "core-online",
-            EventKind::CoreOffline => "core-offline",
-            EventKind::HotplugVetoed => "hotplug-vetoed",
-            EventKind::HotplugDecision => "hotplug-decision",
-            EventKind::QuotaShrink => "quota-shrink",
-            EventKind::QuotaRestore => "quota-restore",
-            EventKind::ThermalThrottle => "thermal-throttle",
-            EventKind::ThermalClear => "thermal-clear",
-            EventKind::BwThrottle => "bw-throttle",
-            EventKind::PolicyDecision => "policy-decision",
-            EventKind::DvfsDecision => "dvfs-decision",
-            EventKind::ConnAccepted => "conn-accepted",
-            EventKind::ConnClosed => "conn-closed",
-            EventKind::SessionStart => "session-start",
-            EventKind::SessionEnd => "session-end",
-            EventKind::Backpressure => "backpressure",
-            EventKind::ServeShutdown => "serve-shutdown",
-            EventKind::ShardRouted => "shard-routed",
-            EventKind::FleetShardSummary => "fleet-shard-summary",
-        }
-    }
-
     /// Position of the kind in [`EventKind::ALL`] (the declaration
     /// order).
     pub const fn index(self) -> usize {
         self as usize
     }
 
-    /// Inverse of [`EventKind::name`]. Additionally accepts `hotplug` as
-    /// an umbrella for the four hotplug-related kinds in filters.
+    /// Inverse of [`EventKind::name`]: `None` for a name no kind has.
     pub fn from_name(name: &str) -> Option<EventKind> {
         EventKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// One-line human description of the kind — the text the
-    /// docs/observability.md taxonomy tables carry (a test asserts the
-    /// doc and this method stay in sync, descriptions included).
-    pub fn description(self) -> &'static str {
-        match self {
-            EventKind::FreqChange => "A core's DVFS target actually changed.",
-            EventKind::CoreOnline => "A core came online (hotplug-in accepted).",
-            EventKind::CoreOffline => "A core went offline (hotplug-out accepted).",
-            EventKind::HotplugVetoed => {
-                "An offline request was vetoed (core 0 or `mpdecision` running)."
-            }
-            EventKind::HotplugDecision => {
-                "A hotplug policy decided to change the online-core count."
-            }
-            EventKind::QuotaShrink => "The bandwidth quota shrank.",
-            EventKind::QuotaRestore => "The bandwidth quota grew back.",
-            EventKind::ThermalThrottle => "The thermal engine stepped the OPP cap down.",
-            EventKind::ThermalClear => "The thermal engine stepped the OPP cap back up.",
-            EventKind::BwThrottle => "The CFS bandwidth pool started denying runtime.",
-            EventKind::PolicyDecision => {
-                "One MobiCore Figure-8 sampling decision (quota + cores + freq)."
-            }
-            EventKind::DvfsDecision => "One stock-governor DVFS decision.",
-            EventKind::ConnAccepted => "The serve daemon accepted a client connection.",
-            EventKind::ConnClosed => "A client connection closed (gracefully or not).",
-            EventKind::SessionStart => "A serve session completed its handshake.",
-            EventKind::SessionEnd => "A serve session ended (ByeAck sent, or forced close).",
-            EventKind::Backpressure => "A session crossed its queue budget (rising edge only).",
-            EventKind::ServeShutdown => "The serve daemon began graceful shutdown (drain started).",
-            EventKind::ShardRouted => "The router bound a session key to a shard.",
-            EventKind::FleetShardSummary => "Per-shard rollup of one routed load run.",
-        }
     }
 }
 
 impl std::fmt::Display for EventKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The payload of one event: the decision plus the inputs it keyed off.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventData {
-    /// A core's DVFS target changed.
-    FreqChange {
-        /// The core.
-        core: usize,
-        /// Previous target, kHz.
-        from_khz: u32,
-        /// New (OPP-snapped) target, kHz.
-        to_khz: u32,
-        /// What the policy asked for before snapping, kHz.
-        requested_khz: u32,
-    },
-    /// A core came online.
-    CoreOnline {
-        /// The core.
-        core: usize,
-    },
-    /// A core went offline.
-    CoreOffline {
-        /// The core.
-        core: usize,
-    },
-    /// An offline request was vetoed.
-    HotplugVetoed {
-        /// The core the policy tried to off-line.
-        core: usize,
-        /// Whether the veto came from `mpdecision` (else: core 0).
-        mpdecision: bool,
-    },
-    /// A hotplug policy decided to change the online-core count.
-    HotplugDecision {
-        /// Name of the deciding policy.
-        policy: String,
-        /// Online cores when the decision was made.
-        online_now: usize,
-        /// Online cores the policy wants.
-        want: usize,
-    },
-    /// The bandwidth quota shrank.
-    QuotaShrink {
-        /// Quota before, fraction of full bandwidth.
-        from: f64,
-        /// Quota after.
-        to: f64,
-    },
-    /// The bandwidth quota grew back.
-    QuotaRestore {
-        /// Quota before, fraction of full bandwidth.
-        from: f64,
-        /// Quota after.
-        to: f64,
-    },
-    /// The thermal engine stepped the OPP cap down.
-    ThermalThrottle {
-        /// The new OPP-index cap.
-        cap_opp: usize,
-        /// Package temperature at the decision, °C.
-        temp_c: f64,
-    },
-    /// The thermal engine stepped the OPP cap back up.
-    ThermalClear {
-        /// The new OPP-index cap.
-        cap_opp: usize,
-        /// Package temperature at the decision, °C.
-        temp_c: f64,
-    },
-    /// The CFS bandwidth pool started denying runtime (edge-triggered:
-    /// emitted when a throttled tick follows an unthrottled one).
-    BwThrottle {
-        /// Runtime denied in the triggering tick, µs.
-        denied_us: u64,
-    },
-    /// One MobiCore sampling decision.
-    PolicyDecision {
-        /// Policy name (`mobicore`, `mobicore-optpoint`, ...).
-        policy: String,
-        /// The Table-2 workload-mode classification.
-        mode: String,
-        /// Overall utilization `K` the decision keyed off, percent.
-        util_pct: f64,
-        /// The installed quota, fraction of full bandwidth.
-        quota: f64,
-        /// Online cores after the DCS pass.
-        target_online: usize,
-        /// The per-core frequency issued, kHz.
-        f_khz: u32,
-    },
-    /// One stock-governor DVFS decision.
-    DvfsDecision {
-        /// Governor name (`ondemand`, `interactive`, ...).
-        governor: String,
-        /// Overall utilization the governor keyed off, percent.
-        util_pct: f64,
-        /// Cluster frequency before, kHz.
-        from_khz: u32,
-        /// Cluster target after, kHz.
-        to_khz: u32,
-    },
-    /// The serve daemon accepted a client connection.
-    ConnAccepted {
-        /// Server-assigned connection id (monotonic per daemon run).
-        conn: u64,
-    },
-    /// A client connection closed (gracefully or not).
-    ConnClosed {
-        /// The connection id.
-        conn: u64,
-        /// Frames received over the connection's lifetime.
-        frames_in: u64,
-        /// Frames sent over the connection's lifetime.
-        frames_out: u64,
-    },
-    /// A serve session completed its handshake.
-    SessionStart {
-        /// Server-assigned session id.
-        session: u64,
-        /// The resolved policy serving the session.
-        policy: String,
-    },
-    /// A serve session ended.
-    SessionEnd {
-        /// The session id.
-        session: u64,
-        /// Decisions served over the session's lifetime.
-        decisions: u64,
-        /// Whether the session ended cleanly (Bye/ByeAck handshake, as
-        /// opposed to an abort, timeout, or drain-deadline close).
-        drained: bool,
-    },
-    /// A session's pipelined input crossed its queue budget (emitted on
-    /// the rising edge only; the matching Backpressure frame tells the
-    /// client to slow down).
-    Backpressure {
-        /// The session id.
-        session: u64,
-        /// Complete frames queued beyond the serviced budget.
-        queued: u64,
-        /// The configured per-session queue budget.
-        limit: u64,
-    },
-    /// The serve daemon began graceful shutdown (drain started).
-    ServeShutdown {
-        /// Sessions still in flight when the drain began.
-        active_sessions: u64,
-    },
-    /// The router bound a session key to a shard (one event per
-    /// routed session, i.e. per accepted Route frame).
-    ShardRouted {
-        /// The router-side connection id carrying the session.
-        conn: u64,
-        /// The session key the client asked to place.
-        key: u64,
-        /// The winning shard's stable name.
-        shard: String,
-    },
-    /// Per-shard rollup of one routed load run.
-    FleetShardSummary {
-        /// The shard's stable name.
-        shard: String,
-        /// Device sessions the fleet run placed on this shard.
-        sessions: u64,
-        /// Decisions those sessions received.
-        decisions: u64,
-    },
-}
-
-impl EventData {
-    /// The fieldless kind of this payload.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            EventData::FreqChange { .. } => EventKind::FreqChange,
-            EventData::CoreOnline { .. } => EventKind::CoreOnline,
-            EventData::CoreOffline { .. } => EventKind::CoreOffline,
-            EventData::HotplugVetoed { .. } => EventKind::HotplugVetoed,
-            EventData::HotplugDecision { .. } => EventKind::HotplugDecision,
-            EventData::QuotaShrink { .. } => EventKind::QuotaShrink,
-            EventData::QuotaRestore { .. } => EventKind::QuotaRestore,
-            EventData::ThermalThrottle { .. } => EventKind::ThermalThrottle,
-            EventData::ThermalClear { .. } => EventKind::ThermalClear,
-            EventData::BwThrottle { .. } => EventKind::BwThrottle,
-            EventData::PolicyDecision { .. } => EventKind::PolicyDecision,
-            EventData::DvfsDecision { .. } => EventKind::DvfsDecision,
-            EventData::ConnAccepted { .. } => EventKind::ConnAccepted,
-            EventData::ConnClosed { .. } => EventKind::ConnClosed,
-            EventData::SessionStart { .. } => EventKind::SessionStart,
-            EventData::SessionEnd { .. } => EventKind::SessionEnd,
-            EventData::Backpressure { .. } => EventKind::Backpressure,
-            EventData::ServeShutdown { .. } => EventKind::ServeShutdown,
-            EventData::ShardRouted { .. } => EventKind::ShardRouted,
-            EventData::FleetShardSummary { .. } => EventKind::FleetShardSummary,
-        }
     }
 }
 
@@ -371,112 +387,14 @@ impl Event {
         self.data.kind()
     }
 
-    /// Encodes the event as one compact JSON object (one JSONL line).
+    /// Encodes the event as one compact JSON object (one JSONL line):
+    /// `t_us`, `kind`, then the payload fields as members.
     pub fn to_json(&self) -> Json {
-        let base = Json::obj()
-            .with("t_us", num_u64(self.t_us))
-            .with("kind", Json::Str(self.kind().name().to_string()));
-        match &self.data {
-            EventData::FreqChange {
-                core,
-                from_khz,
-                to_khz,
-                requested_khz,
-            } => base
-                .with("core", num_usize(*core))
-                .with("from_khz", Json::Num(f64::from(*from_khz)))
-                .with("to_khz", Json::Num(f64::from(*to_khz)))
-                .with("requested_khz", Json::Num(f64::from(*requested_khz))),
-            EventData::CoreOnline { core } | EventData::CoreOffline { core } => {
-                base.with("core", num_usize(*core))
-            }
-            EventData::HotplugVetoed { core, mpdecision } => base
-                .with("core", num_usize(*core))
-                .with("mpdecision", Json::Bool(*mpdecision)),
-            EventData::HotplugDecision {
-                policy,
-                online_now,
-                want,
-            } => base
-                .with("policy", Json::Str(policy.clone()))
-                .with("online_now", num_usize(*online_now))
-                .with("want", num_usize(*want)),
-            EventData::QuotaShrink { from, to } | EventData::QuotaRestore { from, to } => base
-                .with("from", Json::Num(*from))
-                .with("to", Json::Num(*to)),
-            EventData::ThermalThrottle { cap_opp, temp_c }
-            | EventData::ThermalClear { cap_opp, temp_c } => base
-                .with("cap_opp", num_usize(*cap_opp))
-                .with("temp_c", Json::Num(*temp_c)),
-            EventData::BwThrottle { denied_us } => base.with("denied_us", num_u64(*denied_us)),
-            EventData::PolicyDecision {
-                policy,
-                mode,
-                util_pct,
-                quota,
-                target_online,
-                f_khz,
-            } => base
-                .with("policy", Json::Str(policy.clone()))
-                .with("mode", Json::Str(mode.clone()))
-                .with("util_pct", Json::Num(*util_pct))
-                .with("quota", Json::Num(*quota))
-                .with("target_online", num_usize(*target_online))
-                .with("f_khz", Json::Num(f64::from(*f_khz))),
-            EventData::DvfsDecision {
-                governor,
-                util_pct,
-                from_khz,
-                to_khz,
-            } => base
-                .with("governor", Json::Str(governor.clone()))
-                .with("util_pct", Json::Num(*util_pct))
-                .with("from_khz", Json::Num(f64::from(*from_khz)))
-                .with("to_khz", Json::Num(f64::from(*to_khz))),
-            EventData::ConnAccepted { conn } => base.with("conn", num_u64(*conn)),
-            EventData::ConnClosed {
-                conn,
-                frames_in,
-                frames_out,
-            } => base
-                .with("conn", num_u64(*conn))
-                .with("frames_in", num_u64(*frames_in))
-                .with("frames_out", num_u64(*frames_out)),
-            EventData::SessionStart { session, policy } => base
-                .with("session", num_u64(*session))
-                .with("policy", Json::Str(policy.clone())),
-            EventData::SessionEnd {
-                session,
-                decisions,
-                drained,
-            } => base
-                .with("session", num_u64(*session))
-                .with("decisions", num_u64(*decisions))
-                .with("drained", Json::Bool(*drained)),
-            EventData::Backpressure {
-                session,
-                queued,
-                limit,
-            } => base
-                .with("session", num_u64(*session))
-                .with("queued", num_u64(*queued))
-                .with("limit", num_u64(*limit)),
-            EventData::ServeShutdown { active_sessions } => {
-                base.with("active_sessions", num_u64(*active_sessions))
-            }
-            EventData::ShardRouted { conn, key, shard } => base
-                .with("conn", num_u64(*conn))
-                .with("key", num_u64(*key))
-                .with("shard", Json::Str(shard.clone())),
-            EventData::FleetShardSummary {
-                shard,
-                sessions,
-                decisions,
-            } => base
-                .with("shard", Json::Str(shard.clone()))
-                .with("sessions", num_u64(*sessions))
-                .with("decisions", num_u64(*decisions)),
-        }
+        let mut members = JsonMembers(Vec::new());
+        members.u64("t_us", self.t_us);
+        members.str("kind", self.kind().name());
+        self.data.write_fields(&mut members);
+        Json::Obj(members.0)
     }
 
     /// Decodes one JSONL line produced by [`Event::to_json`].
@@ -487,143 +405,72 @@ impl Event {
     /// mistyped members.
     pub fn from_json_line(line: &str) -> Result<Event, JsonError> {
         let doc = Json::parse(line)?;
-        let field_err = |what: &str| JsonError {
-            offset: 0,
-            message: format!("event line is missing or mistypes `{what}`"),
-        };
-        let t_us = doc
-            .get("t_us")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| field_err("t_us"))?;
-        let kind_name = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| field_err("kind"))?;
+        let mut members = JsonLine(&doc);
+        let t_us = members.u64("t_us")?;
+        let kind_name = members.get("kind", Json::as_str)?;
         let kind = EventKind::from_name(kind_name).ok_or_else(|| JsonError {
             offset: 0,
             message: format!("unknown event kind `{kind_name}`"),
         })?;
-        let u = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| field_err(k))
-        };
-        let us = |k: &str| u(k).map(|v| usize::try_from(v).unwrap_or(usize::MAX));
-        let khz = |k: &str| u(k).map(|v| u32::try_from(v).unwrap_or(u32::MAX));
-        let f = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| field_err(k))
-        };
-        let s = |k: &str| {
-            doc.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| field_err(k))
-        };
-        let data = match kind {
-            EventKind::FreqChange => EventData::FreqChange {
-                core: us("core")?,
-                from_khz: khz("from_khz")?,
-                to_khz: khz("to_khz")?,
-                requested_khz: khz("requested_khz")?,
-            },
-            EventKind::CoreOnline => EventData::CoreOnline { core: us("core")? },
-            EventKind::CoreOffline => EventData::CoreOffline { core: us("core")? },
-            EventKind::HotplugVetoed => EventData::HotplugVetoed {
-                core: us("core")?,
-                mpdecision: doc
-                    .get("mpdecision")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| field_err("mpdecision"))?,
-            },
-            EventKind::HotplugDecision => EventData::HotplugDecision {
-                policy: s("policy")?,
-                online_now: us("online_now")?,
-                want: us("want")?,
-            },
-            EventKind::QuotaShrink => EventData::QuotaShrink {
-                from: f("from")?,
-                to: f("to")?,
-            },
-            EventKind::QuotaRestore => EventData::QuotaRestore {
-                from: f("from")?,
-                to: f("to")?,
-            },
-            EventKind::ThermalThrottle => EventData::ThermalThrottle {
-                cap_opp: us("cap_opp")?,
-                temp_c: f("temp_c")?,
-            },
-            EventKind::ThermalClear => EventData::ThermalClear {
-                cap_opp: us("cap_opp")?,
-                temp_c: f("temp_c")?,
-            },
-            EventKind::BwThrottle => EventData::BwThrottle {
-                denied_us: u("denied_us")?,
-            },
-            EventKind::PolicyDecision => EventData::PolicyDecision {
-                policy: s("policy")?,
-                mode: s("mode")?,
-                util_pct: f("util_pct")?,
-                quota: f("quota")?,
-                target_online: us("target_online")?,
-                f_khz: khz("f_khz")?,
-            },
-            EventKind::DvfsDecision => EventData::DvfsDecision {
-                governor: s("governor")?,
-                util_pct: f("util_pct")?,
-                from_khz: khz("from_khz")?,
-                to_khz: khz("to_khz")?,
-            },
-            EventKind::ConnAccepted => EventData::ConnAccepted { conn: u("conn")? },
-            EventKind::ConnClosed => EventData::ConnClosed {
-                conn: u("conn")?,
-                frames_in: u("frames_in")?,
-                frames_out: u("frames_out")?,
-            },
-            EventKind::SessionStart => EventData::SessionStart {
-                session: u("session")?,
-                policy: s("policy")?,
-            },
-            EventKind::SessionEnd => EventData::SessionEnd {
-                session: u("session")?,
-                decisions: u("decisions")?,
-                drained: doc
-                    .get("drained")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| field_err("drained"))?,
-            },
-            EventKind::Backpressure => EventData::Backpressure {
-                session: u("session")?,
-                queued: u("queued")?,
-                limit: u("limit")?,
-            },
-            EventKind::ServeShutdown => EventData::ServeShutdown {
-                active_sessions: u("active_sessions")?,
-            },
-            EventKind::ShardRouted => EventData::ShardRouted {
-                conn: u("conn")?,
-                key: u("key")?,
-                shard: s("shard")?,
-            },
-            EventKind::FleetShardSummary => EventData::FleetShardSummary {
-                shard: s("shard")?,
-                sessions: u("sessions")?,
-                decisions: u("decisions")?,
-            },
-        };
+        let data = EventData::read_fields(kind, &mut members)?;
         Ok(Event { t_us, data })
     }
 }
 
-fn num_u64(v: u64) -> Json {
-    // Timestamps and counts are far below 2^53; the cast is exact there.
+/// The JSONL writer: each field becomes a member of its name. Integers
+/// become numbers (timestamps and counts are far below 2^53, where the
+/// conversion is exact).
+struct JsonMembers(Vec<(String, Json)>);
+
+impl FieldWriter for JsonMembers {
     #[allow(clippy::cast_precision_loss)]
-    Json::Num(v as f64)
+    fn u64(&mut self, name: &'static str, v: u64) {
+        self.0.push((name.to_string(), Json::Num(v as f64)));
+    }
+    fn u32(&mut self, name: &'static str, v: u32) {
+        self.u64(name, u64::from(v));
+    }
+    fn f64(&mut self, name: &'static str, v: f64) {
+        self.0.push((name.to_string(), Json::Num(v)));
+    }
+    fn bool(&mut self, name: &'static str, v: bool) {
+        self.0.push((name.to_string(), Json::Bool(v)));
+    }
+    fn str(&mut self, name: &'static str, v: &str) {
+        self.0.push((name.to_string(), Json::Str(v.to_string())));
+    }
 }
 
-fn num_usize(v: usize) -> Json {
-    num_u64(v as u64)
+/// The JSONL reader: each field is the member of its name. Integers
+/// too wide for their field saturate.
+struct JsonLine<'a>(&'a Json);
+
+impl<'a> JsonLine<'a> {
+    fn get<T>(&self, name: &str, as_t: impl FnOnce(&'a Json) -> Option<T>) -> Result<T, JsonError> {
+        self.0.get(name).and_then(as_t).ok_or_else(|| JsonError {
+            offset: 0,
+            message: format!("event line is missing or mistypes `{name}`"),
+        })
+    }
+}
+
+impl FieldReader for JsonLine<'_> {
+    type Error = JsonError;
+    fn u64(&mut self, name: &'static str) -> Result<u64, JsonError> {
+        self.get(name, Json::as_u64)
+    }
+    fn u32(&mut self, name: &'static str) -> Result<u32, JsonError> {
+        self.u64(name).map(|v| u32::try_from(v).unwrap_or(u32::MAX))
+    }
+    fn f64(&mut self, name: &'static str) -> Result<f64, JsonError> {
+        self.get(name, Json::as_f64)
+    }
+    fn bool(&mut self, name: &'static str) -> Result<bool, JsonError> {
+        self.get(name, Json::as_bool)
+    }
+    fn str(&mut self, name: &'static str) -> Result<String, JsonError> {
+        self.get(name, |v| v.as_str().map(str::to_string))
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! inputs the decision keyed off, and every run can be summarized into a
 //! [`RunManifest`] that diffs cleanly against any other run.
 //!
-//! Three design rules:
+//! Four design rules:
 //!
 //! * **zero-cost when disabled** — every [`Telemetry`] event or metric
 //!   update is one branch when the sink is off; the simulator can keep
@@ -22,6 +22,10 @@
 //!   parser; no dependencies.
 //! * **deterministic bytes** — same run, same manifest bytes (`BTreeMap`
 //!   ordering everywhere), so golden-file tests and cross-run diffs work.
+//! * **one taxonomy** — every event kind, with its fields, wire name and
+//!   description, is declared once in [`event`]; the JSONL codec and the
+//!   binary note codec of `mobicore-serve` are a [`FieldWriter`] and a
+//!   [`FieldReader`] walking that declaration.
 //!
 //! ```
 //! use mobicore_telemetry::{EventData, Telemetry};
@@ -52,7 +56,7 @@ pub mod manifest;
 pub mod metrics;
 pub mod sink;
 
-pub use event::{Event, EventData, EventKind};
+pub use event::{Event, EventData, EventKind, FieldReader, FieldWriter};
 pub use json::{Json, JsonError};
 pub use leaderboard::{
     Leaderboard, LeaderboardDiff, LeaderboardEntry, PolicyDiffRow, PolicyStats, TOURNAMENT_KIND,

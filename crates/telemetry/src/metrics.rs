@@ -156,17 +156,6 @@ impl Histogram {
         }
     }
 
-    /// Merges any number of histograms into a fresh one — the
-    /// aggregation step a fleet run uses to fold per-shard RTT
-    /// histograms into the overall distribution.
-    pub fn merged<'a, I: IntoIterator<Item = &'a Histogram>>(parts: I) -> Histogram {
-        let mut out = Histogram::new();
-        for part in parts {
-            out.merge(part);
-        }
-        out
-    }
-
     /// Sum of recorded values.
     pub fn sum(&self) -> f64 {
         self.sum
@@ -398,14 +387,6 @@ impl MetricSet {
         self.record_id(id, value);
     }
 
-    /// Records `value` into histogram `name` `n` times (see
-    /// [`Histogram::record_repeat`]); creates it empty even when `n`
-    /// is 0.
-    pub fn record_repeat(&mut self, name: &str, value: f64, n: u64) {
-        let id = self.histogram_id(name);
-        self.record_repeat_id(id, value, n);
-    }
-
     /// Counter value, if the counter exists.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
@@ -632,7 +613,8 @@ mod tests {
             all.record(v);
             if i % 2 == 0 { &mut a } else { &mut b }.record(v);
         }
-        let merged = Histogram::merged([&a, &b]);
+        let mut merged = a.clone();
+        merged.merge(&b);
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(merged.quantile(q), all.quantile(q), "q={q}");
         }
@@ -703,7 +685,8 @@ mod tests {
         // repeat or a zero increment.
         m.inc("sim.samples", 0);
         m.set_gauge("quota", 1.0);
-        m.record_repeat("util", 9.0, 0);
+        let util = m.histogram_id("util");
+        m.record_repeat_id(util, 9.0, 0);
         m.record("power_mw", 7.25);
         assert_eq!(m.counter("sim.samples"), Some(0));
         assert_eq!(m.gauge("quota"), Some(1.0));
@@ -713,8 +696,9 @@ mod tests {
         m.inc("sim.samples", 2);
         m.inc("sim.samples", 5);
         m.set_gauge("quota", 0.5);
-        m.record_repeat("util", 9.0, 2);
-        m.record_repeat("power_mw", 41.5, 19);
+        m.record_repeat_id(util, 9.0, 2);
+        let power_id = m.histogram_id("power_mw");
+        m.record_repeat_id(power_id, 41.5, 19);
         assert_eq!(m.counter("sim.samples"), Some(7));
         assert_eq!(m.gauge("quota"), Some(0.5));
         assert_eq!(m.histogram("util").map(Histogram::count), Some(2));
@@ -875,7 +859,9 @@ mod tests {
         by_id.inc_id(ticks, 40);
         by_id.record_repeat_id(power, 41.5, 40);
         by_name.inc("sim.ticks", 40);
-        by_name.record_repeat("power_mw", 41.5, 40);
+        for _ in 0..40 {
+            by_name.record("power_mw", 41.5);
+        }
         assert_eq!(by_id, by_name);
         assert_eq!(by_id.rollups(), by_name.rollups());
     }

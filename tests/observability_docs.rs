@@ -4,14 +4,19 @@
 //! an event or metric without documenting it fails CI.
 
 use mobicore::MobiCore;
+use mobicore_analyze::source;
 use mobicore_model::profiles;
 use mobicore_sim::{SimConfig, Simulation};
 use mobicore_telemetry::EventKind;
 use mobicore_workloads::BusyLoop;
 
+fn read(rel: &str) -> String {
+    let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 fn doc() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/observability.md");
-    std::fs::read_to_string(path).expect("docs/observability.md exists")
+    read("docs/observability.md")
 }
 
 /// The doc's "Event taxonomy" section (so metric names and event kinds
@@ -127,4 +132,38 @@ fn documented_umbrella_filter_matches_the_cli() {
             "{name} missing from umbrella documentation"
         );
     }
+}
+
+#[test]
+fn note_tag_table_numbers_every_kind_by_its_index() {
+    // docs/serving.md's Decision note-tag table: a row `| i | `name` |`
+    // per kind, `i` being the tag byte on the wire (`EventKind::index`).
+    let doc = read("docs/serving.md");
+    let rows: Vec<(usize, String)> = doc
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.split('|').map(str::trim).skip(1);
+            let tag = cells.next()?.parse().ok()?;
+            let name = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+            Some((tag, name.to_string()))
+        })
+        .collect();
+    let want: Vec<(usize, String)> = EventKind::ALL
+        .iter()
+        .map(|k| (k.index(), k.name().to_string()))
+        .collect();
+    assert_eq!(rows, want, "docs/serving.md note-tag table");
+}
+
+#[test]
+fn doc_lint_reads_every_kind_from_the_declaration() {
+    // `registry-doc-sync` kebab-cases the variants of the `enum EventData`
+    // in the taxonomy declaration; that must give every wire name, in
+    // order, or the lint would check the docs against the wrong list.
+    let text = read("crates/telemetry/src/event.rs");
+    let variants = source::extract_enum_variants(&source::view(&text), "EventData")
+        .expect("the taxonomy declares `enum EventData`");
+    let names: Vec<String> = variants.iter().map(|v| source::kebab_case(v)).collect();
+    let want: Vec<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
+    assert_eq!(names, want);
 }
