@@ -73,7 +73,7 @@ impl CoreActivity {
 }
 
 /// Decomposition of a device power sample, all in mW.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Always-on platform floor.
     pub base_mw: f64,
@@ -319,11 +319,7 @@ impl DeviceProfile {
     /// Returns [`ModelError::ActivityLengthMismatch`] when `activities`
     /// does not have exactly [`DeviceProfile::n_cores`] entries.
     pub fn power(&self, activities: &[CoreActivity]) -> Result<PowerBreakdown, ModelError> {
-        let mut out = PowerBreakdown {
-            base_mw: 0.0,
-            cluster_mw: 0.0,
-            core_mw: Vec::new(),
-        };
+        let mut out = PowerBreakdown::default();
         self.power_into(activities, &mut ClusterPowerCache::default(), &mut out)?;
         Ok(out)
     }

@@ -46,11 +46,6 @@ impl BandwidthController {
         self.quota
     }
 
-    /// The enforcement period, µs (`cpu.cfs_period_us`).
-    pub fn period_us(&self) -> u64 {
-        self.period_us
-    }
-
     /// The `cpu.cfs_quota_us` view of the current quota.
     pub fn cfs_quota_us(&self) -> u64 {
         self.quota.as_cfs_quota_us(self.period_us, self.n_cores)

@@ -57,25 +57,49 @@ impl CoreState {
 }
 
 /// The CPU complex: all cores plus the thermal OPP cap.
+///
+/// It also owns the per-core views the tick loop reads every tick — the
+/// effective OPP and kHz of each core, the online ids, and the end of
+/// the latest DVFS stall. These change only on an edge: `request_opp`,
+/// `request_online`, a `tick_hotplug` that matured a core, a `core_mut`
+/// write (the sysfs policy limits) or a thermal cap move. Each edge
+/// marks the views dirty; `refresh` rebuilds them before the next read.
 #[derive(Debug)]
 pub struct CpuSet {
     cores: Vec<CoreState>,
     /// Thermal engine's OPP cap (max allowed index).
-    pub thermal_cap_opp: usize,
+    thermal_cap_opp: usize,
     /// Count of rejected offline requests (core 0 / mpdecision vetoes).
     pub rejected_offline_requests: u64,
+    /// Effective OPP index per core.
+    opps: Vec<usize>,
+    /// Effective frequency per core (zero when offline).
+    khz: Vec<Khz>,
+    /// Ids of the online cores, ascending.
+    online_ids: Vec<usize>,
+    /// The latest `stalled_until_us` of any core.
+    stall_end_us: u64,
+    /// An edge moved state the views above are built from.
+    dirty: bool,
 }
 
 impl CpuSet {
     /// All cores online at the lowest OPP, no thermal cap.
     pub fn new(profile: &DeviceProfile) -> Self {
-        CpuSet {
+        let mut cpus = CpuSet {
             cores: (0..profile.n_cores())
                 .map(|_| CoreState::new(true, 0, profile.opps().len()))
                 .collect(),
             thermal_cap_opp: profile.opps().max_index(),
             rejected_offline_requests: 0,
-        }
+            opps: Vec::new(),
+            khz: Vec::new(),
+            online_ids: Vec::new(),
+            stall_end_us: 0,
+            dirty: true,
+        };
+        cpus.refresh(profile);
+        cpus
     }
 
     /// Number of physical cores.
@@ -93,8 +117,10 @@ impl CpuSet {
         &self.cores[i]
     }
 
-    /// Mutable view of core `i`.
+    /// Mutable view of core `i`. Marks the per-core views dirty: a write
+    /// may move the core's policy limits.
     pub fn core_mut(&mut self, i: usize) -> &mut CoreState {
+        self.dirty = true;
         &mut self.cores[i]
     }
 
@@ -108,16 +134,12 @@ impl CpuSet {
         self.cores.iter().filter(|c| c.online).count()
     }
 
-    /// Fills `out` with the indices of online cores.
-    pub fn online_ids_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.cores
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.online)
-                .map(|(i, _)| i),
-        );
+    /// Sets the thermal engine's OPP cap.
+    pub fn set_thermal_cap(&mut self, cap_opp: usize) {
+        if cap_opp != self.thermal_cap_opp {
+            self.thermal_cap_opp = cap_opp;
+            self.dirty = true;
+        }
     }
 
     /// The OPP index core `i` actually runs at: its target clamped by the
@@ -137,6 +159,76 @@ impl CpuSet {
         profile.opps().get_clamped(self.effective_opp(i)).khz
     }
 
+    /// Rebuilds the per-core views if an edge marked them dirty.
+    pub fn refresh(&mut self, profile: &DeviceProfile) {
+        if !self.dirty {
+            return;
+        }
+        self.opps.clear();
+        self.khz.clear();
+        self.online_ids.clear();
+        for i in 0..self.cores.len() {
+            let (opp, khz) = (self.effective_opp(i), self.effective_khz(profile, i));
+            self.opps.push(opp);
+            self.khz.push(khz);
+            if self.cores[i].online {
+                self.online_ids.push(i);
+            }
+        }
+        self.stall_end_us = self.latest_stall_us();
+        self.dirty = false;
+    }
+
+    /// Whether the per-core views equal a from-scratch recompute (the
+    /// tick loop's debug check that no edge went unmarked).
+    pub fn views_are_fresh(&self, profile: &DeviceProfile) -> bool {
+        let n = self.cores.len();
+        let opps = (0..n).map(|i| self.effective_opp(i));
+        let khz = (0..n).map(|i| self.effective_khz(profile, i));
+        let online = (0..n).filter(|&i| self.cores[i].online);
+        self.opps.iter().copied().eq(opps)
+            && self.khz.iter().copied().eq(khz)
+            && self.online_ids.iter().copied().eq(online)
+            && self.stall_end_us == self.latest_stall_us()
+    }
+
+    fn latest_stall_us(&self) -> u64 {
+        self.cores.iter().fold(0, |m, c| m.max(c.stalled_until_us))
+    }
+
+    /// Effective OPP index per core.
+    pub fn opps(&self) -> &[usize] {
+        debug_assert!(!self.dirty, "per-core views read before refresh");
+        &self.opps
+    }
+
+    /// Effective frequency per core (zero when offline).
+    pub fn khz(&self) -> &[Khz] {
+        debug_assert!(!self.dirty, "per-core views read before refresh");
+        &self.khz
+    }
+
+    /// Ids of the online cores, ascending.
+    pub fn online_ids(&self) -> &[usize] {
+        debug_assert!(!self.dirty, "per-core views read before refresh");
+        &self.online_ids
+    }
+
+    /// Fills `out` with each core's DVFS stall within the tick starting
+    /// at `now_us`, or leaves it empty once every stall has ended (the
+    /// scheduler reads a missing entry as no stall).
+    pub fn stalls_into(&self, now_us: u64, tick_us: u64, out: &mut Vec<u64>) {
+        debug_assert!(!self.dirty, "per-core views read before refresh");
+        out.clear();
+        if now_us < self.stall_end_us {
+            out.extend(
+                self.cores
+                    .iter()
+                    .map(|c| c.stalled_until_us.saturating_sub(now_us).min(tick_us)),
+            );
+        }
+    }
+
     /// Requests a DVFS retarget for core `i`; an actual OPP change stalls
     /// the core for the transition latency (PLL relock), like silicon.
     pub fn request_opp(&mut self, i: usize, opp_idx: usize, now_us: u64, dvfs_latency_us: u64) {
@@ -146,6 +238,7 @@ impl CpuSet {
             if core.online {
                 core.stalled_until_us = core.stalled_until_us.max(now_us + dvfs_latency_us);
             }
+            self.dirty = true;
         }
     }
 
@@ -165,6 +258,7 @@ impl CpuSet {
                 core.online_at_us = Some(now_us + hotplug_on_latency_us);
             }
         } else {
+            self.dirty |= core.online;
             core.online = false;
             core.online_at_us = None;
         }
@@ -177,35 +271,68 @@ impl CpuSet {
                 if now_us >= at {
                     core.online = true;
                     core.online_at_us = None;
+                    self.dirty = true;
                 }
             }
         }
     }
 
-    /// Records one tick of execution accounting for core `i`.
-    pub fn account_tick(&mut self, i: usize, busy_us: u64, tick_us: u64, eff_khz: Khz) {
-        let core = &mut self.cores[i];
-        core.window_busy_us += busy_us;
-        core.total_busy_us += busy_us;
-        if busy_us == 0 {
-            core.idle_streak_us += tick_us;
-        } else {
-            core.idle_streak_us = 0;
-        }
-        if core.online {
+    /// Records one tick of execution given each core's busy time within
+    /// it — busy, idle-streak, online, kHz·µs and `time_in_state`
+    /// accounting at the cached effective OPP — and fills `acts` with the
+    /// tick's power-model input. Idle fractions are billed at the
+    /// cpuidle-ladder state the core's idle streak has earned, this
+    /// tick's increment included.
+    pub fn account_tick(
+        &mut self,
+        busy_us: &[u64],
+        tick_us: u64,
+        ladder: &IdleLadder,
+        acts: &mut Vec<CoreActivity>,
+    ) {
+        debug_assert!(!self.dirty, "per-core views read before refresh");
+        acts.clear();
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            let busy = busy_us[i];
+            core.window_busy_us += busy;
+            core.total_busy_us += busy;
+            if busy == 0 {
+                core.idle_streak_us += tick_us;
+            } else {
+                core.idle_streak_us = 0;
+            }
+            if !core.online {
+                acts.push(CoreActivity::OFFLINE);
+                continue;
+            }
+            let opp = self.opps[i];
             core.total_online_us += tick_us;
-            core.khz_us_integral += u128::from(eff_khz.0) * u128::from(tick_us);
+            core.khz_us_integral += u128::from(self.khz[i].0) * u128::from(tick_us);
+            if let Some(slot) = core.time_in_state_us.get_mut(opp) {
+                *slot += tick_us;
+            }
+            acts.push(CoreActivity::online_with_idle_state(
+                opp,
+                busy as f64 / tick_us as f64,
+                ladder.power_frac_after(core.idle_streak_us),
+            ));
         }
     }
 
-    /// Records the effective OPP for `time_in_state` accounting (only
-    /// while online).
-    pub fn account_time_in_state(&mut self, i: usize, tick_us: u64) {
-        let opp = self.effective_opp(i);
-        let core = &mut self.cores[i];
-        if core.online {
-            if let Some(slot) = core.time_in_state_us.get_mut(opp) {
-                *slot += tick_us;
+    /// Records `span_us` of all-idle time in one step: exactly what
+    /// [`CpuSet::account_tick`] adds over workless ticks totalling
+    /// `span_us`, minus the activity vector (integer sums are
+    /// order-insensitive).
+    pub fn account_idle(&mut self, span_us: u64) {
+        debug_assert!(!self.dirty, "per-core views read before refresh");
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            core.idle_streak_us += span_us;
+            if core.online {
+                core.total_online_us += span_us;
+                core.khz_us_integral += u128::from(self.khz[i].0) * u128::from(span_us);
+                if let Some(slot) = core.time_in_state_us.get_mut(self.opps[i]) {
+                    *slot += span_us;
+                }
             }
         }
     }
@@ -231,30 +358,6 @@ impl CpuSet {
                 .iter_mut()
                 .map(|c| std::mem::take(&mut c.window_busy_us)),
         );
-    }
-
-    /// Fills `out` with the power-model input for the current tick given
-    /// each core's busy time within it. Idle fractions are billed at the
-    /// cpuidle-ladder state the core's idle streak has earned.
-    pub fn activities_into(
-        &self,
-        busy_us: &[u64],
-        tick_us: u64,
-        ladder: &IdleLadder,
-        out: &mut Vec<CoreActivity>,
-    ) {
-        out.clear();
-        out.extend(self.cores.iter().enumerate().map(|(i, c)| {
-            if c.online {
-                CoreActivity::online_with_idle_state(
-                    self.effective_opp(i),
-                    busy_us[i] as f64 / tick_us as f64,
-                    ladder.power_frac_after(c.idle_streak_us),
-                )
-            } else {
-                CoreActivity::OFFLINE
-            }
-        }));
     }
 }
 
@@ -303,7 +406,7 @@ mod tests {
         let mut cpus = CpuSet::new(&p);
         cpus.core_mut(0).target_opp = 13;
         assert_eq!(cpus.effective_opp(0), 13);
-        cpus.thermal_cap_opp = 5;
+        cpus.set_thermal_cap(5);
         assert_eq!(cpus.effective_opp(0), 5);
         assert_eq!(cpus.effective_khz(&p, 0), Khz(960_000));
     }
@@ -320,8 +423,10 @@ mod tests {
     fn accounting_accumulates_and_drains() {
         let p = profiles::nexus5();
         let mut cpus = CpuSet::new(&p);
-        cpus.account_tick(0, 700, 1_000, Khz(960_000));
-        cpus.account_tick(0, 300, 1_000, Khz(960_000));
+        let mut acts = Vec::new();
+        let ladder = IdleLadder::default();
+        cpus.account_tick(&[700, 0, 0, 0], 1_000, &ladder, &mut acts);
+        cpus.account_tick(&[300, 0, 0, 0], 1_000, &ladder, &mut acts);
         assert_eq!(cpus.core(0).window_busy_us, 1_000);
         assert_eq!(cpus.core(0).total_online_us, 2_000);
         let mut drained = Vec::new();
@@ -337,8 +442,9 @@ mod tests {
         let mut cpus = CpuSet::new(&p);
         cpus.request_online(1, false, 0, 5_000);
         cpus.core_mut(0).target_opp = 13;
+        cpus.refresh(&p);
         let mut acts = Vec::new();
-        cpus.activities_into(
+        cpus.account_tick(
             &[500, 0, 0, 1_000],
             1_000,
             &IdleLadder::default(),
@@ -361,6 +467,13 @@ mod tests {
         // re-requesting the SAME opp does not stall again
         cpus.request_opp(0, 13, 5_000, 200);
         assert_eq!(cpus.core(0).stalled_until_us, 1_200);
+        // the stall vector empties once every stall has ended
+        let mut stalls = Vec::new();
+        cpus.refresh(&p);
+        cpus.stalls_into(1_000, 1_000, &mut stalls);
+        assert_eq!(stalls, [200, 0, 0, 0]);
+        cpus.stalls_into(1_200, 1_000, &mut stalls);
+        assert!(stalls.is_empty());
     }
 
     #[test]
@@ -376,18 +489,20 @@ mod tests {
     fn time_in_state_accumulates_at_effective_opp() {
         let p = profiles::nexus5();
         let mut cpus = CpuSet::new(&p);
+        // offline cores accumulate nothing
+        cpus.request_online(3, false, 0, 0);
         cpus.core_mut(0).target_opp = 13;
-        cpus.account_time_in_state(0, 1_000);
-        cpus.account_time_in_state(0, 1_000);
-        cpus.thermal_cap_opp = 5; // throttle: billed at the capped OPP
-        cpus.account_time_in_state(0, 1_000);
+        cpus.refresh(&p);
+        let (mut acts, ladder) = (Vec::new(), IdleLadder::default());
+        cpus.account_tick(&[0; 4], 1_000, &ladder, &mut acts);
+        cpus.account_tick(&[0; 4], 1_000, &ladder, &mut acts);
+        cpus.set_thermal_cap(5); // throttle: billed at the capped OPP
+        cpus.refresh(&p);
+        cpus.account_tick(&[0; 4], 1_000, &ladder, &mut acts);
         assert_eq!(cpus.core(0).time_in_state_us[13], 2_000);
         assert_eq!(cpus.core(0).time_in_state_us[5], 1_000);
         let total = cpus.time_in_state_total();
         assert_eq!(total[13], 2_000);
-        // offline cores accumulate nothing
-        cpus.request_online(3, false, 0, 0);
-        cpus.account_time_in_state(3, 1_000);
         assert_eq!(cpus.core(3).time_in_state_us.iter().sum::<u64>(), 0);
     }
 
@@ -396,8 +511,50 @@ mod tests {
         let p = profiles::nexus5();
         let mut cpus = CpuSet::new(&p);
         cpus.request_online(2, false, 0, 0);
-        let mut ids = vec![7];
-        cpus.online_ids_into(&mut ids);
-        assert_eq!(ids, [0, 1, 3]);
+        cpus.refresh(&p);
+        assert_eq!(cpus.online_ids(), [0, 1, 3]);
+    }
+
+    #[test]
+    fn idle_span_equals_workless_ticks() {
+        let p = profiles::nexus5();
+        let (mut ticked, mut spanned) = (CpuSet::new(&p), CpuSet::new(&p));
+        for cpus in [&mut ticked, &mut spanned] {
+            cpus.request_online(2, false, 0, 0);
+            cpus.request_opp(1, 9, 0, 200);
+            cpus.refresh(&p);
+        }
+        let (mut acts, ladder) = (Vec::new(), IdleLadder::default());
+        for _ in 0..5 {
+            ticked.account_tick(&[0; 4], 1_000, &ladder, &mut acts);
+        }
+        spanned.account_tick(&[0; 4], 1_000, &ladder, &mut acts);
+        spanned.account_idle(4_000);
+        let key = |c: &CoreState| {
+            let tis = c.time_in_state_us.clone();
+            (c.idle_streak_us, c.total_online_us, c.khz_us_integral, tis)
+        };
+        assert!(ticked.iter().map(key).eq(spanned.iter().map(key)));
+    }
+
+    #[test]
+    fn views_follow_every_edge() {
+        let p = profiles::nexus5();
+        let mut cpus = CpuSet::new(&p);
+        let edges: [&dyn Fn(&mut CpuSet); 6] = [
+            &|c| c.request_opp(1, 7, 0, 200),
+            &|c| c.request_online(3, false, 0, 1_000),
+            &|c| c.request_online(3, true, 0, 1_000),
+            &|c| c.tick_hotplug(1_000),
+            &|c| c.core_mut(0).limit_min_opp = 2,
+            &|c| c.set_thermal_cap(3),
+        ];
+        for edge in edges {
+            edge(&mut cpus);
+            cpus.refresh(&p);
+            assert!(cpus.views_are_fresh(&p));
+        }
+        assert_eq!(cpus.opps(), [2, 3, 0, 0]);
+        assert_eq!(cpus.online_ids(), [0, 1, 2, 3]);
     }
 }

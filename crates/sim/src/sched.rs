@@ -13,7 +13,7 @@ use crate::workload::{Completion, WorkloadRt};
 use mobicore_model::Khz;
 
 /// What one scheduling tick did.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TickOutcome {
     /// Busy time per core this tick, µs (indexed by core id).
     pub busy_us: Vec<u64>,
@@ -23,6 +23,8 @@ pub struct TickOutcome {
     pub used_runtime_us: u64,
     /// Runtime demand denied by the bandwidth throttle, µs.
     pub denied_us: u64,
+    /// Threads runnable at the start of the tick.
+    pub runnable_threads: usize,
 }
 
 /// Inputs of one scheduling tick.
@@ -63,22 +65,8 @@ pub struct SchedScratch {
     unplaced: Vec<usize>,
 }
 
-/// Runs one scheduling tick (allocating variant; see
-/// [`schedule_tick_into`] for the buffer-reusing one the simulator uses).
-pub fn schedule_tick(rt: &mut WorkloadRt, p: &TickParams<'_>) -> TickOutcome {
-    let mut outcome = TickOutcome {
-        busy_us: Vec::new(),
-        executed_cycles: 0,
-        used_runtime_us: 0,
-        denied_us: 0,
-    };
-    schedule_tick_into(rt, p, &mut SchedScratch::default(), &mut outcome);
-    outcome
-}
-
 /// Runs one scheduling tick, writing the result into `outcome` and reusing
-/// the buffers in `scratch`. Equivalent to [`schedule_tick`] but
-/// allocation-free once the buffers are warm.
+/// the buffers in `scratch` (allocation-free once they are warm).
 pub fn schedule_tick_into(
     rt: &mut WorkloadRt,
     p: &TickParams<'_>,
@@ -100,15 +88,13 @@ pub fn schedule_tick_into(
     outcome.executed_cycles = 0;
     outcome.used_runtime_us = 0;
     outcome.denied_us = 0;
-    if online.is_empty() {
-        return;
-    }
     scratch.runnable.clear();
     scratch
         .runnable
         .extend((0..rt.threads.len()).filter(|&t| rt.threads[t].runnable()));
     let runnable = &scratch.runnable;
-    if runnable.is_empty() {
+    outcome.runnable_threads = runnable.len();
+    if online.is_empty() || runnable.is_empty() {
         return;
     }
 
@@ -208,7 +194,8 @@ pub fn schedule_tick_into(
 mod tests {
     use super::*;
 
-    /// Test shorthand for the params struct.
+    /// Runs one tick on fresh scratch buffers (test shorthand for the
+    /// params struct).
     #[allow(clippy::too_many_arguments)]
     fn st(
         rt: &mut WorkloadRt,
@@ -220,19 +207,19 @@ mod tests {
         allow: u64,
         rot: usize,
     ) -> TickOutcome {
-        schedule_tick(
-            rt,
-            &TickParams {
-                now_us: now,
-                tick_us: tick,
-                n_cores: n,
-                online,
-                khz,
-                global_allowance_us: allow,
-                rotation: rot,
-                stall_us: &[],
-            },
-        )
+        let p = TickParams {
+            now_us: now,
+            tick_us: tick,
+            n_cores: n,
+            online,
+            khz,
+            global_allowance_us: allow,
+            rotation: rot,
+            stall_us: &[],
+        };
+        let mut outcome = TickOutcome::default();
+        schedule_tick_into(rt, &p, &mut SchedScratch::default(), &mut outcome);
+        outcome
     }
 
     fn rt_with_threads(n: usize) -> WorkloadRt {
@@ -250,6 +237,17 @@ mod tests {
         let mut rt = rt_with_threads(2);
         let o = st(&mut rt, 0, 1_000, 4, &[0, 1, 2, 3], &[F; 4], 4_000, 0);
         assert_eq!(o.busy_us, vec![0; 4]);
+        assert_eq!(o.executed_cycles, 0);
+        assert_eq!(o.runnable_threads, 0);
+    }
+
+    #[test]
+    fn runnable_threads_counted_with_no_core_online() {
+        let mut rt = rt_with_threads(3);
+        rt.push_work(0, 100, 0);
+        rt.push_work(2, 100, 0);
+        let o = st(&mut rt, 0, 1_000, 4, &[], &[F; 4], 4_000, 0);
+        assert_eq!(o.runnable_threads, 2);
         assert_eq!(o.executed_cycles, 0);
     }
 
@@ -324,19 +322,7 @@ mod tests {
     fn quota_allowance_limits_execution() {
         let mut rt = rt_with_threads(1);
         rt.push_work(0, 10_000, 0);
-        let o = schedule_tick(
-            &mut rt,
-            &TickParams {
-                now_us: 0,
-                tick_us: 1_000,
-                n_cores: 1,
-                online: &[0],
-                khz: &[F],
-                global_allowance_us: 400,
-                rotation: 0,
-                stall_us: &[],
-            },
-        );
+        let o = st(&mut rt, 0, 1_000, 1, &[0], &[F], 400, 0);
         assert_eq!(o.busy_us[0], 400);
         assert_eq!(o.executed_cycles, 400);
         assert_eq!(o.denied_us, 600, "throttled demand recorded");
@@ -346,34 +332,10 @@ mod tests {
     fn faster_core_does_more_cycles_same_busy_time() {
         let mut rt = rt_with_threads(1);
         rt.push_work(0, 10_000_000, 0);
-        let slow = schedule_tick(
-            &mut rt,
-            &TickParams {
-                now_us: 0,
-                tick_us: 1_000,
-                n_cores: 1,
-                online: &[0],
-                khz: &[Khz(500_000)],
-                global_allowance_us: 1_000,
-                rotation: 0,
-                stall_us: &[],
-            },
-        );
+        let slow = st(&mut rt, 0, 1_000, 1, &[0], &[Khz(500_000)], 1_000, 0);
         let mut rt2 = rt_with_threads(1);
         rt2.push_work(0, 10_000_000, 0);
-        let fast = schedule_tick(
-            &mut rt2,
-            &TickParams {
-                now_us: 0,
-                tick_us: 1_000,
-                n_cores: 1,
-                online: &[0],
-                khz: &[Khz(2_000_000)],
-                global_allowance_us: 1_000,
-                rotation: 0,
-                stall_us: &[],
-            },
-        );
+        let fast = st(&mut rt2, 0, 1_000, 1, &[0], &[Khz(2_000_000)], 1_000, 0);
         assert_eq!(slow.busy_us[0], 1_000);
         assert_eq!(fast.busy_us[0], 1_000);
         assert_eq!(fast.executed_cycles, 4 * slow.executed_cycles);
@@ -383,19 +345,7 @@ mod tests {
     fn partial_work_leaves_core_partially_busy() {
         let mut rt = rt_with_threads(1);
         rt.push_work(0, 250, 9);
-        let o = schedule_tick(
-            &mut rt,
-            &TickParams {
-                now_us: 0,
-                tick_us: 1_000,
-                n_cores: 1,
-                online: &[0],
-                khz: &[F],
-                global_allowance_us: 1_000,
-                rotation: 0,
-                stall_us: &[],
-            },
-        );
+        let o = st(&mut rt, 0, 1_000, 1, &[0], &[F], 1_000, 0);
         assert_eq!(o.busy_us[0], 250);
         assert_eq!(o.denied_us, 0);
         assert_eq!(rt.completions()[0].time_us, 250);
@@ -406,19 +356,7 @@ mod tests {
         let mut rt = rt_with_threads(1);
         rt.push_work(0, 100, 1);
         rt.push_work(0, 100, 2);
-        let o = schedule_tick(
-            &mut rt,
-            &TickParams {
-                now_us: 5_000,
-                tick_us: 1_000,
-                n_cores: 1,
-                online: &[0],
-                khz: &[F],
-                global_allowance_us: 1_000,
-                rotation: 0,
-                stall_us: &[],
-            },
-        );
+        let o = st(&mut rt, 5_000, 1_000, 1, &[0], &[F], 1_000, 0);
         assert_eq!(o.executed_cycles, 200);
         let done = rt.completions();
         assert_eq!(done.len(), 2);
@@ -444,19 +382,18 @@ mod tests {
     fn stall_reduces_capacity_sub_tick() {
         let mut rt = rt_with_threads(1);
         rt.push_work(0, 10_000, 0);
-        let o = schedule_tick(
-            &mut rt,
-            &TickParams {
-                now_us: 0,
-                tick_us: 1_000,
-                n_cores: 1,
-                online: &[0],
-                khz: &[F],
-                global_allowance_us: 1_000,
-                rotation: 0,
-                stall_us: &[300],
-            },
-        );
+        let p = TickParams {
+            now_us: 0,
+            tick_us: 1_000,
+            n_cores: 1,
+            online: &[0],
+            khz: &[F],
+            global_allowance_us: 1_000,
+            rotation: 0,
+            stall_us: &[300],
+        };
+        let mut o = TickOutcome::default();
+        schedule_tick_into(&mut rt, &p, &mut SchedScratch::default(), &mut o);
         // 300 µs lost to the transition: 700 cycles at 1 cycle/µs.
         assert_eq!(o.executed_cycles, 700);
         assert_eq!(o.busy_us[0], 700);
@@ -466,19 +403,7 @@ mod tests {
     fn zero_frequency_core_executes_nothing() {
         let mut rt = rt_with_threads(1);
         rt.push_work(0, 100, 0);
-        let o = schedule_tick(
-            &mut rt,
-            &TickParams {
-                now_us: 0,
-                tick_us: 1_000,
-                n_cores: 1,
-                online: &[0],
-                khz: &[Khz::ZERO],
-                global_allowance_us: 1_000,
-                rotation: 0,
-                stall_us: &[],
-            },
-        );
+        let o = st(&mut rt, 0, 1_000, 1, &[0], &[Khz::ZERO], 1_000, 0);
         assert_eq!(o.executed_cycles, 0);
         assert_eq!(o.busy_us[0], 0);
     }

@@ -25,13 +25,9 @@ const MIN_CFS_QUOTA_US: u64 = 1_000;
 /// Buffers the tick loop reuses across iterations so the steady state
 /// performs no heap allocation (docs/performance.md; asserted by
 /// `tests/alloc_free.rs`).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TickScratch {
-    /// Online core ids for the scheduler.
-    online: Vec<usize>,
-    /// Effective frequency per core.
-    khz: Vec<Khz>,
-    /// DVFS stall time per core this tick.
+    /// DVFS stall time per core this tick (empty when no core stalls).
     stall_us: Vec<u64>,
     /// Power-model input.
     acts: Vec<CoreActivity>,
@@ -43,52 +39,19 @@ struct TickScratch {
     sched: SchedScratch,
     /// Scheduler outcome (busy vector reused).
     outcome: TickOutcome,
-    /// Effective OPP index per core, hoisted at quiet-burst entry (the
-    /// event engine bills `time_in_state` at the pre-burst OPP, exactly
-    /// as the cyclic loop does before each tick's thermal update lands).
-    opps: Vec<usize>,
     /// Per-core window busy times drained at each sample.
     busy_window: Vec<u64>,
     /// Policy commands drained from the control buffer.
     cmds: Vec<Command>,
-    /// The activity vector of the previous quiet burst, memo key for
-    /// `quiet_power`.
-    quiet_acts: Vec<CoreActivity>,
-    /// Memoized per-tick energy increments and total power of the
-    /// previous quiet burst, `(base_add, cluster_add, core_add,
+    /// The activity vector of the last power-model evaluation, memo key
+    /// for `power_memo`.
+    memo_acts: Vec<CoreActivity>,
+    /// Memoized per-tick energy increments and total power of the last
+    /// power-model evaluation, `(base_add, cluster_add, core_add,
     /// power_mw)`. The power model is a pure function of the activity
-    /// vector, so when a burst's activities equal `quiet_acts` these are
-    /// bitwise the values it would recompute.
-    quiet_power: Option<(f64, f64, f64, f64)>,
-}
-
-impl TickScratch {
-    fn new() -> Self {
-        TickScratch {
-            online: Vec::new(),
-            khz: Vec::new(),
-            stall_us: Vec::new(),
-            acts: Vec::new(),
-            breakdown: PowerBreakdown {
-                base_mw: 0.0,
-                cluster_mw: 0.0,
-                core_mw: Vec::new(),
-            },
-            power_cache: ClusterPowerCache::default(),
-            sched: SchedScratch::default(),
-            outcome: TickOutcome {
-                busy_us: Vec::new(),
-                executed_cycles: 0,
-                used_runtime_us: 0,
-                denied_us: 0,
-            },
-            opps: Vec::new(),
-            busy_window: Vec::new(),
-            cmds: Vec::new(),
-            quiet_acts: Vec::new(),
-            quiet_power: None,
-        }
-    }
+    /// vector, so when a tick's (or a quiet burst's) activities equal
+    /// `memo_acts` these are bitwise the values it would recompute.
+    power_memo: Option<(f64, f64, f64, f64)>,
 }
 
 /// One simulated device run.
@@ -299,7 +262,7 @@ impl Simulation {
             last_thermal_cap,
             bw_denied_last_tick: false,
             paths: path_table,
-            scratch: TickScratch::new(),
+            scratch: TickScratch::default(),
             snap: PolicySnapshot {
                 now_us: 0,
                 window_us: 0,
@@ -714,33 +677,26 @@ impl Simulation {
             w.on_tick(now, tick, &mut self.rt);
         }
         self.rt.clear_completions();
-        // 5. schedule and execute
-        self.window_max_runnable = self.window_max_runnable.max(self.rt.runnable_count());
-        self.cpus.online_ids_into(&mut self.scratch.online);
+        // 5. schedule and execute, on the per-core views as the edges
+        // above (sysfs writes, hotplug, commands, last tick's thermal
+        // cap) left them
+        self.cpus.refresh(&self.cfg.profile);
+        debug_assert!(
+            self.cpus.views_are_fresh(&self.cfg.profile),
+            "an edge moved per-core state without marking the views dirty"
+        );
         let allowance = self.bw.begin_tick(now, tick);
-        self.scratch.khz.clear();
-        for i in 0..self.cpus.len() {
-            self.scratch
-                .khz
-                .push(self.cpus.effective_khz(&self.cfg.profile, i));
-        }
         // Sub-tick DVFS stalls: time each core loses to an in-flight
         // frequency transition within this tick.
-        self.scratch.stall_us.clear();
-        for i in 0..self.cpus.len() {
-            let until = self.cpus.core(i).stalled_until_us;
-            self.scratch
-                .stall_us
-                .push(until.saturating_sub(now).min(tick));
-        }
+        self.cpus.stalls_into(now, tick, &mut self.scratch.stall_us);
         schedule_tick_into(
             &mut self.rt,
             &TickParams {
                 now_us: now,
                 tick_us: tick,
                 n_cores: self.cpus.len(),
-                online: &self.scratch.online,
-                khz: &self.scratch.khz,
+                online: self.cpus.online_ids(),
+                khz: self.cpus.khz(),
                 global_allowance_us: allowance,
                 rotation: usize::try_from(now / tick).expect("tick count fits usize"),
                 stall_us: &self.scratch.stall_us,
@@ -749,6 +705,7 @@ impl Simulation {
             &mut self.scratch.outcome,
         );
         let outcome = &self.scratch.outcome;
+        self.window_max_runnable = self.window_max_runnable.max(outcome.runnable_threads);
         self.bw.charge(outcome.used_runtime_us, outcome.denied_us);
         let denied = outcome.denied_us > 0;
         if denied && !self.bw_denied_last_tick {
@@ -761,32 +718,11 @@ impl Simulation {
         }
         self.bw_denied_last_tick = denied;
         self.executed_cycles += outcome.executed_cycles;
-        for i in 0..self.cpus.len() {
-            let f = self.scratch.khz[i];
-            self.cpus
-                .account_tick(i, self.scratch.outcome.busy_us[i], tick, f);
-            self.cpus.account_time_in_state(i, tick);
-        }
-        // 6. power, thermal, trace
-        self.cpus.activities_into(
-            &self.scratch.outcome.busy_us,
-            tick,
-            self.cfg.profile.idle_ladder(),
-            &mut self.scratch.acts,
-        );
-        self.cfg
-            .profile
-            .power_into(
-                &self.scratch.acts,
-                &mut self.scratch.power_cache,
-                &mut self.scratch.breakdown,
-            )
-            .expect("activity vector sized to profile");
-        let breakdown = &self.scratch.breakdown;
-        let power = breakdown.total_mw();
-        self.base_energy += breakdown.base_mw * tick as f64;
-        self.cluster_energy += breakdown.cluster_mw * tick as f64;
-        self.core_energy += breakdown.core_mw.iter().sum::<f64>() * tick as f64;
+        // 6. accounting, power, thermal, trace
+        let (base_add, cluster_add, core_add, power) = self.account_tick();
+        self.base_energy += base_add;
+        self.cluster_energy += cluster_add;
+        self.core_energy += core_add;
         self.meter.record(now, tick, power);
         if self.telemetry.is_enabled() {
             let ids = self.metric_ids;
@@ -797,14 +733,49 @@ impl Simulation {
         }
         let cap = self.thermal.tick(now, tick, power);
         self.note_thermal_cap(now, cap);
-        self.cpus.thermal_cap_opp = cap;
         if now >= self.next_trace_us {
             if self.cfg.trace == TraceLevel::Full {
                 self.push_trace_sample(now, power);
             }
             self.next_trace_us = now + self.cfg.trace_period_us;
         }
+        // The new cap applies from the next tick on.
+        self.cpus.set_thermal_cap(cap);
         self.now_us += tick;
+    }
+
+    /// Accounts the tick the scheduler's outcome (`scratch.outcome`)
+    /// describes and prices its activity vector: per-tick energy
+    /// increments and total power, `(base_mw·tick, cluster_mw·tick,
+    /// Σcore_mw·tick, total_mw)`. These are the same products in the same
+    /// order the tick would compute, memoized on the activity vector
+    /// (steady loads and idle stretches repeat it tick after tick).
+    fn account_tick(&mut self) -> (f64, f64, f64, f64) {
+        let s = &mut self.scratch;
+        let ladder = self.cfg.profile.idle_ladder();
+        self.cpus
+            .account_tick(&s.outcome.busy_us, self.cfg.tick_us, ladder, &mut s.acts);
+        if let Some(memo) = s.power_memo {
+            if s.acts == s.memo_acts {
+                return memo;
+            }
+        }
+        self.cfg
+            .profile
+            .power_into(&s.acts, &mut s.power_cache, &mut s.breakdown)
+            .expect("activity vector sized to profile");
+        let tick = self.cfg.tick_us as f64;
+        let b = &s.breakdown;
+        let memo = (
+            b.base_mw * tick,
+            b.cluster_mw * tick,
+            b.core_mw.iter().sum::<f64>() * tick,
+            b.total_mw(),
+        );
+        // The key moves into the memo; `acts` is refilled every tick.
+        std::mem::swap(&mut s.acts, &mut s.memo_acts);
+        s.power_memo = Some(memo);
+        memo
     }
 
     /// Emits the thermal throttle/clear edge when the control loop moved
@@ -834,7 +805,7 @@ impl Simulation {
     }
 
     /// Records the trace sample of the tick starting at `t_us` from that
-    /// tick's frequencies (`scratch.khz`) and busy times
+    /// tick's frequencies (the per-core views) and busy times
     /// (`scratch.outcome`).
     fn push_trace_sample(&mut self, t_us: u64, power_mw: f64) {
         let tick = self.cfg.tick_us as f32;
@@ -843,7 +814,7 @@ impl Simulation {
             power_mw,
             temp_c: self.thermal.temp_c(),
             quota: self.bw.quota().as_fraction(),
-            khz: self.scratch.khz.iter().map(|k| k.0).collect(),
+            khz: self.cpus.khz().iter().map(|k| k.0).collect(),
             util_pct: self
                 .scratch
                 .outcome
@@ -1001,75 +972,25 @@ impl Simulation {
     fn quiet_burst(&mut self, n: u64) {
         debug_assert!(n > 0);
         let tick = self.cfg.tick_us;
-        // Hoist per-burst constants: online set, effective frequencies
-        // and OPPs, the activity vector, and the power breakdown. All
-        // are invariant across quiet ticks — nothing requests
-        // DVFS/hotplug/quota changes, and a thermal cap move breaks the
-        // burst. One fused pass builds what the cyclic step builds in
-        // separate loops (`online_ids_into`, the khz/opp fills,
-        // `activities_into`), each value by the same expression. The
-        // power model reads each core's idle streak *after* the current
-        // tick's increment, so the first tick's increment lands here;
-        // the remaining k-1 are batched below. Busy time is zero on a
-        // quiet tick, so the utilization term is exactly `0.0` — what
-        // the scheduler's zeroed outcome divides out to.
-        self.scratch.online.clear();
-        self.scratch.khz.clear();
-        self.scratch.opps.clear();
-        self.scratch.acts.clear();
-        let ladder = self.cfg.profile.idle_ladder();
-        for i in 0..self.cpus.len() {
-            let opp = self.cpus.effective_opp(i);
-            self.scratch
-                .khz
-                .push(self.cpus.effective_khz(&self.cfg.profile, i));
-            self.scratch.opps.push(opp);
-            let c = self.cpus.core_mut(i);
-            c.idle_streak_us += tick;
-            if c.online {
-                let frac = ladder.power_frac_after(c.idle_streak_us);
-                self.scratch.online.push(i);
-                self.scratch
-                    .acts
-                    .push(CoreActivity::online_with_idle_state(opp, 0.0, frac));
-            } else {
-                self.scratch.acts.push(CoreActivity::OFFLINE);
-            }
-        }
-        // The scheduler zeroes its outcome on every (workless) cyclic
-        // tick; mirror that so trace samples see zero utilization.
+        // Hoist per-burst constants: the per-core views (online set,
+        // effective frequencies and OPPs), the activity vector, and the
+        // power breakdown. All are invariant across quiet ticks — nothing
+        // requests DVFS/hotplug/quota changes, and a thermal cap move
+        // breaks the burst. The first tick is accounted exactly as the
+        // cyclic step accounts it, on the scheduler's zeroed outcome of a
+        // workless tick (which trace samples also read): that lands the
+        // idle-streak increment the power model reads and builds the
+        // activity vector, whose utilization terms are exactly `0.0`.
+        // The remaining k-1 ticks are batched below.
+        self.cpus.refresh(&self.cfg.profile);
         self.scratch.outcome.busy_us.clear();
         self.scratch.outcome.busy_us.resize(self.cpus.len(), 0);
         // The per-tick energy increments are constant products — the
         // cyclic loop recomputes the identical product each tick, so
         // hoisting them is bitwise equal. Consecutive quiet bursts in a
         // long idle stretch usually share the exact activity vector, so
-        // the power-model evaluation is memoized on it.
-        let (base_add, cluster_add, core_add, power) = match self.scratch.quiet_power {
-            Some(memo) if self.scratch.acts == self.scratch.quiet_acts => memo,
-            _ => {
-                self.cfg
-                    .profile
-                    .power_into(
-                        &self.scratch.acts,
-                        &mut self.scratch.power_cache,
-                        &mut self.scratch.breakdown,
-                    )
-                    .expect("activity vector sized to profile");
-                let memo = (
-                    self.scratch.breakdown.base_mw * tick as f64,
-                    self.scratch.breakdown.cluster_mw * tick as f64,
-                    self.scratch.breakdown.core_mw.iter().sum::<f64>() * tick as f64,
-                    self.scratch.breakdown.total_mw(),
-                );
-                self.scratch.quiet_acts.clear();
-                self.scratch
-                    .quiet_acts
-                    .extend_from_slice(&self.scratch.acts);
-                self.scratch.quiet_power = Some(memo);
-                memo
-            }
-        };
+        // the power-model evaluation hits the shared memo.
+        let (base_add, cluster_add, core_add, power) = self.account_tick();
 
         // Component-major execution: within a quiet tick the components
         // read only burst-hoisted constants, never each other's fresh
@@ -1131,29 +1052,15 @@ impl Simulation {
             }
             done += k;
         }
+        // Batched integer accounting for the ticks after the first that
+        // actually ran — exact, order-insensitive arithmetic, at the
+        // pre-burst OPPs (the cyclic loop applies a cap move from the
+        // next tick on).
+        self.cpus.account_idle((done - 1) * tick);
         // The cyclic loop reasserts the cap on the core array every
         // tick; the value only moves when the burst ends, so once is
         // enough (and identical).
-        self.cpus.thermal_cap_opp = self.thermal.cap_opp();
-
-        // Batched integer accounting for the ticks that actually ran —
-        // exact, order-insensitive arithmetic. The first tick's streak
-        // increment was applied before the power hoist.
-        let span = done * tick;
-        for i in 0..self.cpus.len() {
-            self.cpus.core_mut(i).idle_streak_us += span - tick;
-        }
-        for idx in 0..self.scratch.online.len() {
-            let i = self.scratch.online[idx];
-            let khz = self.scratch.khz[i];
-            let opp = self.scratch.opps[i];
-            let c = self.cpus.core_mut(i);
-            c.total_online_us += span;
-            c.khz_us_integral += u128::from(khz.0) * u128::from(span);
-            if let Some(slot) = c.time_in_state_us.get_mut(opp) {
-                *slot += span;
-            }
-        }
+        self.cpus.set_thermal_cap(self.thermal.cap_opp());
         self.bw_denied_last_tick = false;
         if self.telemetry.is_enabled() {
             let ids = self.metric_ids;

@@ -1,7 +1,7 @@
 //! Property-based tests for the simulator's foundations.
 
 use mobicore_model::{profiles, Khz};
-use mobicore_sim::sched::{schedule_tick, TickParams};
+use mobicore_sim::sched::{schedule_tick_into, SchedScratch, TickOutcome, TickParams};
 use mobicore_sim::trace::{Trace, TraceSample};
 use mobicore_sim::{adb, SimConfig, Simulation, WorkloadRt};
 use proptest::prelude::*;
@@ -130,7 +130,8 @@ proptest! {
         }
         let online: Vec<usize> = (0..4).filter(|i| online_mask & (1 << i) != 0).collect();
         let khz_vec = vec![Khz(khz); 4];
-        let o = schedule_tick(
+        let mut o = TickOutcome::default();
+        schedule_tick_into(
             &mut rt,
             &TickParams {
                 now_us: 0,
@@ -140,6 +141,8 @@ proptest! {
                 khz: &khz_vec,
                 global_allowance_us: allowance,
                 rotation: 3, stall_us: &[], },
+            &mut SchedScratch::default(),
+            &mut o,
         );
         prop_assert!(o.executed_cycles <= offered);
         let remaining: u64 = (0..work.len()).map(|t| rt.pending_cycles(t)).sum();
