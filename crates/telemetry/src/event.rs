@@ -418,14 +418,12 @@ impl Event {
 }
 
 /// The JSONL writer: each field becomes a member of its name. Integers
-/// become numbers (timestamps and counts are far below 2^53, where the
-/// conversion is exact).
+/// are written as their exact decimal digits, whatever their size.
 struct JsonMembers(Vec<(String, Json)>);
 
 impl FieldWriter for JsonMembers {
-    #[allow(clippy::cast_precision_loss)]
     fn u64(&mut self, name: &'static str, v: u64) {
-        self.0.push((name.to_string(), Json::Num(v as f64)));
+        self.0.push((name.to_string(), Json::Int(v)));
     }
     fn u32(&mut self, name: &'static str, v: u32) {
         self.u64(name, u64::from(v));
@@ -689,6 +687,23 @@ mod tests {
             "\n",
         );
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn u64_fields_round_trip_past_2_pow_53() {
+        for key in [(1u64 << 53) + 1, u64::MAX] {
+            let e = Event {
+                t_us: u64::MAX - 1,
+                data: EventData::ShardRouted {
+                    conn: 17,
+                    key,
+                    shard: "s1".into(),
+                },
+            };
+            let line = e.to_json().to_compact();
+            assert!(line.contains(&format!(r#""key":{key},"#)), "{line}");
+            assert_eq!(Event::from_json_line(&line), Ok(e), "{line}");
+        }
     }
 
     #[test]

@@ -16,6 +16,9 @@ pub enum Json {
     Bool(bool),
     /// Any number. Integers up to 2^53 round-trip exactly.
     Num(f64),
+    /// A non-negative integer, kept exact: every `u64` round-trips. The
+    /// parser reads each digits-only literal that fits a `u64` as one.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -53,6 +56,9 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            // Rounds to nearest, as parsing the literal as a float would.
+            #[allow(clippy::cast_precision_loss)]
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -65,6 +71,7 @@ impl Json {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 Some(*n as u64)
             }
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -120,6 +127,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_num(out, *n),
+            Json::Int(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_str(out, s),
             Json::Arr(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
                 items[i].write(out, indent, depth + 1);
@@ -406,6 +414,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid UTF-8 in number"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(&format!("`{text}` is not a number")))
