@@ -135,7 +135,7 @@ impl CpuSet {
     }
 
     /// Sets the thermal engine's OPP cap.
-    pub fn set_thermal_cap(&mut self, cap_opp: usize) {
+    pub(crate) fn set_thermal_cap(&mut self, cap_opp: usize) {
         if cap_opp != self.thermal_cap_opp {
             self.thermal_cap_opp = cap_opp;
             self.dirty = true;
@@ -160,7 +160,7 @@ impl CpuSet {
     }
 
     /// Rebuilds the per-core views if an edge marked them dirty.
-    pub fn refresh(&mut self, profile: &DeviceProfile) {
+    pub(crate) fn refresh(&mut self, profile: &DeviceProfile) {
         if !self.dirty {
             return;
         }
@@ -181,7 +181,7 @@ impl CpuSet {
 
     /// Whether the per-core views equal a from-scratch recompute (the
     /// tick loop's debug check that no edge went unmarked).
-    pub fn views_are_fresh(&self, profile: &DeviceProfile) -> bool {
+    pub(crate) fn views_are_fresh(&self, profile: &DeviceProfile) -> bool {
         let n = self.cores.len();
         let opps = (0..n).map(|i| self.effective_opp(i));
         let khz = (0..n).map(|i| self.effective_khz(profile, i));
@@ -196,20 +196,14 @@ impl CpuSet {
         self.cores.iter().fold(0, |m, c| m.max(c.stalled_until_us))
     }
 
-    /// Effective OPP index per core.
-    pub fn opps(&self) -> &[usize] {
-        debug_assert!(!self.dirty, "per-core views read before refresh");
-        &self.opps
-    }
-
     /// Effective frequency per core (zero when offline).
-    pub fn khz(&self) -> &[Khz] {
+    pub(crate) fn khz(&self) -> &[Khz] {
         debug_assert!(!self.dirty, "per-core views read before refresh");
         &self.khz
     }
 
     /// Ids of the online cores, ascending.
-    pub fn online_ids(&self) -> &[usize] {
+    pub(crate) fn online_ids(&self) -> &[usize] {
         debug_assert!(!self.dirty, "per-core views read before refresh");
         &self.online_ids
     }
@@ -217,7 +211,7 @@ impl CpuSet {
     /// Fills `out` with each core's DVFS stall within the tick starting
     /// at `now_us`, or leaves it empty once every stall has ended (the
     /// scheduler reads a missing entry as no stall).
-    pub fn stalls_into(&self, now_us: u64, tick_us: u64, out: &mut Vec<u64>) {
+    pub(crate) fn stalls_into(&self, now_us: u64, tick_us: u64, out: &mut Vec<u64>) {
         debug_assert!(!self.dirty, "per-core views read before refresh");
         out.clear();
         if now_us < self.stall_end_us {
@@ -283,7 +277,7 @@ impl CpuSet {
     /// tick's power-model input. Idle fractions are billed at the
     /// cpuidle-ladder state the core's idle streak has earned, this
     /// tick's increment included.
-    pub fn account_tick(
+    pub(crate) fn account_tick(
         &mut self,
         busy_us: &[u64],
         tick_us: u64,
@@ -323,7 +317,7 @@ impl CpuSet {
     /// [`CpuSet::account_tick`] adds over workless ticks totalling
     /// `span_us`, minus the activity vector (integer sums are
     /// order-insensitive).
-    pub fn account_idle(&mut self, span_us: u64) {
+    pub(crate) fn account_idle(&mut self, span_us: u64) {
         debug_assert!(!self.dirty, "per-core views read before refresh");
         for (i, core) in self.cores.iter_mut().enumerate() {
             core.idle_streak_us += span_us;
@@ -554,7 +548,7 @@ mod tests {
             cpus.refresh(&p);
             assert!(cpus.views_are_fresh(&p));
         }
-        assert_eq!(cpus.opps(), [2, 3, 0, 0]);
+        assert!((0..4).map(|i| cpus.effective_opp(i)).eq([2, 3, 0, 0]));
         assert_eq!(cpus.online_ids(), [0, 1, 2, 3]);
     }
 }
