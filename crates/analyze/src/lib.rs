@@ -7,9 +7,9 @@
 //!    workspace invariants — no wall-clock reads in simulator hot
 //!    paths, no `unwrap`/`expect`/`panic!` in serve protocol paths,
 //!    every `Ordering::Relaxed` justified with a `// relaxed:`
-//!    annotation, doc tables in sync with code registries, and strict
-//!    lint headers (`forbid(unsafe_code)`, `deny(missing_docs)`) in
-//!    every crate; every `cargo` command the docs show names a real
+//!    annotation, every wake-time implementation covered by the
+//!    engine-equivalence suite, and strict lint headers
+//!    (`forbid(unsafe_code)`, `deny(missing_docs)`) in every crate; every `cargo` command the docs show names a real
 //!    package and target ([`cargo_targets`]). Run via `cargo test`
 //!    (tier-1) or the `mobicore-analyze` CLI.
 //! 2. **Model checking** ([`model`]): a loom-style bounded-DFS

@@ -1,6 +1,6 @@
 //! The workspace invariant linter.
 //!
-//! Eight rules, each encoding a MobiCore-specific invariant that
+//! Seven rules, each encoding a MobiCore-specific invariant that
 //! `rustc`/`clippy` cannot express:
 //!
 //! | rule | invariant |
@@ -9,7 +9,6 @@
 //! | `serve-no-panic-paths` | `crates/serve` protocol/session code must not `unwrap`/`expect`/`panic!` — a malformed frame must never kill a worker (escape: `// infallible:` with a proof) |
 //! | `relaxed-needs-justification` | every `Ordering::Relaxed` outside tests carries a `// relaxed:` comment saying why the weak ordering is sound |
 //! | `crate-lint-headers` | every crate root pins `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
-//! | `registry-doc-sync` | frame types, event kinds (in the event taxonomy and again in the Decision note-tag table), policy, arena, profile and sim-engine registries and the sysfs attribute vocabulary are each fully enumerated (backticked) in their doc page |
 //! | `next-tick-equivalence-coverage` | every `fn next_tick_us` wake-time implementation is registered here and exercised by the engine-equivalence suite |
 //! | `doc-cargo-targets` | every `cargo run\|test\|bench` command in the docs, CI and verify recipe names a package and `--bin`/`--test`/`--bench`/`--example` target that exists ([`crate::cargo_targets`]) |
 //! | `unused-dependency` | every `[dependencies]`/`[dev-dependencies]` entry of a workspace member appears as `ident::` or `use ident` in that package's `.rs` files ([`crate::cargo_targets`]) |
@@ -55,7 +54,7 @@ impl fmt::Display for Finding {
 }
 
 /// Rule identifiers with one-line descriptions (CLI `rules` output).
-pub const RULES: [(&str, &str); 8] = [
+pub const RULES: [(&str, &str); 7] = [
     (
         "no-wall-clock-in-sim",
         "crates/sim (incl. the event scheduler) must stay on virtual time: no Instant::now/SystemTime outside tests (escape: // wall-clock:)",
@@ -71,10 +70,6 @@ pub const RULES: [(&str, &str); 8] = [
     (
         "crate-lint-headers",
         "crate roots must carry #![forbid(unsafe_code)] and #![deny(missing_docs)]",
-    ),
-    (
-        "registry-doc-sync",
-        "frame/event/note-tag/policy/arena/profile/engine registries must be fully enumerated in their docs",
     ),
     (
         "next-tick-equivalence-coverage",
@@ -296,142 +291,9 @@ fn scan_tokens(
     }
 }
 
-/// How to pull a name list out of a registry source file.
-enum Extract {
-    /// String literals of an array constant.
-    ArrayStrings(&'static str),
-    /// Variant names of an enum, verbatim.
-    EnumVariants(&'static str),
-    /// Variant names of an enum, kebab-cased (wire names).
-    EnumKebab(&'static str),
-}
-
-struct RegistrySpec {
-    source: &'static str,
-    extract: Extract,
-    doc: &'static str,
-    what: &'static str,
-}
-
-const REGISTRIES: [RegistrySpec; 9] = [
-    RegistrySpec {
-        source: "crates/sim/src/config.rs",
-        extract: Extract::ArrayStrings("ENGINE_NAMES"),
-        doc: "docs/simulator.md",
-        what: "sim engine",
-    },
-    RegistrySpec {
-        source: "crates/serve/src/protocol.rs",
-        extract: Extract::EnumVariants("Frame"),
-        doc: "docs/serving.md",
-        what: "frame type",
-    },
-    RegistrySpec {
-        // The one taxonomy declaration: the `enum EventData` inside the
-        // `taxonomy!` invocation, whose variants are the kinds.
-        source: "crates/telemetry/src/event.rs",
-        extract: Extract::EnumKebab("EventData"),
-        doc: "docs/observability.md",
-        what: "event kind",
-    },
-    RegistrySpec {
-        // Every kind has a Decision note tag on the wire, so the
-        // note-tag table must list every kind too.
-        source: "crates/telemetry/src/event.rs",
-        extract: Extract::EnumKebab("EventData"),
-        doc: "docs/serving.md",
-        what: "note tag",
-    },
-    RegistrySpec {
-        source: "crates/core/src/registry.rs",
-        extract: Extract::ArrayStrings("NAMES"),
-        doc: "docs/serving.md",
-        what: "policy name",
-    },
-    RegistrySpec {
-        // The tournament races the arena, so its doc page must list
-        // every arena policy — one that shows up in docs/serving.md but
-        // not on the leaderboard page is drift.
-        source: "crates/core/src/registry.rs",
-        extract: Extract::ArrayStrings("ARENA"),
-        doc: "docs/tournament.md",
-        what: "arena policy",
-    },
-    RegistrySpec {
-        source: "crates/model/src/profiles.rs",
-        extract: Extract::ArrayStrings("NAMES"),
-        doc: "docs/serving.md",
-        what: "device profile",
-    },
-    RegistrySpec {
-        source: "crates/serve/src/router.rs",
-        extract: Extract::ArrayStrings("ROUTER_FRAMES"),
-        doc: "docs/serving.md",
-        what: "router frame type",
-    },
-    RegistrySpec {
-        source: "crates/sim/src/sysfs.rs",
-        extract: Extract::ArrayStrings("NAMES"),
-        doc: "docs/paper_mapping.md",
-        what: "sysfs attribute",
-    },
-];
-
-/// Checks every registry against its doc page: each name must appear
-/// backticked, so renames and additions surface as doc drift.
-fn registry_doc_sync(root: &Path, out: &mut Vec<Finding>) -> Result<(), String> {
-    for spec in &REGISTRIES {
-        let src_path = root.join(spec.source);
-        let text = std::fs::read_to_string(&src_path)
-            .map_err(|e| format!("{}: {e}", src_path.display()))?;
-        let view = source::view(&text);
-        let names = match spec.extract {
-            Extract::ArrayStrings(ident) => source::extract_array_strings(&view, ident),
-            Extract::EnumVariants(name) => source::extract_enum_variants(&view, name),
-            Extract::EnumKebab(name) => source::extract_enum_variants(&view, name)
-                .map(|vs| vs.iter().map(|v| source::kebab_case(v)).collect()),
-        };
-        let Some(names) = names else {
-            out.push(Finding {
-                file: spec.source.to_string(),
-                line: 1,
-                rule: "registry-doc-sync",
-                message: format!("could not extract the {} registry", spec.what),
-            });
-            continue;
-        };
-        if names.is_empty() {
-            out.push(Finding {
-                file: spec.source.to_string(),
-                line: 1,
-                rule: "registry-doc-sync",
-                message: format!("the {} registry extracted empty", spec.what),
-            });
-            continue;
-        }
-        let doc_path = root.join(spec.doc);
-        let doc = std::fs::read_to_string(&doc_path)
-            .map_err(|e| format!("{}: {e}", doc_path.display()))?;
-        for name in names {
-            if !doc.contains(&format!("`{name}`")) {
-                out.push(Finding {
-                    file: spec.doc.to_string(),
-                    line: 1,
-                    rule: "registry-doc-sync",
-                    message: format!(
-                        "{} `{name}` (from {}) is not documented here",
-                        spec.what, spec.source
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Lints the whole workspace rooted at `root`: every `.rs` file under
-/// `src/` and `crates/*/src/`, plus the registry-vs-docs, wake-time
-/// coverage, doc cargo-command and unused-dependency checks.
+/// `src/` and `crates/*/src/`, plus the wake-time coverage, doc
+/// cargo-command and unused-dependency checks.
 /// Returns findings sorted by path and line; empty means clean.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let mut files = Vec::new();
@@ -461,7 +323,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
             .replace('\\', "/");
         findings.extend(lint_source(&rel, &text));
     }
-    registry_doc_sync(root, &mut findings)?;
     next_tick_coverage(root, &mut findings)?;
     crate::cargo_targets::check_workspace(root, &mut findings);
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));

@@ -42,6 +42,7 @@ use mobicore::BandwidthAnalyzer;
 use mobicore_model::energy::CpuEnergyModel;
 use mobicore_model::{profiles, DeviceProfile, Quota, Utilization};
 use mobicore_sim::PolicySnapshot;
+use mobicore_telemetry::Json;
 use std::collections::HashMap;
 
 pub mod closed_loop;
@@ -181,70 +182,43 @@ impl Report {
         out
     }
 
-    /// The machine-readable rendering (`--json`). Hand-rolled so the
-    /// offline build needs no serialization dependency.
+    /// The machine-readable rendering (`--json`), one compact object.
     pub fn json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"profile\":{},\"config\":{},\"ok\":{},",
-            json_str(&self.profile),
-            json_str(&self.config_label),
-            self.ok()
-        ));
-        s.push_str("\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"severity\":{},\"field\":{},\"message\":{},\"fixit\":{}}}",
-                json_str(&d.severity.to_string()),
-                json_str(d.field),
-                json_str(&d.message),
-                json_str(&d.fixit)
-            ));
-        }
-        s.push_str("],\"invariants\":[");
-        for (i, inv) in self.invariants.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":{},\"thesis_ref\":{},\"states_checked\":{},\"violation_count\":{},\"violations\":[",
-                json_str(inv.name),
-                json_str(inv.thesis_ref),
-                inv.states_checked,
-                inv.violation_count
-            ));
-            for (j, v) in inv.violations.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json_str(&v.detail));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
+        let str = |s: &str| Json::Str(s.to_string());
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj()
+                    .with("severity", str(&d.severity.to_string()))
+                    .with("field", str(d.field))
+                    .with("message", str(&d.message))
+                    .with("fixit", str(&d.fixit))
+            })
+            .collect();
+        let invariants = self
+            .invariants
+            .iter()
+            .map(|inv| {
+                Json::obj()
+                    .with("name", str(inv.name))
+                    .with("thesis_ref", str(inv.thesis_ref))
+                    .with("states_checked", Json::Int(inv.states_checked as u64))
+                    .with("violation_count", Json::Int(inv.violation_count as u64))
+                    .with(
+                        "violations",
+                        Json::Arr(inv.violations.iter().map(|v| str(&v.detail)).collect()),
+                    )
+            })
+            .collect();
+        Json::obj()
+            .with("profile", str(&self.profile))
+            .with("config", str(&self.config_label))
+            .with("ok", Json::Bool(self.ok()))
+            .with("diagnostics", Json::Arr(diagnostics))
+            .with("invariants", Json::Arr(invariants))
+            .to_compact()
     }
-}
-
-/// JSON string literal with the escapes the report text can contain.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Every built-in device profile the checker sweeps, in
@@ -576,15 +550,29 @@ mod tests {
             "default",
             &CheckerConfig::quick(),
         );
-        let j = r.json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"ok\":true"), "{j}");
-        assert_eq!(j.matches("\"name\":").count(), 5);
+        let j = Json::parse(&r.json()).expect("the report is JSON");
+        assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true));
+        let invariants = j.get("invariants").and_then(Json::as_arr).unwrap();
+        let names: Vec<&str> = invariants
+            .iter()
+            .map(|i| i.get("name").and_then(Json::as_str).unwrap())
+            .collect();
+        let want: Vec<&str> = r.invariants.iter().map(|i| i.name).collect();
+        assert_eq!(names, want);
+        assert_eq!(names.len(), 5);
     }
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        let mut r = check(
+            &profiles::nexus_s(),
+            &MobiCoreConfig::default(),
+            "default",
+            &CheckerConfig::quick(),
+        );
+        r.profile = "a\"b\\c\nd".to_string();
+        let j = Json::parse(&r.json()).expect("the report is JSON");
+        assert_eq!(j.get("profile").and_then(Json::as_str), Some("a\"b\\c\nd"));
     }
 
     #[test]

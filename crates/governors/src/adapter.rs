@@ -9,13 +9,15 @@ use mobicore_model::OppTable;
 use mobicore_sim::{CpuControl, CpuPolicy, PolicySnapshot};
 use mobicore_telemetry::EventData;
 
+/// The DVFS sampling period, µs (cpufreq's 20 ms).
+const SAMPLING_US: u64 = 20_000;
+
 /// A composed DVFS + DCS policy.
 pub struct GovernorPolicy {
     dvfs: Box<dyn DvfsGovernor + Send>,
     hotplug: Option<Box<dyn HotplugPolicy + Send>>,
     opps: OppTable,
     name: String,
-    sampling_us: u64,
     /// How often the hotplug half runs, in DVFS samples (the kernel's
     /// hotplug loops are slower than cpufreq's; default 5 ⇒ 100 ms at a
     /// 20 ms DVFS sample).
@@ -40,7 +42,6 @@ impl GovernorPolicy {
             hotplug: None,
             opps,
             name,
-            sampling_us: 20_000,
             hotplug_every: 5,
             sample_count: 0,
         }
@@ -58,7 +59,6 @@ impl GovernorPolicy {
             hotplug: Some(hotplug),
             opps,
             name,
-            sampling_us: 20_000,
             hotplug_every: 5,
             sample_count: 0,
         }
@@ -70,13 +70,6 @@ impl GovernorPolicy {
         self.name = name.into();
         self
     }
-
-    /// Overrides the sampling period.
-    #[must_use]
-    pub fn with_sampling_us(mut self, us: u64) -> Self {
-        self.sampling_us = us.max(1_000);
-        self
-    }
 }
 
 impl CpuPolicy for GovernorPolicy {
@@ -85,7 +78,7 @@ impl CpuPolicy for GovernorPolicy {
     }
 
     fn sampling_period_us(&self) -> u64 {
-        self.sampling_us
+        SAMPLING_US
     }
 
     fn on_sample(&mut self, snap: &PolicySnapshot, ctl: &mut CpuControl) {
@@ -269,10 +262,8 @@ mod tests {
     #[test]
     fn named_and_sampling_overrides() {
         let opps = profiles::nexus5().opps().clone();
-        let p = GovernorPolicy::dvfs_only(Box::new(Performance::new()), opps)
-            .named("custom")
-            .with_sampling_us(50_000);
+        let p = GovernorPolicy::dvfs_only(Box::new(Performance::new()), opps).named("custom");
         assert_eq!(p.name(), "custom");
-        assert_eq!(p.sampling_period_us(), 50_000);
+        assert_eq!(p.sampling_period_us(), 20_000);
     }
 }

@@ -326,41 +326,6 @@ impl DvfsGovernor for Schedutil {
     }
 }
 
-/// Returns whatever speed userspace last programmed — the hook "for users
-/// who want to try their own hand-written governor" at whose location the
-/// thesis installs MobiCore.
-#[derive(Debug, Clone, Copy)]
-pub struct Userspace {
-    speed: Khz,
-}
-
-impl Userspace {
-    /// Starts at `speed`.
-    pub fn new(speed: Khz) -> Self {
-        Userspace { speed }
-    }
-
-    /// Programs a new speed (the `scaling_setspeed` write).
-    pub fn set_speed(&mut self, speed: Khz) {
-        self.speed = speed;
-    }
-
-    /// The programmed speed.
-    pub fn speed(&self) -> Khz {
-        self.speed
-    }
-}
-
-impl DvfsGovernor for Userspace {
-    fn name(&self) -> &str {
-        "userspace"
-    }
-
-    fn target(&mut self, _snap: &PolicySnapshot, opps: &OppTable) -> Khz {
-        opps.snap_up(self.speed).khz
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,24 +459,12 @@ mod tests {
     }
 
     #[test]
-    fn userspace_returns_programmed_speed() {
-        let o = opps();
-        let mut g = Userspace::new(Khz(960_000));
-        assert_eq!(g.target(&snap(&[50.0]), &o), Khz(960_000));
-        g.set_speed(Khz(1_000_000));
-        // snapped up to the next OPP (1 036 800)
-        assert_eq!(g.target(&snap(&[50.0]), &o), Khz(1_036_800));
-        assert_eq!(g.speed(), Khz(1_000_000));
-    }
-
-    #[test]
     fn governor_names() {
         assert_eq!(Ondemand::new().name(), "ondemand");
         assert_eq!(Interactive::new().name(), "interactive");
         assert_eq!(Conservative::new().name(), "conservative");
         assert_eq!(Powersave::new().name(), "powersave");
         assert_eq!(Performance::new().name(), "performance");
-        assert_eq!(Userspace::new(Khz(1)).name(), "userspace");
         assert_eq!(Schedutil::new().name(), "schedutil");
     }
 

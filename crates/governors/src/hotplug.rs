@@ -49,15 +49,6 @@ impl DefaultHotplug {
             target: None,
         }
     }
-
-    /// Overrides the thresholds.
-    #[must_use]
-    pub fn with_thresholds(mut self, up: f64, down: f64) -> Self {
-        assert!(down < up, "down threshold must be below up threshold");
-        self.up_threshold = up;
-        self.down_threshold = down;
-        self
-    }
 }
 
 impl Default for DefaultHotplug {
@@ -268,12 +259,6 @@ mod tests {
             now += 200_000;
         }
         assert_eq!(h.target_online(&snap(now, &[99.0, 99.0, 99.0, 99.0])), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "down threshold")]
-    fn thresholds_validated() {
-        let _ = DefaultHotplug::new().with_thresholds(30.0, 80.0);
     }
 
     fn snap_rq(now_us: u64, loads: &[f64], rq: usize) -> PolicySnapshot {

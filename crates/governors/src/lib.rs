@@ -3,10 +3,11 @@
 //! The stock Android/Linux CPU-management layer the MobiCore thesis
 //! builds on and compares against (§2.2):
 //!
-//! * [`dvfs`] — the cpufreq governor framework and the six governors the
+//! * [`dvfs`] — the cpufreq governor framework and the governors the
 //!   paper describes: `ondemand` (the Android default and MobiCore's
-//!   base), `interactive`, `conservative`, `powersave`, `performance`,
-//!   `userspace`;
+//!   base), `interactive`, `conservative`, `powersave`, `performance`
+//!   (its sixth, `userspace`, is the hook MobiCore itself installs at:
+//!   any [`CpuPolicy`](mobicore_sim::CpuPolicy));
 //! * [`hotplug`] — dynamic core scaling (DCS) policies: the default
 //!   load-threshold hotplug and a no-op policy;
 //! * [`android`] — [`AndroidDefaultPolicy`]: ondemand + default hotplug,
@@ -47,7 +48,7 @@ pub mod learned;
 pub use adapter::GovernorPolicy;
 pub use android::AndroidDefaultPolicy;
 pub use dvfs::{
-    Conservative, DvfsGovernor, Interactive, Ondemand, Performance, Powersave, Schedutil, Userspace,
+    Conservative, DvfsGovernor, Interactive, Ondemand, Performance, Powersave, Schedutil,
 };
 pub use hotplug::{DefaultHotplug, HotplugPolicy, NoHotplug, RqHotplug};
 pub use learned::{LearnedConfig, LearnedGovernor, LearnedState};

@@ -2,7 +2,7 @@
 //! snapshots and always answers with a frequency the hardware has.
 
 use mobicore_governors::dvfs::{
-    Conservative, DvfsGovernor, Interactive, Ondemand, Performance, Powersave, Schedutil, Userspace,
+    Conservative, DvfsGovernor, Interactive, Ondemand, Performance, Powersave, Schedutil,
 };
 use mobicore_governors::hotplug::{DefaultHotplug, HotplugPolicy, NoHotplug};
 use mobicore_model::{profiles, Khz, Quota, Utilization};
@@ -57,7 +57,6 @@ proptest! {
             Box::new(Powersave::new()),
             Box::new(Performance::new()),
             Box::new(Schedutil::new()),
-            Box::new(Userspace::new(Khz(960_000))),
         ];
         for snap in &snaps {
             for g in &mut govs {

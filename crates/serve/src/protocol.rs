@@ -224,6 +224,25 @@ pub enum Frame {
     },
 }
 
+impl Frame {
+    /// The frame's name: the variant name, as docs/serving.md lists it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Frame::Hello { .. } => "Hello",
+            Frame::HelloAck { .. } => "HelloAck",
+            Frame::Snapshot { .. } => "Snapshot",
+            Frame::Decision { .. } => "Decision",
+            Frame::Backpressure { .. } => "Backpressure",
+            Frame::Bye => "Bye",
+            Frame::ByeAck { .. } => "ByeAck",
+            Frame::GoingAway { .. } => "GoingAway",
+            Frame::Error { .. } => "Error",
+            Frame::Route { .. } => "Route",
+            Frame::Routed { .. } => "Routed",
+        }
+    }
+}
+
 // The Bye, ByeAck and Route tags are pub(crate): the router reads them
 // to find session boundaries in a relayed byte stream without decoding
 // payloads.
@@ -767,66 +786,99 @@ mod tests {
         assert_eq!(back, frame);
     }
 
+    /// One frame of every kind, in type-byte order.
+    fn one_of_each() -> Vec<Frame> {
+        vec![
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+                policy: "mobicore".into(),
+                profile: "nexus5".into(),
+                seed: 42,
+            },
+            Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+                session: 7,
+                policy: "mobicore".into(),
+                sampling_us: 20_000,
+                window: 32,
+            },
+            Frame::Snapshot {
+                seq: 3,
+                snap: snap(),
+            },
+            Frame::Decision {
+                seq: 3,
+                commands: vec![
+                    Command::SetQuota(Quota::new(0.62)),
+                    Command::SetOnline {
+                        core: 3,
+                        online: false,
+                    },
+                    Command::SetFreq {
+                        core: 0,
+                        khz: Khz(960_000),
+                    },
+                    Command::SetFreqAll { khz: Khz(300_000) },
+                ],
+                notes: vec![EventData::PolicyDecision {
+                    policy: "mobicore".into(),
+                    mode: "slow".into(),
+                    util_pct: 23.5,
+                    quota: 0.62,
+                    target_online: 2,
+                    f_khz: 960_000,
+                }],
+            },
+            Frame::Backpressure {
+                queued: 80,
+                limit: 64,
+            },
+            Frame::Bye,
+            Frame::ByeAck { decisions: 512 },
+            Frame::GoingAway {
+                reason: "drain".into(),
+            },
+            Frame::Error {
+                code: codes::BAD_SEQ,
+                message: "seq went backwards".into(),
+            },
+            Frame::Route { key: 123_456_789 },
+            Frame::Routed {
+                shard: 3,
+                name: "s3".into(),
+            },
+        ]
+    }
+
     #[test]
     fn every_frame_kind_round_trips() {
-        round_trip(Frame::Hello {
-            version: PROTOCOL_VERSION,
-            policy: "mobicore".into(),
-            profile: "nexus5".into(),
-            seed: 42,
-        });
-        round_trip(Frame::HelloAck {
-            version: PROTOCOL_VERSION,
-            session: 7,
-            policy: "mobicore".into(),
-            sampling_us: 20_000,
-            window: 32,
-        });
-        round_trip(Frame::Snapshot {
-            seq: 3,
-            snap: snap(),
-        });
-        round_trip(Frame::Decision {
-            seq: 3,
-            commands: vec![
-                Command::SetQuota(Quota::new(0.62)),
-                Command::SetOnline {
-                    core: 3,
-                    online: false,
-                },
-                Command::SetFreq {
-                    core: 0,
-                    khz: Khz(960_000),
-                },
-                Command::SetFreqAll { khz: Khz(300_000) },
-            ],
-            notes: vec![EventData::PolicyDecision {
-                policy: "mobicore".into(),
-                mode: "slow".into(),
-                util_pct: 23.5,
-                quota: 0.62,
-                target_online: 2,
-                f_khz: 960_000,
-            }],
-        });
-        round_trip(Frame::Backpressure {
-            queued: 80,
-            limit: 64,
-        });
-        round_trip(Frame::Bye);
-        round_trip(Frame::ByeAck { decisions: 512 });
-        round_trip(Frame::GoingAway {
-            reason: "drain".into(),
-        });
-        round_trip(Frame::Error {
-            code: codes::BAD_SEQ,
-            message: "seq went backwards".into(),
-        });
-        round_trip(Frame::Route { key: 123_456_789 });
-        round_trip(Frame::Routed {
-            shard: 3,
-            name: "s3".into(),
-        });
+        for frame in one_of_each() {
+            round_trip(frame);
+        }
+    }
+
+    #[test]
+    fn frame_table_names_every_type_byte() {
+        // docs/serving.md's frame table: a row `| 0xNN | `Name` |` per
+        // frame kind, `0xNN` being its type byte on the wire.
+        let doc = include_str!("../../../docs/serving.md");
+        let rows: Vec<(u8, String)> = doc
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.split('|').map(str::trim).skip(1);
+                let ty = u8::from_str_radix(cells.next()?.strip_prefix("0x")?, 16).ok()?;
+                let name = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+                Some((ty, name.to_string()))
+            })
+            .collect();
+        let want: Vec<(u8, String)> = one_of_each()
+            .iter()
+            .map(|f| (frame_bytes(f)[4], f.name().to_string()))
+            .collect();
+        assert_eq!(rows, want, "docs/serving.md frame table");
+        let types: Vec<u8> = (0..=u8::MAX).filter(|&ty| is_frame_type(ty)).collect();
+        let checked: Vec<u8> = want.iter().map(|(ty, _)| *ty).collect();
+        assert_eq!(types, checked, "a frame type `one_of_each` does not build");
     }
 
     #[test]

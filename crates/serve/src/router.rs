@@ -50,10 +50,6 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The frame types owned by the router tier (checked against
-/// `docs/serving.md` by the `registry-doc-sync` lint).
-pub const ROUTER_FRAMES: [&str; 2] = ["Route", "Routed"];
-
 /// One serve shard the router can bind sessions to.
 ///
 /// The `name` is the identity: rendezvous hashing runs over names, so

@@ -498,25 +498,9 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
         (state, frame) => {
             sess.fail(
                 codes::BAD_STATE,
-                &format!("frame {} not legal in state {state:?}", frame_name(&frame)),
+                &format!("frame {} not legal in state {state:?}", frame.name()),
             );
         }
-    }
-}
-
-fn frame_name(frame: &Frame) -> &'static str {
-    match frame {
-        Frame::Hello { .. } => "Hello",
-        Frame::HelloAck { .. } => "HelloAck",
-        Frame::Snapshot { .. } => "Snapshot",
-        Frame::Decision { .. } => "Decision",
-        Frame::Backpressure { .. } => "Backpressure",
-        Frame::Bye => "Bye",
-        Frame::ByeAck { .. } => "ByeAck",
-        Frame::GoingAway { .. } => "GoingAway",
-        Frame::Error { .. } => "Error",
-        Frame::Route { .. } => "Route",
-        Frame::Routed { .. } => "Routed",
     }
 }
 

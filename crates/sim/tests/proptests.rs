@@ -2,7 +2,6 @@
 
 use mobicore_model::{profiles, Khz};
 use mobicore_sim::sched::{schedule_tick_into, SchedScratch, TickOutcome, TickParams};
-use mobicore_sim::trace::{Trace, TraceSample};
 use mobicore_sim::{adb, SimConfig, Simulation, WorkloadRt};
 use proptest::prelude::*;
 
@@ -25,50 +24,6 @@ proptest! {
         let line = format!("echo {value} > {path}");
         let cmd = adb::parse(&line).expect("well-formed echo");
         prop_assert_eq!(cmd, adb::AdbCommand::Echo { value, path });
-    }
-
-    /// Trace binary encoding round-trips arbitrary samples.
-    #[test]
-    fn trace_round_trips(
-        samples in proptest::collection::vec(
-            (0u64..u64::MAX / 2, 0.0f64..1e5, -40.0f64..120.0, 0.0f64..1.0,
-             proptest::collection::vec(0u32..3_000_000, 0..8)),
-            0..20
-        )
-    ) {
-        let mut t = Trace::new();
-        for (t_us, power, temp, quota, khz) in samples {
-            let util: Vec<f32> = khz.iter().map(|&k| (k % 100) as f32).collect();
-            t.push(TraceSample {
-                t_us,
-                power_mw: power,
-                temp_c: temp,
-                quota,
-                khz,
-                util_pct: util,
-            });
-        }
-        let back = Trace::from_bytes(&t.to_bytes()).expect("own encoding decodes");
-        prop_assert_eq!(back, t);
-    }
-
-    /// Truncating an encoded trace anywhere never panics the decoder.
-    #[test]
-    fn trace_decoder_total_on_truncation(cut in 0usize..200) {
-        let mut t = Trace::new();
-        for i in 0..3u64 {
-            t.push(TraceSample {
-                t_us: i,
-                power_mw: 1.0,
-                temp_c: 25.0,
-                quota: 1.0,
-                khz: vec![300_000; 4],
-                util_pct: vec![0.0; 4],
-            });
-        }
-        let bytes = t.to_bytes();
-        let cut = cut.min(bytes.len());
-        let _ = Trace::from_bytes(&bytes[..cut]); // must not panic
     }
 
     /// Sysfs writes land at the tick boundary: over random sequences of

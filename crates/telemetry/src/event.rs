@@ -67,9 +67,10 @@ pub trait FieldReader {
 /// order of [`EventKind::ALL`], of the JSONL members and of the binary
 /// note fields. A field's type picks its walker method: `String` goes
 /// through `str`, every other type (`u64`, `usize`, `u32`, `f64`,
-/// `bool`) through the method of its own name. The enum's name is taken
-/// from the invocation, so `enum EventData` appears in code only there,
-/// where `registry-doc-sync` reads the kinds.
+/// `bool`) through the method of its own name. `tests/observability_docs.rs`
+/// checks docs/observability.md and the note-tag table of
+/// docs/serving.md against [`EventKind::ALL`], so a new kind needs its
+/// rows there too.
 macro_rules! taxonomy {
     (@write String, $w:ident, $field:ident) => {
         $w.str(stringify!($field), $field)

@@ -41,12 +41,11 @@ pub struct PolicyStats {
 
 impl PolicyStats {
     fn to_json(&self) -> Json {
-        #[allow(clippy::cast_precision_loss)]
         Json::obj()
             .with("energy_mj", Json::Num(self.energy_mj))
             .with("perf_gcycles", Json::Num(self.perf_gcycles))
-            .with("qos_violations", Json::Num(self.qos_violations as f64))
-            .with("runs", Json::Num(self.runs as f64))
+            .with("qos_violations", Json::Int(self.qos_violations))
+            .with("runs", Json::Int(self.runs))
     }
 
     fn from_json(doc: &Json, what: &str) -> Result<PolicyStats, JsonError> {
@@ -167,19 +166,17 @@ impl Leaderboard {
             Some(s) => Json::Str(s.clone()),
             None => Json::Null,
         };
-        #[allow(clippy::cast_precision_loss)]
         let opt_u64 = |v: &Option<u64>| match v {
-            Some(n) => Json::Num(*n as f64),
+            Some(n) => Json::Int(*n),
             None => Json::Null,
         };
-        #[allow(clippy::cast_precision_loss)]
         let entries = Json::Arr(
             self.entries
                 .iter()
                 .map(|e| {
                     Json::obj()
                         .with("policy", Json::Str(e.policy.clone()))
-                        .with("rank", Json::Num(e.rank as f64))
+                        .with("rank", Json::Int(e.rank))
                         .with("pareto", Json::Bool(e.pareto))
                         .with("overall", e.overall.to_json())
                         .with(
@@ -194,16 +191,12 @@ impl Leaderboard {
                 })
                 .collect(),
         );
-        #[allow(clippy::cast_precision_loss)]
         Json::obj()
-            .with(
-                "schema_version",
-                Json::Num(TOURNAMENT_SCHEMA_VERSION as f64),
-            )
+            .with("schema_version", Json::Int(TOURNAMENT_SCHEMA_VERSION))
             .with("kind", Json::Str(TOURNAMENT_KIND.to_string()))
             .with("name", Json::Str(self.name.clone()))
             .with("profile", Json::Str(self.profile.clone()))
-            .with("duration_us", Json::Num(self.duration_us as f64))
+            .with("duration_us", Json::Int(self.duration_us))
             .with(
                 "scenarios",
                 Json::Arr(
@@ -215,7 +208,7 @@ impl Leaderboard {
             )
             .with(
                 "seeds",
-                Json::Arr(self.seeds.iter().map(|&s| Json::Num(s as f64)).collect()),
+                Json::Arr(self.seeds.iter().map(|&s| Json::Int(s)).collect()),
             )
             .with("git", opt_str(&self.git))
             .with("created_unix_ms", opt_u64(&self.created_unix_ms))
@@ -607,10 +600,22 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let lb = sample();
-        let text = lb.to_json_text();
-        let back = Leaderboard::from_json_text(&text).unwrap();
-        assert_eq!(back, lb);
+        // Every u64 field stays exact past 2^53, up to u64::MAX.
+        for n in [None, Some((1u64 << 53) + 1), Some(u64::MAX)] {
+            let mut lb = sample();
+            if let Some(n) = n {
+                lb.duration_us = n;
+                lb.seeds.push(n);
+                lb.created_unix_ms = Some(n);
+                let e = &mut lb.entries[0];
+                e.rank = n;
+                e.overall.qos_violations = n;
+                e.overall.runs = n;
+            }
+            let text = lb.to_json_text();
+            let back = Leaderboard::from_json_text(&text).unwrap();
+            assert_eq!(back, lb);
+        }
     }
 
     #[test]

@@ -60,32 +60,25 @@ impl RunManifest {
         let map_f64 = |m: &BTreeMap<String, f64>| {
             Json::Obj(m.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect())
         };
-        #[allow(clippy::cast_precision_loss)]
         let map_u64 = |m: &BTreeMap<String, u64>| {
-            Json::Obj(
-                m.iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                    .collect(),
-            )
+            Json::Obj(m.iter().map(|(k, v)| (k.clone(), Json::Int(*v))).collect())
         };
         let opt_str = |v: &Option<String>| match v {
             Some(s) => Json::Str(s.clone()),
             None => Json::Null,
         };
-        #[allow(clippy::cast_precision_loss)]
         let opt_u64 = |v: &Option<u64>| match v {
-            Some(n) => Json::Num(*n as f64),
+            Some(n) => Json::Int(*n),
             None => Json::Null,
         };
-        #[allow(clippy::cast_precision_loss)]
         Json::obj()
-            .with("schema_version", Json::Num(SCHEMA_VERSION as f64))
+            .with("schema_version", Json::Int(SCHEMA_VERSION))
             .with("kind", Json::Str(self.kind.clone()))
             .with("name", Json::Str(self.name.clone()))
             .with("policy", Json::Str(self.policy.clone()))
             .with("profile", Json::Str(self.profile.clone()))
-            .with("seed", Json::Num(self.seed as f64))
-            .with("duration_us", Json::Num(self.duration_us as f64))
+            .with("seed", Json::Int(self.seed))
+            .with("duration_us", Json::Int(self.duration_us))
             .with("git", opt_str(&self.git))
             .with("created_unix_ms", opt_u64(&self.created_unix_ms))
             .with(
@@ -423,10 +416,19 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let m = sample();
-        let text = m.to_json_text();
-        let back = RunManifest::from_json_text(&text).unwrap();
-        assert_eq!(back, m);
+        // Every u64 field stays exact past 2^53, up to u64::MAX.
+        for n in [None, Some((1u64 << 53) + 1), Some(u64::MAX)] {
+            let mut m = sample();
+            if let Some(n) = n {
+                m.seed = n;
+                m.duration_us = n;
+                m.created_unix_ms = Some(n);
+                m.event_counts.insert("freq-change".into(), n);
+            }
+            let text = m.to_json_text();
+            let back = RunManifest::from_json_text(&text).unwrap();
+            assert_eq!(back, m);
+        }
     }
 
     #[test]

@@ -56,15 +56,6 @@ fn policies_share_the_same_workload_stream() {
 }
 
 #[test]
-fn trace_round_trips_through_bytes() {
-    let r = game_run(3, true);
-    assert!(!r.trace.is_empty());
-    let bytes = r.trace.to_bytes();
-    let back = mobicore_sim::trace::Trace::from_bytes(&bytes).expect("valid encoding");
-    assert_eq!(back, r.trace);
-}
-
-#[test]
 fn geekbench_deterministic_across_runs() {
     let score = |_| {
         let profile = profiles::nexus5();

@@ -4,7 +4,6 @@
 //! an event or metric without documenting it fails CI.
 
 use mobicore::MobiCore;
-use mobicore_analyze::source;
 use mobicore_model::profiles;
 use mobicore_sim::{SimConfig, Simulation};
 use mobicore_telemetry::EventKind;
@@ -153,17 +152,4 @@ fn note_tag_table_numbers_every_kind_by_its_index() {
         .map(|k| (k.index(), k.name().to_string()))
         .collect();
     assert_eq!(rows, want, "docs/serving.md note-tag table");
-}
-
-#[test]
-fn doc_lint_reads_every_kind_from_the_declaration() {
-    // `registry-doc-sync` kebab-cases the variants of the `enum EventData`
-    // in the taxonomy declaration; that must give every wire name, in
-    // order, or the lint would check the docs against the wrong list.
-    let text = read("crates/telemetry/src/event.rs");
-    let variants = source::extract_enum_variants(&source::view(&text), "EventData")
-        .expect("the taxonomy declares `enum EventData`");
-    let names: Vec<String> = variants.iter().map(|v| source::kebab_case(v)).collect();
-    let want: Vec<&str> = EventKind::ALL.iter().map(|k| k.name()).collect();
-    assert_eq!(names, want);
 }
