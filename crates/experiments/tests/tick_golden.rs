@@ -1,8 +1,8 @@
 //! Simulator output pinned against a committed fixture: the report and
 //! the JSONL event stream of every arena policy on the three busy
-//! scenarios, plus one run that moves every piece of per-core state the
-//! tick loop keeps (OPP limits, hotplug, quota, the thermal cap) through
-//! sysfs.
+//! scenarios, one run that moves every piece of per-core state the tick
+//! loop keeps (OPP limits, hotplug, quota, the thermal cap) through
+//! sysfs, and two 60-s `learned` runs long enough to pull most arms.
 //!
 //! Each run is pinned by an FNV-1a digest of its full `Debug` report
 //! (trace samples included) and of its `events_jsonl()` bytes, so the
@@ -52,11 +52,15 @@ fn line(out: &mut String, name: &str, sim: &Simulation) {
     .expect("writing to a String");
 }
 
-/// A 10-s cyclic run of `policy` on `scenario`, full trace.
-fn arena_run(policy: &str, scenario_name: &str) -> Simulation {
+/// The long `learned` runs: enough samples (3000 each) that most arms
+/// are pulled many times, which the 10-s rows (500 samples) never reach.
+const LEARNED_LONG: [&str; 2] = ["idle-day", "mixed-day"];
+
+/// A `secs`-long cyclic run of `policy` on `scenario`, full trace.
+fn arena_run(policy: &str, scenario_name: &str, secs: u64) -> Simulation {
     let profile = Arc::new(profiles::nexus5());
     let cfg = SimConfig::new(Arc::clone(&profile))
-        .with_duration_secs(10)
+        .with_duration_secs(secs)
         .with_seed(SEED)
         .with_trace(TraceLevel::Full)
         .without_mpdecision()
@@ -162,7 +166,7 @@ fn rendered() -> String {
             line(
                 &mut out,
                 &format!("{policy}/{scenario_name}"),
-                &arena_run(policy, scenario_name),
+                &arena_run(policy, scenario_name, 10),
             );
         }
     }
@@ -186,6 +190,13 @@ fn rendered() -> String {
             );
         }
         line(&mut out, name, &sim);
+    }
+    for scenario_name in LEARNED_LONG {
+        line(
+            &mut out,
+            &format!("learned/{scenario_name}/60s"),
+            &arena_run("learned", scenario_name, 60),
+        );
     }
     out
 }
