@@ -30,6 +30,12 @@
 //! an idealized MobiCore (pick the cheapest feasible point under the
 //! analytic model); with data it corrects the model's blind spots (thermal
 //! caps, cache power, QoS pressure).
+//!
+//! An arm that was never updated is exactly the prior arm, so the state
+//! stores only pulled arms, and the exploit step scores the prior once
+//! and uses its bonus to skip arms that cannot win (docs/tournament.md,
+//! "Update rule"). Decisions are the same bits as scoring every arm;
+//! debug builds assert it on every exploit step.
 
 use mobicore_model::energy::{effective_capacity_khz, CpuEnergyModel};
 use mobicore_model::{profiles, DeviceProfile, Khz, OppTable, Quota};
@@ -104,12 +110,24 @@ struct Action {
     quota: f64,
     /// Cached `f64` frequency of `opp`, kHz.
     khz: f64,
+    /// Cached [`effective_capacity_khz`] of this operating point, kHz.
+    cap_khz: f64,
     /// Dynamic power of one fully-busy core at `opp`, mW.
     dyn_mw: f64,
     /// Static power of one online core at `opp`, mW.
     static_mw: f64,
     /// Uncore/cache power at `opp`, mW.
     cache_mw: f64,
+}
+
+impl Action {
+    /// Analytic prior reward of this action under `demand_khz`: negated
+    /// predicted watts (Eqs. (1)–(4) at the implied per-core utilization).
+    fn prior_w(&self, demand_khz: f64) -> f64 {
+        let u = (demand_khz / (self.cores as f64 * self.khz)).clamp(0.0, 1.0);
+        let mw = self.cores as f64 * (self.dyn_mw * u + self.static_mw) + self.cache_mw;
+        -mw / 1_000.0
+    }
 }
 
 /// One LinUCB arm: ridge regression state over the context features.
@@ -190,6 +208,15 @@ struct Pending {
     prior_w: f64,
 }
 
+/// [`LearnedState::slots`] entry of an action whose arm has never been
+/// updated, and so is still bit-for-bit the prior arm.
+const PRIOR: u32 = u32::MAX;
+
+/// Relative slack on the prior bonus when pruning. Every pulled arm's
+/// bonus is at most the prior's in exact arithmetic; the slack absorbs
+/// the rounding of the Sherman–Morrison updates.
+const BOUND_SLACK: f64 = 1e-6;
+
 /// The learner's complete mutable state — everything `on_sample` reads or
 /// writes besides the immutable action table. Snapshot it with
 /// [`LearnedGovernor::state`] and reinstall it with
@@ -197,12 +224,46 @@ struct Pending {
 /// byte-identically to the uninterrupted run (tier-1 pins this).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LearnedState {
-    arms: Vec<Arm>,
+    /// Per action: its index into `pulled`, or [`PRIOR`].
+    slots: Vec<u32>,
+    /// The arms that have absorbed at least one update, in first-pull
+    /// order.
+    pulled: Vec<Arm>,
     rng: u64,
     t: u64,
     pending: Option<Pending>,
     cur_action: Option<usize>,
     prev_overall: f64,
+}
+
+impl LearnedState {
+    /// Action `i`'s own arm, or `None` while it is still the prior.
+    fn arm(&self, i: usize) -> Option<&Arm> {
+        match self.slots[i] {
+            PRIOR => None,
+            slot => Some(&self.pulled[slot as usize]),
+        }
+    }
+}
+
+/// The exploit step's outcome: the first feasible action with the
+/// highest UCB score, that score, and the current action's score if the
+/// current action is feasible.
+struct Pick {
+    best: usize,
+    best_score: f64,
+    cur_score: Option<f64>,
+}
+
+impl Pick {
+    /// The pick with its scores as bits, for exact comparison.
+    fn bits(&self) -> (usize, u64, Option<u64>) {
+        (
+            self.best,
+            self.best_score.to_bits(),
+            self.cur_score.map(f64::to_bits),
+        )
+    }
 }
 
 /// The seeded online-learning governor. See the module docs for the
@@ -214,13 +275,19 @@ pub struct LearnedGovernor {
     opps: OppTable,
     emodel: CpuEnergyModel,
     n_total: usize,
+    /// Every operating point, ordered by core count, then OPP, then
+    /// quota ladder position.
     actions: Vec<Action>,
     /// Index of the maximum-capacity action (the fallback when nothing
     /// else covers demand).
     max_action: usize,
+    /// The arm every action starts from: `Arm::new(λ)`.
+    prior: Arm,
     state: LearnedState,
     /// Scratch: feasible action indices, reused across samples.
     feasible: Vec<usize>,
+    /// Scratch: `prior_w + predict` of each feasible action, in order.
+    means: Vec<f64>,
 }
 
 impl LearnedGovernor {
@@ -241,21 +308,33 @@ impl LearnedGovernor {
         let opps = profile.opps().clone();
         let emodel = CpuEnergyModel::fit(&opps, profiles::NEXUS5_CEFF_F, 450.0);
         let n_total = profile.n_cores();
+        // Power terms depend on the OPP alone: (dyn, static, cache) mW.
+        let terms: Vec<(f64, f64, f64)> = (0..opps.len())
+            .map(|opp| {
+                let f = opps.get_clamped(opp).khz;
+                let idle = emodel.core_power_mw(f, mobicore_model::Utilization::IDLE);
+                (
+                    emodel.core_power_mw(f, mobicore_model::Utilization::FULL) - idle,
+                    idle,
+                    emodel.cache_power_mw(f),
+                )
+            })
+            .collect();
         let mut actions = Vec::with_capacity(n_total * opps.len() * cfg.quota_levels.len());
         for cores in 1..=n_total {
-            for opp in 0..opps.len() {
+            for (opp, &(dyn_mw, static_mw, cache_mw)) in terms.iter().enumerate() {
                 let f = opps.get_clamped(opp).khz;
                 for &q in &cfg.quota_levels {
-                    let quota = Quota::new(q).as_fraction();
+                    let quota = Quota::new(q);
                     actions.push(Action {
                         cores,
                         opp,
-                        quota,
+                        quota: quota.as_fraction(),
                         khz: f64::from(f.0),
-                        dyn_mw: emodel.core_power_mw(f, mobicore_model::Utilization::FULL)
-                            - emodel.core_power_mw(f, mobicore_model::Utilization::IDLE),
-                        static_mw: emodel.core_power_mw(f, mobicore_model::Utilization::IDLE),
-                        cache_mw: emodel.cache_power_mw(f),
+                        cap_khz: effective_capacity_khz(f, cores, quota, n_total),
+                        dyn_mw,
+                        static_mw,
+                        cache_mw,
                     });
                 }
             }
@@ -265,15 +344,13 @@ impl LearnedGovernor {
             .iter()
             .enumerate()
             .max_by(|(ai, a), (bi, b)| {
-                let ca = a.khz * (a.quota * n_total as f64).min(a.cores as f64);
-                let cb = b.khz * (b.quota * n_total as f64).min(b.cores as f64);
-                ca.partial_cmp(&cb)
+                a.cap_khz
+                    .partial_cmp(&b.cap_khz)
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(bi.cmp(ai))
             })
             .map(|(i, _)| i)
             .unwrap_or(0);
-        let arms = vec![Arm::new(cfg.ridge_lambda.max(1e-6)); actions.len()];
         // xorshift64* needs a non-zero state; fold the seed through a
         // splitmix-style mix so seed 0 is usable too.
         let rng = cfg
@@ -282,21 +359,24 @@ impl LearnedGovernor {
             .wrapping_add(0x2545_F491_4F6C_DD1D)
             | 1;
         LearnedGovernor {
+            prior: Arm::new(cfg.ridge_lambda.max(1e-6)),
             cfg,
             opps,
             emodel,
             n_total,
-            actions,
-            max_action,
             state: LearnedState {
-                arms,
+                slots: vec![PRIOR; actions.len()],
+                pulled: Vec::new(),
                 rng,
                 t: 0,
                 pending: None,
                 cur_action: None,
                 prev_overall: 0.0,
             },
+            actions,
+            max_action,
             feasible: Vec::new(),
+            means: Vec::new(),
         }
     }
 
@@ -307,14 +387,29 @@ impl LearnedGovernor {
 
     /// Reinstalls a state captured by [`LearnedGovernor::state`]. The
     /// governor must have been built with the same profile and config for
-    /// the replay to be meaningful (arm count must match).
+    /// the replay to be meaningful (action count must match).
     pub fn set_state(&mut self, state: LearnedState) {
         assert_eq!(
-            state.arms.len(),
+            state.slots.len(),
             self.actions.len(),
             "state was captured from a differently-shaped action space"
         );
         self.state = state;
+    }
+
+    /// Updates action `i`'s arm with `(x, r)`, giving it its own copy of
+    /// the prior on its first pull.
+    fn pull(&mut self, i: usize, x: &[f64; D], r: f64) {
+        let slot = match self.state.slots[i] {
+            PRIOR => {
+                let slot = self.state.pulled.len();
+                self.state.slots[i] = u32::try_from(slot).expect("fewer than 2^32 actions");
+                self.state.pulled.push(self.prior.clone());
+                slot
+            }
+            slot => slot as usize,
+        };
+        self.state.pulled[slot].update(x, r);
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -345,12 +440,19 @@ impl LearnedGovernor {
         ]
     }
 
-    /// Analytic prior reward of `action` under `demand_khz`: negated
-    /// predicted watts (Eqs. (1)–(4) at the implied per-core utilization).
-    fn prior_w(&self, action: &Action, demand_khz: f64) -> f64 {
-        let u = (demand_khz / (action.cores as f64 * action.khz)).clamp(0.0, 1.0);
-        let mw = action.cores as f64 * (action.dyn_mw * u + action.static_mw) + action.cache_mw;
-        -mw / 1_000.0
+    /// The capacity, kHz, an action must offer: observed demand plus
+    /// headroom, escalated under saturation — a pegged core means the
+    /// observed demand is a floor, not the truth, so ask for more
+    /// capacity the way ondemand's up-threshold would.
+    fn gate(&self, demand: f64, snap: &PolicySnapshot) -> f64 {
+        let sat = self.saturation(snap);
+        let mut gate = demand * (1.0 + self.cfg.headroom);
+        if sat > self.cfg.saturation_util {
+            gate *= 1.0
+                + 4.0 * (sat - self.cfg.saturation_util)
+                    / (1.0 - self.cfg.saturation_util).max(1e-9);
+        }
+        gate
     }
 
     /// Observed reward from the snapshot that followed the pending action:
@@ -377,6 +479,82 @@ impl LearnedGovernor {
             .filter(|c| c.online)
             .map(|c| c.util.as_fraction())
             .fold(0.0, f64::max)
+    }
+
+    /// The UCB exploit step over `feasible`, scoring each action as
+    /// `(prior_w + predict) + α·bonus` and keeping the first maximum.
+    ///
+    /// The prior's bonus `sqrt(|x|²/λ)` is the exact bonus of every
+    /// unpulled arm and bounds every pulled one (`A ⪰ λI`). So an action
+    /// whose `prior_w + predict` plus `α` times that bound stays below
+    /// the best `prior_w + predict` scores strictly below some other
+    /// action, and its bonus is never computed. The current action is
+    /// always scored: hysteresis needs its exact score.
+    fn exploit(&mut self, x: &[f64; D], demand: f64) -> Pick {
+        let prior_mean = self.prior.predict(x);
+        let prior_bonus = self.prior.bonus(x);
+        let mut floor = f64::NEG_INFINITY;
+        self.means.clear();
+        for &i in &self.feasible {
+            let mean = self.actions[i].prior_w(demand)
+                + self.state.arm(i).map_or(prior_mean, |arm| arm.predict(x));
+            if mean > floor {
+                floor = mean;
+            }
+            self.means.push(mean);
+        }
+        let alpha = self.cfg.ucb_alpha;
+        // `fl(mean + α·bonus) ≥ mean` needs α ≥ 0; otherwise prune nothing.
+        let reach = if alpha >= 0.0 {
+            alpha * prior_bonus * (1.0 + BOUND_SLACK)
+        } else {
+            f64::INFINITY
+        };
+        let mut pick = Pick {
+            best: self.feasible[0],
+            best_score: f64::NEG_INFINITY,
+            cur_score: None,
+        };
+        for (&i, &mean) in self.feasible.iter().zip(&self.means) {
+            let is_cur = Some(i) == self.state.cur_action;
+            if !is_cur && mean + reach < floor {
+                continue;
+            }
+            let bonus = self.state.arm(i).map_or(prior_bonus, |arm| arm.bonus(x));
+            let score = mean + alpha * bonus;
+            if score > pick.best_score {
+                pick.best_score = score;
+                pick.best = i;
+            }
+            if is_cur {
+                pick.cur_score = Some(score);
+            }
+        }
+        pick
+    }
+
+    /// [`LearnedGovernor::exploit`] without pruning or the shared prior
+    /// score: every feasible action scored from its own arm.
+    fn exploit_dense(&self, x: &[f64; D], demand: f64) -> Pick {
+        let mut pick = Pick {
+            best: self.feasible[0],
+            best_score: f64::NEG_INFINITY,
+            cur_score: None,
+        };
+        for &i in &self.feasible {
+            let arm = self.state.arm(i).unwrap_or(&self.prior);
+            let score = self.actions[i].prior_w(demand)
+                + arm.predict(x)
+                + self.cfg.ucb_alpha * arm.bonus(x);
+            if score > pick.best_score {
+                pick.best_score = score;
+                pick.best = i;
+            }
+            if Some(i) == self.state.cur_action {
+                pick.cur_score = Some(score);
+            }
+        }
+        pick
     }
 
     /// Applies the chosen operating point, following the adapter's
@@ -457,38 +635,24 @@ impl CpuPolicy for LearnedGovernor {
         //    window we just observed cost us.
         if let Some(p) = self.state.pending.take() {
             let r = self.observed_reward(snap);
-            let resid = r - p.prior_w;
-            self.state.arms[p.action].update(&p.x, resid);
+            self.pull(p.action, &p.x, r - p.prior_w);
         }
 
-        // 2. Demand estimate, escalated under saturation: a pegged core
-        //    means the observed demand is a floor, not the truth, so ask
-        //    for more capacity the way ondemand's up-threshold would.
+        // 2. Demand estimate, escalated under saturation.
         let demand = snap.demand_khz();
-        let sat = self.saturation(snap);
-        let mut gate = demand * (1.0 + self.cfg.headroom);
-        if sat > self.cfg.saturation_util {
-            gate *= 1.0
-                + 4.0 * (sat - self.cfg.saturation_util)
-                    / (1.0 - self.cfg.saturation_util).max(1e-9);
-        }
+        let gate = self.gate(demand, snap);
 
         // 3. Feasibility filter: OPP-table frequencies, ladder quotas,
         //    capacity over the gate, core count within what the scheduler
-        //    can use.
+        //    can use. The table is ordered by core count first, so the
+        //    first action over `n_useful` ends the scan.
         let n_useful = snap.max_runnable_threads.clamp(1, self.n_total);
         self.feasible.clear();
         for (i, a) in self.actions.iter().enumerate() {
             if a.cores > n_useful {
-                continue;
+                break;
             }
-            let cap = effective_capacity_khz(
-                self.opps.get_clamped(a.opp).khz,
-                a.cores,
-                Quota::new(a.quota),
-                self.n_total,
-            );
-            if cap >= gate {
+            if a.cap_khz >= gate {
                 self.feasible.push(i);
             }
         }
@@ -505,29 +669,19 @@ impl CpuPolicy for LearnedGovernor {
             let pick = self.next_u64() % self.feasible.len() as u64;
             self.feasible[usize::try_from(pick).unwrap_or(0)]
         } else {
-            let mut best = self.feasible[0];
-            let mut best_score = f64::NEG_INFINITY;
-            let mut cur_score = None;
-            for &i in &self.feasible {
-                let arm = &self.state.arms[i];
-                let score = self.prior_w(&self.actions[i], demand)
-                    + arm.predict(&x)
-                    + self.cfg.ucb_alpha * arm.bonus(&x);
-                if score > best_score {
-                    best_score = score;
-                    best = i;
-                }
-                if Some(i) == self.state.cur_action {
-                    cur_score = Some(score);
-                }
-            }
+            let pick = self.exploit(&x, demand);
+            debug_assert_eq!(
+                pick.bits(),
+                self.exploit_dense(&x, demand).bits(),
+                "pruned exploit step diverged from the dense re-score"
+            );
             // Hysteresis: stay put unless the predicted gain clears the
             // switch margin — kills operating-point ping-pong.
-            match cur_score {
-                Some(cs) if best_score - cs < self.cfg.switch_margin_w => {
-                    self.state.cur_action.unwrap_or(best)
+            match pick.cur_score {
+                Some(cs) if pick.best_score - cs < self.cfg.switch_margin_w => {
+                    self.state.cur_action.unwrap_or(pick.best)
                 }
-                _ => best,
+                _ => pick.best,
             }
         };
 
@@ -535,7 +689,7 @@ impl CpuPolicy for LearnedGovernor {
         self.state.pending = Some(Pending {
             action: chosen,
             x,
-            prior_w: self.prior_w(&self.actions[chosen], demand),
+            prior_w: self.actions[chosen].prior_w(demand),
         });
         self.state.cur_action = Some(chosen);
         self.state.prev_overall = snap.overall_util.as_fraction();
@@ -547,7 +701,7 @@ impl CpuPolicy for LearnedGovernor {
 mod tests {
     use super::*;
     use mobicore_model::Utilization;
-    use mobicore_sim::Command;
+    use mobicore_sim::{Command, CoreSnapshot};
 
     fn profile() -> DeviceProfile {
         profiles::nexus5()
@@ -700,6 +854,184 @@ mod tests {
             last_freq >= Khz(p.opps().max_khz().0 / 2),
             "saturated pick too cold: {last_freq:?}"
         );
+    }
+
+    #[test]
+    fn fresh_state_holds_no_pulled_arms() {
+        let p = profile();
+        let mut gov = LearnedGovernor::new(&p, 99);
+        let fresh = gov.state();
+        assert!(fresh.pulled.is_empty());
+        assert_eq!(fresh.slots, vec![PRIOR; gov.actions.len()]);
+        // The first half of the resume test's input pulls some arms but
+        // not all, so that test resumes across the sparse layout.
+        drive(&mut gov, &snaps(200));
+        let mid = gov.state();
+        let pulled = mid.slots.iter().filter(|&&s| s != PRIOR).count();
+        assert_eq!(pulled, mid.pulled.len());
+        assert!(0 < pulled && pulled < mid.slots.len(), "{pulled} pulled");
+        assert!(mid.pulled.iter().all(|arm| arm.pulls > 0));
+    }
+
+    /// The learner without sparse arms, a cached capacity or pruning:
+    /// one arm per action, capacity recomputed every sample, and every
+    /// feasible action scored from its own arm. It borrows the wrapped
+    /// governor's RNG, features, reward and actuation, and never its arms.
+    struct DenseReference {
+        gov: LearnedGovernor,
+        arms: Vec<Arm>,
+    }
+
+    impl DenseReference {
+        fn new(profile: &DeviceProfile, cfg: LearnedConfig) -> Self {
+            let gov = LearnedGovernor::with_config(profile, cfg);
+            let arms = vec![Arm::new(gov.cfg.ridge_lambda.max(1e-6)); gov.actions.len()];
+            DenseReference { gov, arms }
+        }
+
+        /// One sample; returns whether it took the exploit step.
+        fn on_sample(&mut self, snap: &PolicySnapshot, ctl: &mut CpuControl) -> bool {
+            let g = &mut self.gov;
+            if let Some(p) = g.state.pending.take() {
+                let r = g.observed_reward(snap);
+                self.arms[p.action].update(&p.x, r - p.prior_w);
+            }
+            let demand = snap.demand_khz();
+            let gate = g.gate(demand, snap);
+            let n_useful = snap.max_runnable_threads.clamp(1, g.n_total);
+            let mut feasible: Vec<usize> = (0..g.actions.len())
+                .filter(|&i| {
+                    let a = &g.actions[i];
+                    let f = g.opps.get_clamped(a.opp).khz;
+                    a.cores <= n_useful
+                        && effective_capacity_khz(f, a.cores, Quota::new(a.quota), g.n_total)
+                            >= gate
+                })
+                .collect();
+            if feasible.is_empty() {
+                feasible.push(g.max_action);
+            }
+            let x = g.features(snap);
+            let eps = g.cfg.epsilon * g.cfg.epsilon_tau / (g.cfg.epsilon_tau + g.state.t as f64);
+            let explore = g.next_f64() < eps;
+            let chosen = if explore {
+                feasible[usize::try_from(g.next_u64() % feasible.len() as u64).unwrap()]
+            } else {
+                let mut best = feasible[0];
+                let mut best_score = f64::NEG_INFINITY;
+                let mut cur_score = None;
+                for &i in &feasible {
+                    let arm = &self.arms[i];
+                    let score = g.actions[i].prior_w(demand)
+                        + arm.predict(&x)
+                        + g.cfg.ucb_alpha * arm.bonus(&x);
+                    if score > best_score {
+                        best_score = score;
+                        best = i;
+                    }
+                    if Some(i) == g.state.cur_action {
+                        cur_score = Some(score);
+                    }
+                }
+                match cur_score {
+                    Some(cs) if best_score - cs < g.cfg.switch_margin_w => {
+                        g.state.cur_action.unwrap_or(best)
+                    }
+                    _ => best,
+                }
+            };
+            g.apply(chosen, snap, ctl);
+            g.state.pending = Some(Pending {
+                action: chosen,
+                x,
+                prior_w: g.actions[chosen].prior_w(demand),
+            });
+            g.state.cur_action = Some(chosen);
+            g.state.prev_overall = snap.overall_util.as_fraction();
+            g.state.t += 1;
+            !explore
+        }
+    }
+
+    /// A seeded stream of varied snapshots: random online sets, OPPs,
+    /// per-core utilizations (saturated now and then), temperatures,
+    /// quotas, runnable-thread counts and mpdecision states.
+    fn random_snaps(p: &DeviceProfile, seed: u64, n: usize) -> Vec<PolicySnapshot> {
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |k: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            usize::try_from(rng % k as u64).unwrap()
+        };
+        let n_total = p.n_cores();
+        (0..n)
+            .map(|i| {
+                let online = 1 + next(n_total);
+                let khz = p.opps().get_clamped(next(p.opps().len())).khz;
+                let mut snap =
+                    PolicySnapshot::synthetic(n_total, online, khz, Utilization::IDLE, 20_000);
+                let mut busy = 0.0;
+                for c in snap.cores.iter_mut().filter(|c| c.online) {
+                    let u = if next(8) == 0 {
+                        1.0
+                    } else {
+                        next(1_000) as f64 / 1_000.0
+                    };
+                    *c = CoreSnapshot::online_at(khz, Utilization::new(u), 20_000);
+                    busy += u;
+                }
+                snap.now_us = 20_000 * i as u64;
+                snap.overall_util = Utilization::new(busy / n_total as f64);
+                snap.quota = Quota::new([1.0, 0.85, 0.7, 0.5][next(4)]);
+                snap.max_runnable_threads = 1 + next(n_total);
+                snap.mpdecision_enabled = next(4) == 0;
+                snap.temp_c = 25.0 + next(60) as f64;
+                snap
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_pruned_decisions_equal_the_dense_reference() {
+        let p = profile();
+        for lambda in [1e-3, 1.0, 100.0] {
+            for seed in 1..=4 {
+                let cfg = LearnedConfig {
+                    seed,
+                    ridge_lambda: lambda,
+                    epsilon: 0.95,
+                    epsilon_tau: 400.0,
+                    ..LearnedConfig::default()
+                };
+                let mut gov = LearnedGovernor::with_config(&p, cfg.clone());
+                let mut dense = DenseReference::new(&p, cfg);
+                let mut exploits = 0;
+                for (k, snap) in random_snaps(&p, seed, 1_500).iter().enumerate() {
+                    let (mut a, mut b) = (CpuControl::new(), CpuControl::new());
+                    gov.on_sample(snap, &mut a);
+                    exploits += usize::from(dense.on_sample(snap, &mut b));
+                    assert_eq!(
+                        (a.take(), gov.state.cur_action, gov.state.rng),
+                        (b.take(), dense.gov.state.cur_action, dense.gov.state.rng),
+                        "λ={lambda} seed={seed} sample {k}"
+                    );
+                }
+                let pulled = gov.state.pulled.len();
+                assert!(
+                    pulled > gov.actions.len() / 2,
+                    "λ={lambda} seed={seed}: only {pulled} arms pulled"
+                );
+                for (i, arm) in dense.arms.iter().enumerate() {
+                    let sparse = gov.state.arm(i).unwrap_or(&gov.prior);
+                    assert_eq!(sparse, arm, "λ={lambda} seed={seed} arm {i}");
+                }
+                assert!(
+                    exploits > 300,
+                    "λ={lambda} seed={seed}: {exploits} exploits"
+                );
+            }
+        }
     }
 
     #[test]

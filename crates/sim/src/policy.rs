@@ -146,13 +146,20 @@ impl PolicySnapshot {
     /// Average utilization over *online* cores only (the per-core load
     /// MobiCore's Eq. (9) multiplies back in via `K · n_max / n`).
     pub fn online_avg_util(&self) -> Utilization {
-        let online: Vec<_> = self.cores.iter().filter(|c| c.online).collect();
-        if online.is_empty() {
+        let mut n_online = 0usize;
+        let sum = self
+            .cores
+            .iter()
+            .filter(|c| c.online)
+            .map(|c| {
+                n_online += 1;
+                c.util.as_fraction()
+            })
+            .sum::<f64>();
+        if n_online == 0 {
             return Utilization::IDLE;
         }
-        Utilization::new(
-            online.iter().map(|c| c.util.as_fraction()).sum::<f64>() / online.len() as f64,
-        )
+        Utilization::new(sum / n_online as f64)
     }
 }
 

@@ -9,9 +9,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mobicore_model::{profiles, Khz};
+use mobicore_model::{profiles, Khz, Utilization};
 use mobicore_sim::builtin::PinnedPolicy;
-use mobicore_sim::{FleetSim, SimConfig, SimEngine, Simulation};
+use mobicore_sim::{CoreSnapshot, FleetSim, PolicySnapshot, SimConfig, SimEngine, Simulation};
 use mobicore_workloads::BusyLoop;
 use std::sync::Arc;
 
@@ -190,6 +190,23 @@ fn fleet_multiplexed_loop_is_allocation_free_after_warmup() {
         delta, 0,
         "expected zero heap allocations across 1 simulated second of \
          warm multiplexed fleet loop, observed {delta}"
+    );
+}
+
+#[test]
+fn snapshot_aggregates_are_allocation_free() {
+    // Policies read these once per sample (the learned governor's
+    // features, both hotplug governors), so they must not allocate.
+    let mut snap = PolicySnapshot::synthetic(4, 3, Khz(1_190_400), Utilization::new(0.4), 20_000);
+    snap.cores[1] = CoreSnapshot::offline();
+    let before = allocs();
+    let avg = snap.online_avg_util();
+    let demand = snap.demand_khz();
+    let delta = allocs() - before;
+    assert!(avg > Utilization::IDLE && demand > 0.0);
+    assert_eq!(
+        delta, 0,
+        "online_avg_util and demand_khz made {delta} heap allocations"
     );
 }
 
