@@ -1,22 +1,19 @@
-//! `mobicore-analyze` — run the workspace invariant linter and the
-//! concurrency model checker from the command line.
+//! `mobicore-analyze` — run the workspace invariant linter from the
+//! command line.
 //!
 //! ```text
 //! mobicore-analyze lint  [--root PATH] [--json]   # invariant linter (exit 1 on findings)
-//! mobicore-analyze model [--json]                 # protocol replica model checks
 //! mobicore-analyze rules                          # list lint rules
 //! ```
 //!
 //! `lint` locates the workspace root (walking up from `--root` or the
 //! current directory to the `Cargo.toml` containing `[workspace]`) and
 //! exits non-zero on any finding — the same pass tier-1 runs in
-//! `tests/static_analysis.rs`. `model` runs the sweep/serve protocol
-//! replicas with their production configuration and reports schedule
-//! counts; seeded-bug detection lives in the analyze crate's tests.
+//! `tests/static_analysis.rs`. The model checks are tests of the
+//! crates they check (`cargo test -p mobicore-sweep --test model`,
+//! `cargo test -p mobicore-serve --test drain_model`).
 
 use mobicore_analyze::lint;
-use mobicore_analyze::model::Outcome;
-use mobicore_analyze::protocols::{serve, sweep};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -47,7 +44,6 @@ fn main() -> ExitCode {
     }
     match cmd.as_deref() {
         Some("lint") => run_lint(root, json),
-        Some("model") => run_model(json),
         Some("rules") => {
             for (name, desc) in lint::RULES {
                 println!("{name}\n    {desc}");
@@ -60,16 +56,14 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-mobicore-analyze: workspace invariant linter and concurrency model checker
+mobicore-analyze: workspace invariant linter
 
 USAGE:
     mobicore-analyze lint  [--root PATH] [--json]
-    mobicore-analyze model [--json]
     mobicore-analyze rules
 
 COMMANDS:
     lint    run the invariant linter over the workspace (exit 1 on findings)
-    model   model-check the sweep/serve protocol replicas
     rules   list the lint rules with descriptions
 ";
 
@@ -126,59 +120,6 @@ fn run_lint(root: Option<PathBuf>, json: bool) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-type ModelCheck = (&'static str, fn() -> Outcome);
-
-fn run_model(json: bool) -> ExitCode {
-    let checks: [ModelCheck; 4] = [
-        ("sweep-exactly-once-2w3j", || {
-            sweep::check_exactly_once(2, 3, sweep::Seed::None)
-        }),
-        ("sweep-exactly-once-3w3j", || {
-            sweep::check_exactly_once(3, 3, sweep::Seed::None)
-        }),
-        ("serve-drain-stats-exact", || {
-            serve::check_drain_stats_exact(serve::Seed::None)
-        }),
-        ("serve-drain-replica", || {
-            serve::check_drain(serve::Seed::None)
-        }),
-    ];
-    let mut failed = false;
-    let mut rows = Vec::new();
-    for (name, check) in checks {
-        let outcome = check();
-        let ok = outcome.passed();
-        failed |= !ok;
-        if json {
-            rows.push(format!(
-                "{{\"check\":\"{name}\",\"passed\":{ok},\"schedules\":{},\"pruned\":{},\"complete\":{}}}",
-                outcome.schedules, outcome.pruned, outcome.complete
-            ));
-        } else {
-            let verdict = if ok { "ok" } else { "VIOLATION" };
-            println!(
-                "{name:<28} {verdict:<10} {} schedules, {} pruned{}{}",
-                outcome.schedules,
-                outcome.pruned,
-                if outcome.complete { ", complete" } else { "" },
-                outcome
-                    .violation
-                    .as_ref()
-                    .map(|v| format!("\n    {}", v.message))
-                    .unwrap_or_default()
-            );
-        }
-    }
-    if json {
-        println!("[{}]", rows.join(","));
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 

@@ -13,11 +13,11 @@
 //!    package and target ([`cargo_targets`]). Run via `cargo test`
 //!    (tier-1) or the `mobicore-analyze` CLI.
 //! 2. **Model checking** ([`model`]): a loom-style bounded-DFS
-//!    interleaving explorer with a C11-flavoured weak-memory model;
-//!    [`protocols`] holds replicas of the workspace's concurrency cores
-//!    (sweep work-stealing deque, serve drain/backpressure state
-//!    machine) checked against exactly-once / termination / rising-edge
-//!    properties.
+//!    interleaving explorer with a C11-flavoured weak-memory model.
+//!    The workspace's concurrency cores (`crates/sweep/src/pool.rs`,
+//!    `crates/serve/src/drain.rs`) are checked in their own crates'
+//!    tests, which compile the production file against
+//!    [`model::sync`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -25,5 +25,4 @@
 pub mod cargo_targets;
 pub mod lint;
 pub mod model;
-pub mod protocols;
 pub mod source;

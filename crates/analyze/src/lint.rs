@@ -22,9 +22,6 @@
 //! Scope: `src/` trees of the workspace root and every crate under
 //! `crates/` — integration `tests/` directories are test code and
 //! exempt by construction, as are `#[cfg(test)]` regions inside `src`.
-//! The `crates/analyze` replicas are exempt from the ordering rule:
-//! their `Ordering` arguments are modeled semantics under test, not
-//! production synchronization.
 
 use crate::source::{self, SourceView};
 use std::fmt;
@@ -156,11 +153,6 @@ fn rule_serve_panic(rel: &str, view: &SourceView, out: &mut Vec<Finding>) {
 }
 
 fn rule_relaxed(rel: &str, view: &SourceView, out: &mut Vec<Finding>) {
-    // The analyze replicas model orderings (including deliberately
-    // weak ones); the rule would lint the subject under test.
-    if rel.starts_with("crates/analyze/") {
-        return;
-    }
     scan_tokens(
         rel,
         view,

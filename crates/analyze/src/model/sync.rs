@@ -10,7 +10,8 @@
 
 use super::ctx;
 use std::ops::{Deref, DerefMut};
-use std::sync::{LockResult, Mutex as StdMutex, MutexGuard as StdGuard};
+use std::sync::{LockResult, Mutex as StdMutex, MutexGuard as StdGuard, PoisonError};
+use std::time::Duration;
 
 /// Plain `std::sync::Arc`: reference counting needs no modeling (the
 /// checker does not chase leaks).
@@ -138,10 +139,38 @@ impl Condvar {
         })
     }
 
+    /// `std`'s `wait_timeout`, with the timeout branch not explored:
+    /// the wait ends only on a notify, and the result never reports a
+    /// timeout. A wait that only its timeout could end is therefore
+    /// reported as a deadlock, like a plain [`Condvar::wait`].
+    pub fn wait_timeout<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        _dur: Duration,
+    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
+        let guard = self.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        Ok((guard, WaitTimeoutResult { timed_out: false }))
+    }
+
     /// Wakes every waiter.
     pub fn notify_all(&self) {
         let c = ctx();
         c.exec.condvar_notify_all(c.id, self.id);
+    }
+}
+
+/// The model's `std::sync::WaitTimeoutResult`: whether a
+/// [`Condvar::wait_timeout`] returned because its timeout elapsed —
+/// never, since the explorer does not explore timeouts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitTimeoutResult {
+    timed_out: bool,
+}
+
+impl WaitTimeoutResult {
+    /// Whether the wait timed out (always `false` in the model).
+    pub fn timed_out(&self) -> bool {
+        self.timed_out
     }
 }
 

@@ -4,7 +4,8 @@
 //! correct idiom must verify cleanly (and exhaustively — `complete`
 //! is asserted), and each seeded weakening must produce a violation.
 //! If the message-passing tests here stop distinguishing Acquire from
-//! Relaxed, every result from `analyze::protocols` is meaningless.
+//! Relaxed, the model checks of the sweep pool and the serve drain
+//! (which include those crates' production files) mean nothing.
 
 use mobicore_analyze::model::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use mobicore_analyze::model::sync::{Arc, Mutex};
@@ -126,6 +127,49 @@ fn release_sequence_through_rmw_verifies() {
     });
     outcome.assert_passed("release sequence through RMW");
     assert!(outcome.complete);
+}
+
+/// The serve drain's counter publication, and why its decrement must
+/// be Release: two connections bump a counter with Relaxed and retire
+/// by decrementing a live count; an observer that reads the count at
+/// zero with Acquire must see both bumps. With the Release decrement
+/// this verifies; this test weakens the second connection's decrement
+/// to Relaxed, and the stale read must be found. (The production drain
+/// cannot be seeded, so the weakening is proven load-bearing here.)
+#[test]
+fn relaxed_decrement_does_not_publish_the_counter() {
+    let check = |decrement: Ordering| {
+        Model::new().check(move || {
+            let live = Arc::new(AtomicUsize::new(2));
+            let decisions = Arc::new(AtomicUsize::new(0));
+            let (live2, decisions2) = (Arc::clone(&live), Arc::clone(&decisions));
+            let conn = thread::spawn(move || {
+                decisions2.fetch_add(3, Ordering::Relaxed);
+                live2.fetch_sub(1, decrement);
+            });
+            decisions.fetch_add(2, Ordering::Relaxed);
+            live.fetch_sub(1, Ordering::Release);
+            if live.load(Ordering::Acquire) == 0 {
+                assert_eq!(
+                    decisions.load(Ordering::Relaxed),
+                    5,
+                    "drain stats must be exact once the live count reads 0"
+                );
+            }
+            conn.join().expect("connection thread joins");
+        })
+    };
+    let release = check(Ordering::Release);
+    release.assert_passed("Release decrement");
+    assert!(release.complete, "exploration must be exhaustive");
+    let v = check(Ordering::Relaxed)
+        .violation
+        .expect("a Relaxed decrement must be caught");
+    assert!(
+        v.message.contains("drain stats must be exact"),
+        "{}",
+        v.message
+    );
 }
 
 /// Store buffering (Dekker): with Relaxed ops both threads may read 0

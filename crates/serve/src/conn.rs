@@ -1,6 +1,6 @@
 //! The daemon core shared by the serve and router tiers: admission, the
-//! telemetry sink, the live-connection count, the socket registry, and
-//! the bounded drain.
+//! telemetry sink, the socket registry, and the bounded drain (its
+//! flag and live-connection count are [`Drain`]).
 //!
 //! Both daemons run one blocking thread per connection. The acceptor
 //! blocks in `accept`; shutdown wakes it with a connect to the
@@ -12,13 +12,14 @@
 //! unblocks a thread stuck writing to a peer that stopped reading, so
 //! shutdown returns within its deadline.
 
+use crate::drain::Drain;
 use crate::protocol::{codes, frame_bytes, Frame};
 use mobicore_telemetry::{CounterId, EventData, RunManifest, Telemetry};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -67,16 +68,11 @@ pub(crate) struct Daemon {
     /// The `<tier>.conns` counter slot.
     conns: CounterId,
     accepted: AtomicU64,
-    draining: AtomicBool,
+    drain: Drain,
     drain_deadline: Duration,
     deadline_at: Mutex<Option<Instant>>,
-    live_conns: AtomicUsize,
     next_socket: AtomicU64,
     sockets: Mutex<HashMap<u64, Arc<TcpStream>>>,
-    /// Paired with `exited`: a connection thread takes it after its
-    /// `live_conns` decrement and notifies.
-    exit_lock: Mutex<()>,
-    exited: Condvar,
 }
 
 impl Daemon {
@@ -90,14 +86,11 @@ impl Daemon {
             telemetry: Mutex::new(telemetry),
             conns,
             accepted: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
+            drain: Drain::new(),
             drain_deadline,
             deadline_at: Mutex::new(None),
-            live_conns: AtomicUsize::new(0),
             next_socket: AtomicU64::new(0),
             sockets: Mutex::new(HashMap::new()),
-            exit_lock: Mutex::new(()),
-            exited: Condvar::new(),
         }
     }
 
@@ -154,7 +147,7 @@ impl Daemon {
     }
 
     pub(crate) fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
+        self.drain.draining()
     }
 
     /// Whether drain has begun and its deadline has passed.
@@ -164,9 +157,7 @@ impl Daemon {
 
     /// Connections admitted and not yet retired.
     pub(crate) fn live_conns(&self) -> usize {
-        // relaxed: admission gate and advisory stats only; a stale read
-        // over- or under-admits by one connection, which is benign.
-        self.live_conns.load(Ordering::Relaxed)
+        self.drain.live()
     }
 
     /// Registers `socket` for force-close at the drain deadline and
@@ -192,7 +183,7 @@ impl Daemon {
         self.emit(EventData::ConnAccepted { conn: conn_id });
         self.inc(self.conns, 1);
         let _ = stream.set_nodelay(true);
-        if self.live_conns() >= cap {
+        if !self.drain.admit(cap) {
             let refusal = frame_bytes(&Frame::Error {
                 code: codes::SERVER_FULL,
                 message: "connection cap reached".to_string(),
@@ -206,7 +197,6 @@ impl Daemon {
             });
             return None;
         }
-        self.live_conns.fetch_add(1, Ordering::AcqRel);
         let stream = Arc::new(stream);
         let socket = self.register(&stream);
         Some(Admitted {
@@ -234,17 +224,12 @@ impl Daemon {
         }
     }
 
-    /// Retires a connection admitted under registry id `socket`. The
-    /// Release decrement publishes every counter update the connection
-    /// made to whoever observes `live_conns == 0` with Acquire — the
-    /// drain wait in [`Daemon::shutdown`]. Downgrading it to Relaxed is
-    /// caught by
-    /// `mobicore_analyze::protocols::serve::check_drain_stats_exact`.
+    /// Retires a connection admitted under registry id `socket`
+    /// ([`Drain::retire`]: its counter updates are published to the
+    /// drain wait in [`Daemon::shutdown`]).
     pub(crate) fn retire(&self, socket: u64) {
         self.deregister(socket);
-        self.live_conns.fetch_sub(1, Ordering::Release);
-        let _guard = lock_unpoisoned(self.exit_lock.lock());
-        self.exited.notify_all();
+        self.drain.retire();
     }
 
     /// Graceful shutdown: flips the daemon into drain (once, recording
@@ -257,10 +242,9 @@ impl Daemon {
         addr: SocketAddr,
         acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     ) {
-        if !self.draining.swap(true, Ordering::AcqRel) {
+        if let Some(active) = self.drain.begin() {
             let deadline = Instant::now() + self.drain_deadline;
             *lock_unpoisoned(self.deadline_at.lock()) = Some(deadline);
-            let active = self.live_conns.load(Ordering::Acquire);
             self.emit(EventData::ServeShutdown {
                 active_sessions: active as u64,
             });
@@ -274,17 +258,7 @@ impl Daemon {
         let threads = acceptor.join().unwrap_or_default();
         let deadline = lock_unpoisoned(self.deadline_at.lock())
             .unwrap_or_else(|| Instant::now() + self.drain_deadline);
-        let mut guard = lock_unpoisoned(self.exit_lock.lock());
-        while self.live_conns.load(Ordering::Acquire) != 0 {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            guard = match self.exited.wait_timeout(guard, left) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
-        }
-        drop(guard);
+        self.drain.wait_until(deadline);
         for socket in lock_unpoisoned(self.sockets.lock()).values() {
             let _ = socket.shutdown(Shutdown::Both);
         }

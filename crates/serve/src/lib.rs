@@ -40,11 +40,18 @@
 
 pub mod client;
 mod conn;
+mod drain;
 pub mod load;
 pub mod protocol;
 pub mod registry;
 pub mod router;
 pub mod server;
+
+/// The primitives `drain` names as `super::sync`; the model check in
+/// `tests/drain_model.rs` binds the explorer's here instead.
+mod sync {
+    pub(crate) use std::sync::{atomic, Condvar, Mutex};
+}
 
 pub use client::{ClientError, ClientSession, RemoteDecision, RemotePolicy};
 pub use load::{record_snapshots, run_load, LoadConfig, LoadReport, ShardTally};

@@ -45,10 +45,18 @@
 #![warn(clippy::float_cmp, clippy::cast_possible_truncation)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+mod pool;
+
+/// The lock `pool` names as `super::sync::Mutex`; the model check in
+/// `tests/model.rs` binds the explorer's mutex here instead.
+mod sync {
+    pub(crate) use std::sync::Mutex;
+}
+
+use pool::lock_unpoisoned;
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{LockResult, Mutex};
+use sync::Mutex;
 
 /// Environment variable overriding the default worker count.
 pub const JOBS_ENV: &str = "MOBICORE_JOBS";
@@ -251,36 +259,19 @@ impl Executor {
                 .collect();
         }
 
-        // Deal jobs in contiguous chunks: worker w owns indices
-        // [w·n/workers, (w+1)·n/workers). Chunks keep the owner's pops
-        // sequential in submission order; steals take from the back.
         // The exactly-once claim of this deal/steal protocol is
-        // model-checked in `mobicore_analyze::protocols::sweep`.
-        let mut deques: Vec<Mutex<VecDeque<(usize, T)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            let w = i * workers / n;
-            lock_unpoisoned(deques[w].get_mut()).push_back((i, item));
-        }
-        let deques = &deques;
+        // model-checked on `pool` itself by `tests/model.rs`.
+        let deques = pool::deal(items, workers);
         let results: Vec<Mutex<Option<Result<R, JobPanic>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        let slots = &results;
-        let settle = &settle;
+        let (deques, slots, settle) = (&deques, &results, &settle);
 
         std::thread::scope(|scope| {
             for w in 0..workers {
-                scope.spawn(move || loop {
-                    let job = lock_unpoisoned(deques[w].lock()).pop_front();
-                    let (idx, item) = match job {
-                        Some(j) => j,
-                        None => match steal(deques, w) {
-                            Some(j) => j,
-                            None => break,
-                        },
-                    };
-                    let r = settle(idx, item);
-                    *lock_unpoisoned(slots[idx].lock()) = Some(r);
+                scope.spawn(move || {
+                    pool::work(deques, w, |idx, item| {
+                        *lock_unpoisoned(slots[idx].lock()) = Some(settle(idx, item));
+                    });
                 });
             }
         });
@@ -299,42 +290,6 @@ impl Default for Executor {
     fn default() -> Self {
         Self::from_env()
     }
-}
-
-/// Steals the back half of the first non-empty victim deque: one job is
-/// returned to run immediately, the rest land in `me`'s deque.
-///
-/// The victim's lock is released before `me`'s deque is locked, so no
-/// thread ever holds two deque locks at once (no lock-ordering deadlock).
-fn steal<T>(deques: &[Mutex<VecDeque<(usize, T)>>], me: usize) -> Option<(usize, T)> {
-    let n = deques.len();
-    for k in 1..n {
-        let v = (me + k) % n;
-        let mut chunk = {
-            let mut victim = lock_unpoisoned(deques[v].lock());
-            let len = victim.len();
-            if len == 0 {
-                continue;
-            }
-            let take = len.div_ceil(2);
-            victim.split_off(len - take)
-        };
-        let first = chunk.pop_front();
-        if !chunk.is_empty() {
-            lock_unpoisoned(deques[me].lock()).append(&mut chunk);
-        }
-        if first.is_some() {
-            return first;
-        }
-    }
-    None
-}
-
-/// The guard of a lock even if a job panicked holding it: a panicking
-/// job is caught and reported, and the deques and result slots stay
-/// structurally valid.
-fn lock_unpoisoned<T>(result: LockResult<T>) -> T {
-    result.unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A worker count as `--jobs` and `MOBICORE_JOBS` spell it: a positive

@@ -2,9 +2,9 @@
 //! deadlock the pool or lose its siblings' results.
 //!
 //! The companion concurrency claims (exactly-once execution under
-//! stealing) are model-checked exhaustively in
-//! `mobicore_analyze::protocols::sweep`; these tests cover the unwind
-//! paths the model does not simulate.
+//! stealing) are model-checked on `src/pool.rs` itself by
+//! `tests/model.rs`; these tests cover the unwind paths the model does
+//! not simulate.
 
 use mobicore_sweep::Executor;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -60,11 +60,6 @@ impl AppLaunch {
         }
     }
 
-    /// Completed launches.
-    pub fn launches(&self) -> u64 {
-        self.launches
-    }
-
     /// Mean launch latency so far, µs (0 before the first launch).
     pub fn mean_launch_latency_us(&self) -> f64 {
         if self.launch_latencies_us.is_empty() {
@@ -208,16 +203,6 @@ impl VideoPlayback {
             next_tag: 0,
             inflight_deadline: None,
         }
-    }
-
-    /// Frames decoded so far.
-    pub fn frames_decoded(&self) -> u64 {
-        self.frames_decoded
-    }
-
-    /// Frames that finished after their presentation deadline.
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses
     }
 }
 

@@ -77,11 +77,6 @@ impl BusyLoop {
         let burst = quantize_u64((busy_us * f64::from(f_ref.0) / 1_000.0).round());
         BusyLoop::fixed_burst(n_threads, burst.max(1), idle, seed)
     }
-
-    /// Completed bursts so far.
-    pub fn bursts_completed(&self) -> u64 {
-        self.bursts_completed
-    }
 }
 
 impl Workload for BusyLoop {

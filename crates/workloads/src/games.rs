@@ -198,11 +198,6 @@ impl GameApp {
         quantize_u64(1_000_000.0 / cap).max(VSYNC_MIN_FRAME_US)
     }
 
-    /// Frames presented so far.
-    pub fn frames_presented(&self) -> u64 {
-        self.frames_presented
-    }
-
     fn issue_frame(&mut self, rt: &mut WorkloadRt, now_us: u64) {
         fn jitter(rng: &mut StdRng, cv: f64) -> f64 {
             if cv > 0.0 {

@@ -110,11 +110,6 @@ impl GeekBenchApp {
         ])
     }
 
-    /// Completed full suite iterations.
-    pub fn suites_completed(&self) -> u64 {
-        self.suites_completed
-    }
-
     fn phase(&self) -> Phase {
         self.phases[self.cur_phase]
     }

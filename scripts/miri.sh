@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the concurrency-bearing crates under Miri (interpreter-level UB
-# and weak-memory checking of the *real* code, complementing the
-# mobicore-analyze model checker's replica-level exploration).
+# and weak-memory checking of the whole crates, complementing the
+# model checks of the sweep pool and serve drain, which explore only
+# those two files).
 #
 # Needs a nightly toolchain with the miri component:
 #   rustup toolchain install nightly --component miri

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Run the concurrency-bearing crates under ThreadSanitizer: real
 # threads, real sockets, instrumented synchronization — the dynamic
-# complement to the mobicore-analyze model checker (which explores
-# small replicas exhaustively; TSan samples the real code's schedules).
+# complement to the model checks (which explore the sweep pool's and
+# the serve drain's schedules under a preemption bound, with timeouts
+# unexplored; TSan samples whole runs of the real code).
 #
 # Needs a nightly toolchain with rust-src for -Zbuild-std:
 #   rustup toolchain install nightly --component rust-src
