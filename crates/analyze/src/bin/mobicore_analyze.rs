@@ -11,7 +11,7 @@
 //! exits non-zero on any finding — the same pass tier-1 runs in
 //! `tests/static_analysis.rs`. The model checks are tests of the
 //! crates they check (`cargo test -p mobicore-sweep --test model`,
-//! `cargo test -p mobicore-serve --test drain_model`).
+//! `cargo test -p mobicore-serve --test protocols`).
 
 use mobicore_analyze::lint;
 use std::path::{Path, PathBuf};

@@ -4,7 +4,7 @@
 //!
 //! This file is compiled twice. The library builds it as its private
 //! `drain` module, with `super::sync` bound to `std::sync`. The model
-//! check `tests/drain_model.rs` includes the same file with `#[path]`,
+//! check `tests/protocols.rs` includes the same file with `#[path]`,
 //! binding `super::sync` to the `mobicore_analyze` explorer's
 //! primitives, and explores its interleavings. Locks, condvars and
 //! atomics must therefore be named only through `super::sync`: a
@@ -68,7 +68,7 @@ impl Drain {
     /// Retires one admitted connection. The Release decrement publishes
     /// every counter update the connection made to whoever observes
     /// `live_conns == 0` with Acquire — [`Drain::wait_until`].
-    /// `tests/drain_model.rs` checks that the stats read after the wait
+    /// `tests/protocols.rs` checks that the stats read after the wait
     /// are exact; the litmus test
     /// `relaxed_decrement_does_not_publish_the_counter` in
     /// `mobicore-analyze` shows that a Relaxed decrement would not do.

@@ -48,7 +48,7 @@ pub mod router;
 pub mod server;
 
 /// The primitives `drain` names as `super::sync`; the model check in
-/// `tests/drain_model.rs` binds the explorer's here instead.
+/// `tests/protocols.rs` binds the explorer's here instead.
 mod sync {
     pub(crate) use std::sync::{atomic, Condvar, Mutex};
 }

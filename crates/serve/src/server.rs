@@ -179,7 +179,7 @@ impl Shared {
         // `Daemon::shutdown` is exact because every connection's Release
         // decrement of the live count (and the join itself)
         // happens-before it — model-checked on the drain itself by
-        // `tests/drain_model.rs`.
+        // `tests/protocols.rs`.
         ServeStats {
             sessions: self.sessions.load(Ordering::Relaxed), // relaxed: advisory snapshot (see above)
             decisions: self.decisions.load(Ordering::Relaxed), // relaxed: advisory snapshot
@@ -460,7 +460,7 @@ fn handle_frame(sess: &mut Session, shared: &Shared, frame: Frame) {
             sess.decisions += 1;
             // relaxed: monotonic counter; published by the Release
             // decrement of the live count when the connection retires
-            // (model-checked by tests/drain_model.rs).
+            // (model-checked by tests/protocols.rs).
             shared.decisions.fetch_add(1, Ordering::Relaxed);
             {
                 let ids = shared.metrics;

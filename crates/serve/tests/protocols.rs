@@ -31,7 +31,7 @@ use sync::atomic::{AtomicU64, Ordering};
 /// must be exact: only the Release decrement in `retire` and the
 /// Acquire load in `wait_until` order it.
 #[test]
-fn drain_wait_sees_every_retired_connections_counts() {
+fn serve_drain_stats_exact_with_release_acquire() {
     let outcome = Model::new().with_preemption_bound(2).check(|| {
         let drain = Arc::new(Drain::new());
         let decisions = Arc::new(AtomicU64::new(0));
@@ -62,6 +62,55 @@ fn drain_wait_sees_every_retired_connections_counts() {
     });
     outcome.assert_passed("drain");
     assert!(outcome.complete, "bounded space exhausted: {outcome:?}");
+    assert!(
+        outcome.schedules > 10,
+        "interleavings explored: {outcome:?}"
+    );
+}
+
+/// Three admitted connections are each served once (a per-connection
+/// Relaxed counter) and retire while the driver drains. On every
+/// schedule within the bound the drain wait returns (the run is
+/// complete and nothing is pruned for want of progress), and once it
+/// has, every connection reads as served exactly once.
+#[test]
+fn serve_drain_terminates_and_serves_each_connection_once() {
+    let outcome = Model::new().with_preemption_bound(1).check(|| {
+        let drain = Arc::new(Drain::new());
+        let served: Arc<Vec<AtomicU64>> = Arc::new((0..3).map(|_| AtomicU64::new(0)).collect());
+        for _ in 0..3 {
+            assert!(drain.admit(3), "under the cap");
+        }
+        let conns: Vec<_> = (0..3)
+            .map(|i| {
+                let (drain, served) = (Arc::clone(&drain), Arc::clone(&served));
+                thread::spawn(move || {
+                    served[i].fetch_add(1, Ordering::Relaxed);
+                    drain.retire();
+                })
+            })
+            .collect();
+        let at_flip = drain.begin().expect("the first begin flips the flag");
+        assert!(at_flip <= 3, "live count at the flip: {at_flip}");
+        drain.wait_until(Instant::now() + Duration::from_secs(3600));
+        for (i, s) in served.iter().enumerate() {
+            assert_eq!(
+                s.load(Ordering::Relaxed),
+                1,
+                "connection {i} must be served exactly once when the drain wait returns"
+            );
+        }
+        for c in conns {
+            c.join().expect("connection thread joins");
+        }
+        assert_eq!(drain.live(), 0);
+    });
+    outcome.assert_passed("drain termination");
+    assert!(outcome.complete, "bounded space exhausted: {outcome:?}");
+    assert_eq!(
+        outcome.pruned, 0,
+        "every schedule ends the drain: {outcome:?}"
+    );
     assert!(
         outcome.schedules > 10,
         "interleavings explored: {outcome:?}"
